@@ -15,6 +15,7 @@ fixed separators.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -53,30 +54,53 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_arrays(path):
-    """Returns (arrays dict in file order, meta dict)."""
+    """Returns (arrays dict in file order, meta dict).
+
+    Raises CheckpointFormatError unless the arrays tile the data section
+    exactly, in header order, as ``save_arrays`` writes them: a truncated
+    file, an offset past the end or a shape that does not match the bytes
+    all fail here instead of reading garbage.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] != MAGIC:
+    if raw[:8] != MAGIC or len(raw) < 16:
         raise CheckpointFormatError(f"{path}: not a checkpoint file")
     (header_len,) = struct.unpack("<Q", raw[8:16])
+    base = 16 + header_len
+    if base > len(raw):
+        raise CheckpointFormatError(f"{path}: header runs past the end of the file")
     try:
-        header = json.loads(raw[16:16 + header_len].decode())
+        header = json.loads(raw[16:base].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header") from exc
-    if header.get("version") != VERSION:
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != VERSION:
         raise CheckpointFormatError(
-            f"{path}: format version {header.get('version')} is not "
-            f"supported (expected {VERSION})")
-    base = 16 + header_len
+            f"{path}: format version {version} is not supported (expected {VERSION})")
+    try:
+        table = [(e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]),
+                  e["offset"]) for e in header["arrays"]]
+        meta = header["meta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed array table ({exc})") from exc
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = base + entry["offset"]
-        flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = flat.reshape(shape).copy()
-    return arrays, header["meta"]
+    offset = 0
+    for name, dtype, shape, start in table:
+        count = math.prod(shape)
+        end = offset + count * dtype.itemsize
+        if (dtype.hasobject or min(shape, default=0) < 0 or start != offset
+                or base + end > len(raw)):
+            raise CheckpointFormatError(
+                f"{path}: array {name!r} ({dtype.str}, shape {shape}) at offset "
+                f"{start} does not fit the data section")
+        flat = np.frombuffer(raw, dtype=dtype, count=count, offset=base + offset)
+        arrays[name] = flat.reshape(shape).copy()
+        offset = end
+    if base + offset != len(raw):
+        raise CheckpointFormatError(
+            f"{path}: {len(raw) - base} bytes of array data, the header "
+            f"describes {offset}")
+    return arrays, meta
 
 
 def _jsonable(obj):

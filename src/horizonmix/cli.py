@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,10 @@ from .checkpoint import load_policy, save_policy
 from .config import TrainConfig, load_config
 from .consensus import ConsensusConfig
 from .envbench.dataset import generate_dataset, load_dataset, save_dataset
-from .envbench.env import make_suite
+from .envbench.env import EnvConstants, make_suite
 from .envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                 evaluate, run_episode, write_success_csv)
+from .envbench.expert import ExpertGains
 from .errors import ConfigError, HorizonMixError
 from .mixture import write_gate_stats_csv
 from .policy import Policy
@@ -44,6 +45,10 @@ def _resolve(path: str) -> Path:
 
 
 def _load_or_generate_dataset(args, cfg: TrainConfig):
+    """The dataset under ``--data``, generated first if it is missing.
+
+    A dataset generated with other settings, or by a version with other env
+    or expert constants, is refused rather than trained on silently."""
     data_dir = _resolve(args.data)
     if not (data_dir / "data.npz").exists():
         print(f"dataset not found; generating at {data_dir}")
@@ -51,7 +56,19 @@ def _load_or_generate_dataset(args, cfg: TrainConfig):
         dataset = generate_dataset(suite, args.episodes_per_task,
                                    cfg.max_horizon, seed=args.suite_seed)
         save_dataset(dataset, data_dir)
-    return load_dataset(data_dir)
+    dataset = load_dataset(data_dir)
+    expected = {"seed": args.suite_seed,
+                "episodes_per_task": args.episodes_per_task,
+                "max_horizon": cfg.max_horizon,
+                "env_constants": asdict(EnvConstants()),
+                "expert_gains": asdict(ExpertGains())}
+    for key, value in expected.items():
+        found = dataset.manifest.get(key)
+        if found != value:
+            raise ConfigError(
+                f"dataset at {data_dir} has {key} {found!r}, this run "
+                f"generates {value!r}; delete it or pass another --data")
+    return dataset
 
 
 def _train_once(cfg: TrainConfig, dataset, out_dir: Path):

@@ -2,11 +2,22 @@
 flow matching (velocity field + Euler integration), one-step l1 regression,
 and one-step binned classification.
 
-Every head produces per-horizon predictions, gate weights, a fused
-prediction, and the loss triple (L_mix, per-horizon losses) that the MoH
-objective combines. Loss reductions follow the head conventions: flow losses
-are means over valid positions, one-step losses are sums over valid steps
-and action dimensions; all are averaged over the batch.
+The heads differ only in three places around one shared path (transformer
+forward, head linear map, gate, fuse):
+
+- tokens: the flow head feeds its noisy chunk and a time token, the
+  one-step heads a learnable query (``transformer.forward_multi_horizon``);
+- per-row loss: squared error for flow, l1 error for regression, bin NLL
+  for classification, each summed over action dimensions at every
+  (example, stream, step) row and every fused (example, step) row;
+- decode: the fused and per-horizon velocity field integrated from noise
+  (``flow_infer``), or read directly as actions or most likely bins
+  (``head_infer``).
+
+``head_loss`` reduces the rows to L_mix and the N per-horizon losses with
+one masked reduction each. Flow losses are means over valid positions,
+one-step losses are sums over valid steps and action dimensions averaged
+over the batch.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from . import transformer as tr
 from .errors import ConfigError
-from .mixture import GateWeights, HorizonSet, fuse, gate, uniform_gate
+from .mixture import HorizonSet, fuse, gate, uniform_gate, validity_grid
 from .rng import make_rng, truncated_normal
 
 HEAD_TYPES = ("flow", "regression", "classification")
@@ -88,20 +99,8 @@ def dequantize(indices: np.ndarray, grid: BinGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# flow matching
+# shared path: forward, head map, gate, fuse
 # ---------------------------------------------------------------------------
-
-
-def flow_target(eps: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Velocity of the linear noise-to-data path; constant in flow time."""
-    return target - eps
-
-
-def _masked_mse(err: T.Tensor, weight: np.ndarray) -> T.Tensor:
-    """Mean of err^2 over entries where weight is 1."""
-    count = float(weight.sum()) * err.shape[-1]
-    total = T.tsum(T.mul(T.mul(err, err), T.constant(weight[..., None], dtype=err.dtype)))
-    return T.mul(total, 1.0 / count)
 
 
 def _gate_weights(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str):
@@ -110,38 +109,98 @@ def _gate_weights(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str):
     return gate(params, hidden, horizons)
 
 
-def flow_loss(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.Tensor,
-              target: np.ndarray, valid_rows: np.ndarray, rng,
-              fusion: str = "gated"):
-    """Velocity-matching losses for one batch.
+def _fused_forward(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
+                   ctx: T.Tensor, grid: BinGrid | None, fusion: str,
+                   chunks: T.Tensor | None = None, tau: np.ndarray | None = None):
+    """One forward, one gate and one fuse.
+
+    Streams are fused in the head's output space: velocities or actions
+    (B, N, H, d_a) for flow and regression, bin probabilities
+    (B, N, H, d_a, bins) for classification, whose log-probabilities are
+    returned as well.
+    returns (per-stream outputs, fused (B, H, ...), log-probabilities or
+    None, gate weights)
+    """
+    hidden = tr.forward_multi_horizon(params, cfg, ctx, horizons.horizons, chunks, tau)
+    out = T.linear(hidden, params["head.w"], params["head.b"])
+    weights = _gate_weights(params, hidden, horizons, fusion)
+    if head != "classification":
+        return out, fuse(out, weights), None, weights
+    b, n, h_max = out.shape[:3]
+    d_a = len(grid.lo)
+    logits = T.reshape(out, (b, n, h_max, d_a, grid.bins))
+    # the subtracted max is treated as constant; its gradient cancels exactly
+    shifted = T.sub(logits, T.constant(logits.data.max(axis=-1, keepdims=True)))
+    logp = T.sub(shifted, T.tlog(T.tsum(T.texp(shifted), axis=-1, keepdims=True)))
+    probs = T.texp(logp)
+    fused = fuse(T.reshape(probs, (b, n, h_max, d_a * grid.bins)), weights)
+    return probs, T.reshape(fused, (b, h_max, d_a, grid.bins)), logp, weights
+
+
+# ---------------------------------------------------------------------------
+# training objective
+# ---------------------------------------------------------------------------
+
+
+def flow_target(eps: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Velocity of the linear noise-to-data path; constant in flow time."""
+    return target - eps
+
+
+def head_loss(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
+              ctx: T.Tensor, target: np.ndarray, valid_rows: np.ndarray, rng,
+              grid: BinGrid | None, fusion: str):
+    """L_mix and the per-horizon losses of one batch.
 
     target:     (B, H, d_a) normalized action chunks
     valid_rows: (B, H) flags; padded chunk rows carry no loss anywhere
-    returns (l_mix, per-horizon losses, gate weights)
+    rng:        draws the flow time and noise (flow head only)
+    grid:       the bin grid (classification head only)
+    returns (l_mix, per-horizon losses (N,), gate weights)
     """
     b, h_max, d_a = target.shape
     n = len(horizons)
     dtype = ctx.data.dtype
-    tau = rng.random(b)
-    eps = rng.standard_normal(target.shape)
-    x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
-    u = flow_target(eps, target)
+    chunks = tau = None
+    if head == "flow":
+        tau = rng.random(b)
+        eps = rng.standard_normal(target.shape)
+        x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
+        chunks = T.constant(np.broadcast_to(x[:, None], (b, n, h_max, d_a)).astype(dtype))
+        target = flow_target(eps, target)
+    out, fused, logp, weights = _fused_forward(params, cfg, head, horizons, ctx, grid,
+                                               fusion, chunks, tau)
 
-    inputs = T.constant(np.broadcast_to(x[:, None], (b, n, h_max, d_a)).astype(dtype, copy=True))
-    hidden, stream_valid = tr.forward_multi_horizon(params, cfg, ctx, inputs, tau,
-                                                    horizons.horizons)
-    v = T.linear(hidden, params["head.w"], params["head.b"])
-    weights = _gate_weights(params, hidden, horizons, fusion)
-    fused_v = fuse(v, weights)
+    # per-row losses: (B, N, H) per stream and (B, H) fused
+    if head == "classification":
+        bins0 = quantize(target, grid) - 1
+        neg_onehot = -(np.arange(grid.bins) == bins0[..., None]).astype(dtype)
+        norm = T.tpow(T.tsum(fused, axis=-1, keepdims=True), -1.0)
+        fused_logp = T.tlog(T.add(T.mul(fused, norm), T.constant(PROB_FLOOR, dtype=dtype)))
+        rows = T.tsum(T.mul(logp, T.constant(neg_onehot[:, None])), axis=(-2, -1))
+        fused_rows = T.tsum(T.mul(fused_logp, T.constant(neg_onehot)), axis=(-2, -1))
+    else:
+        err = T.sub(out, T.constant(target[:, None].astype(dtype)))
+        fused_err = T.sub(fused, T.constant(target.astype(dtype)))
+        row = (lambda e: T.mul(e, e)) if head == "flow" else T.tabs
+        rows = T.tsum(row(err), axis=-1)
+        fused_rows = T.tsum(row(fused_err), axis=-1)
 
-    u_c = T.constant(u.astype(dtype))
-    l_mix = _masked_mse(T.sub(fused_v, u_c), valid_rows.astype(dtype))
-    per_h = []
-    err = T.sub(v, T.reshape(u_c, (b, 1, h_max, d_a)))
-    for i in range(n):
-        w = (stream_valid[i][None] & valid_rows).astype(dtype)
-        per_h.append(_masked_mse(err[:, i], w))
+    # stream i scores the valid rows within its horizon
+    mask = validity_grid(horizons).T[None] & valid_rows[:, None]
+    if head == "flow":
+        row_w = mask / (mask.sum(axis=(0, 2), keepdims=True) * d_a)
+        fused_w = valid_rows / (valid_rows.sum() * d_a)
+    else:
+        row_w, fused_w = mask / b, valid_rows / b
+    per_h = T.tsum(T.mul(rows, T.constant(row_w.astype(dtype))), axis=(0, 2))
+    l_mix = T.tsum(T.mul(fused_rows, T.constant(fused_w.astype(dtype))))
     return l_mix, per_h, weights
+
+
+# ---------------------------------------------------------------------------
+# inference
+# ---------------------------------------------------------------------------
 
 
 def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.Tensor,
@@ -172,9 +231,8 @@ def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.T
         tau = np.full(b, s * dtau)
         fused_rep = np.broadcast_to(fused_x[:, None], (b, n, h_max, d_a))
         stacked = np.concatenate([fused_rep, own_x], axis=1) if need_per_horizon else fused_rep
-        hidden, _ = tr.forward_multi_horizon(params, cfg, ctx,
-                                             T.constant(stacked.astype(dtype, copy=True)),
-                                             tau, stream_horizons)
+        hidden = tr.forward_multi_horizon(params, cfg, ctx, stream_horizons,
+                                          T.constant(stacked.astype(dtype)), tau)
         v = T.linear(hidden, params["head.w"], params["head.b"]).data.astype(np.float64)
         weights = _gate_weights(params, hidden[:, :n], horizons, fusion)
         fused_v = fuse(T.constant(v[:, :n].astype(dtype)), weights).data.astype(np.float64)
@@ -185,116 +243,20 @@ def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.T
     return fused_x, own_x, alpha_acc / steps
 
 
-# ---------------------------------------------------------------------------
-# one-step regression
-# ---------------------------------------------------------------------------
+def head_infer(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
+               ctx: T.Tensor, grid: BinGrid | None, fusion: str):
+    """One-step heads: fused and per-horizon actions from one forward.
 
-
-def _masked_l1_sum(err: T.Tensor, weight: np.ndarray, batch: int) -> T.Tensor:
-    total = T.tsum(T.mul(T.tabs(err), T.constant(weight[..., None], dtype=err.dtype)))
-    return T.mul(total, 1.0 / batch)
-
-
-def regression_loss(params, cfg, horizons: HorizonSet, ctx: T.Tensor,
-                    target: np.ndarray, valid_rows: np.ndarray,
-                    fusion: str = "gated"):
-    """l1 losses summed over valid steps and dims, averaged over the batch."""
-    b, h_max, d_a = target.shape
-    dtype = ctx.data.dtype
-    hidden, stream_valid = tr.forward_regression_queries(params, cfg, ctx, horizons.horizons)
-    preds = T.linear(hidden, params["head.w"], params["head.b"])
-    weights = _gate_weights(params, hidden, horizons, fusion)
-    fused = fuse(preds, weights)
-
-    tgt = T.constant(target.astype(dtype))
-    l_mix = _masked_l1_sum(T.sub(fused, tgt), valid_rows.astype(dtype), b)
-    per_h = []
-    err = T.sub(preds, T.reshape(tgt, (b, 1, h_max, d_a)))
-    for i in range(len(horizons)):
-        w = (stream_valid[i][None] & valid_rows).astype(dtype)
-        per_h.append(_masked_l1_sum(err[:, i], w, b))
-    return l_mix, per_h, weights
-
-
-def regression_infer(params, cfg, horizons: HorizonSet, ctx: T.Tensor, d_a: int,
-                    fusion: str = "gated"):
-    hidden, _ = tr.forward_regression_queries(params, cfg, ctx, horizons.horizons)
-    preds = T.linear(hidden, params["head.w"], params["head.b"])
-    weights = _gate_weights(params, hidden, horizons, fusion)
-    fused = fuse(preds, weights)
-    return (fused.data.astype(np.float64), preds.data.astype(np.float64),
-            weights.alpha.data.astype(np.float64))
-
-
-# ---------------------------------------------------------------------------
-# one-step classification
-# ---------------------------------------------------------------------------
-
-
-def _log_softmax(logits: T.Tensor) -> T.Tensor:
-    # the subtracted max is treated as constant; its gradient cancels exactly
-    m = T.constant(logits.data.max(axis=-1, keepdims=True))
-    shifted = T.sub(logits, m)
-    return T.sub(shifted, T.tlog(T.tsum(T.texp(shifted), axis=-1, keepdims=True)))
-
-
-def _class_logits(params, hidden: T.Tensor, d_a: int, bins: int) -> T.Tensor:
-    raw = T.linear(hidden, params["head.w"], params["head.b"])
-    return T.reshape(raw, raw.shape[:-1] + (d_a, bins))
-
-
-def classification_loss(params, cfg, horizons: HorizonSet, ctx: T.Tensor,
-                        target: np.ndarray, valid_rows: np.ndarray, grid: BinGrid,
-                        fusion: str = "gated"):
-    """Bin NLL summed over valid steps and dims, averaged over the batch.
-
-    L_mix scores the alpha-fused, renormalized bin distributions.
+    Regression reads the actions directly; classification takes the
+    centers of the most likely bins, of the renormalized fused distribution
+    and of each stream's own.
+    returns (fused (B,H,d_a), per_horizon (B,N,H,d_a), alpha (B,H,N))
     """
-    b, h_max, d_a = target.shape
-    n = len(horizons)
-    dtype = ctx.data.dtype
-    hidden, stream_valid = tr.forward_regression_queries(params, cfg, ctx, horizons.horizons)
-    logits = _class_logits(params, hidden, d_a, grid.bins)
-    logp = _log_softmax(logits)
-    weights = _gate_weights(params, hidden, horizons, fusion)
-
-    onehot = np.zeros((b, h_max, d_a, grid.bins), dtype=dtype)
-    bins0 = quantize(target, grid) - 1
-    bidx, kidx, didx = np.meshgrid(np.arange(b), np.arange(h_max), np.arange(d_a),
-                                   indexing="ij")
-    onehot[bidx, kidx, didx, bins0] = 1.0
-
-    per_h = []
-    for i in range(n):
-        w = (stream_valid[i][None] & valid_rows).astype(dtype)
-        step_ll = T.tsum(T.mul(logp[:, i], T.constant(onehot)), axis=(-2, -1))
-        per_h.append(T.mul(T.tsum(T.mul(step_ll, T.constant(w))), -1.0 / b))
-
-    probs = T.texp(logp)
-    flat = T.reshape(probs, (b, n, h_max, d_a * grid.bins))
-    fused = T.reshape(fuse(flat, weights), (b, h_max, d_a, grid.bins))
-    norm = T.tpow(T.tsum(fused, axis=-1, keepdims=True), -1.0)
-    fused_logp = T.tlog(T.add(T.mul(fused, norm), T.constant(PROB_FLOOR, dtype=dtype)))
-    picked = T.tsum(T.mul(fused_logp, T.constant(onehot)), axis=(-2, -1))
-    l_mix = T.mul(T.tsum(T.mul(picked, T.constant(valid_rows.astype(dtype)))), -1.0 / b)
-    return l_mix, per_h, weights
-
-
-def classification_infer(params, cfg, horizons: HorizonSet, ctx: T.Tensor, d_a: int,
-                         grid: BinGrid, fusion: str = "gated"):
-    """Per-horizon and fused actions as centers of the most likely bins."""
-    b = ctx.shape[0]
-    n = len(horizons)
-    h_max = horizons.max_horizon
-    hidden, _ = tr.forward_regression_queries(params, cfg, ctx, horizons.horizons)
-    logits = _class_logits(params, hidden, d_a, grid.bins)
-    logp = _log_softmax(logits)
-    weights = _gate_weights(params, hidden, horizons, fusion)
-    probs = T.texp(logp)
-    flat = T.reshape(probs, (b, n, h_max, d_a * grid.bins))
-    fused = fuse(flat, weights).data.reshape(b, h_max, d_a, grid.bins)
-    fused /= fused.sum(axis=-1, keepdims=True)
-    fused_actions = dequantize(fused.argmax(axis=-1) + 1, grid)
-    per_actions = dequantize(probs.data.argmax(axis=-1) + 1, grid)
-    return (fused_actions.astype(np.float64), per_actions.astype(np.float64),
+    out, fused, _, weights = _fused_forward(params, cfg, head, horizons, ctx, grid, fusion)
+    fused, per_h = fused.data, out.data
+    if head == "classification":
+        fused = dequantize((fused / fused.sum(axis=-1, keepdims=True)).argmax(axis=-1) + 1,
+                           grid)
+        per_h = dequantize(per_h.argmax(axis=-1) + 1, grid)
+    return (fused.astype(np.float64), per_h.astype(np.float64),
             weights.alpha.data.astype(np.float64))

@@ -197,12 +197,13 @@ class MoHLossBreakdown:
     lambda_bal: float
 
 
-def moh_objective(l_mix: T.Tensor, per_horizon_losses, l_bal: T.Tensor,
+def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor,
                   lambda_ind: float = 1.0, lambda_bal: float = 1e-3) -> MoHLossBreakdown:
-    """total = L_mix + lambda_ind * sum(L^(h)) + lambda_bal * L_bal."""
-    l_ind = per_horizon_losses[0]
-    for term in per_horizon_losses[1:]:
-        l_ind = T.add(l_ind, term)
+    """total = L_mix + lambda_ind * sum(L^(h)) + lambda_bal * L_bal.
+
+    per_horizon_losses: (N,) one loss per horizon.
+    """
+    l_ind = T.tsum(per_horizon_losses)
     total = T.add(T.add(l_mix, T.mul(l_ind, lambda_ind)), T.mul(l_bal, lambda_bal))
     return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total,
                             lambda_ind=lambda_ind, lambda_bal=lambda_bal)

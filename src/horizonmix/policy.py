@@ -1,6 +1,12 @@
 """One policy object over the three heads: owns parameters, normalization
 statistics, the horizon set, and the train/infer entry points shared by the
-training loop, the evaluator, and the CLI."""
+training loop, the evaluator, and the CLI.
+
+``Policy.loss`` runs ``heads.head_loss`` for every head. ``Policy.predict``
+integrates the flow head's velocity field (``heads.flow_infer``, which needs
+an rng for the noise) and reads the one-step heads directly
+(``heads.head_infer``).
+"""
 
 from __future__ import annotations
 
@@ -133,20 +139,9 @@ class Policy:
         ctx = self.encode_context(obs, task_ids)
         target = self.norm.normalize_actions(np.asarray(chunks, dtype=np.float64))
         valid_rows = np.asarray(valid_rows, dtype=bool)
-        fusion = self.cfg.fusion
-        if self.cfg.head == "flow":
-            l_mix, per_h, weights = hd.flow_loss(self.params, self._tcfg, self.horizons,
-                                                 ctx, target, valid_rows, rng,
-                                                 fusion=fusion)
-        elif self.cfg.head == "regression":
-            l_mix, per_h, weights = hd.regression_loss(self.params, self._tcfg,
-                                                       self.horizons, ctx, target,
-                                                       valid_rows, fusion=fusion)
-        else:
-            l_mix, per_h, weights = hd.classification_loss(self.params, self._tcfg,
-                                                           self.horizons, ctx, target,
-                                                           valid_rows, self.grid,
-                                                           fusion=fusion)
+        l_mix, per_h, weights = hd.head_loss(self.params, self._tcfg, self.cfg.head,
+                                             self.horizons, ctx, target, valid_rows, rng,
+                                             self.grid, self.cfg.fusion)
         l_bal = balance_loss(weights.alpha, self.horizons)
         return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), weights
 
@@ -166,15 +161,10 @@ class Policy:
                                                 ctx, steps, rng, self.cfg.d_a,
                                                 need_per_horizon=need_per_horizon,
                                                 fusion=self.cfg.fusion)
-        elif self.cfg.head == "regression":
-            fused, per_h, alpha = hd.regression_infer(self.params, self._tcfg,
-                                                      self.horizons, ctx, self.cfg.d_a,
-                                                      fusion=self.cfg.fusion)
         else:
-            fused, per_h, alpha = hd.classification_infer(self.params, self._tcfg,
-                                                          self.horizons, ctx,
-                                                          self.cfg.d_a, self.grid,
-                                                          fusion=self.cfg.fusion)
+            fused, per_h, alpha = hd.head_infer(self.params, self._tcfg, self.cfg.head,
+                                                self.horizons, ctx, self.grid,
+                                                self.cfg.fusion)
         fused = self.norm.denormalize_actions(fused)
         if per_h is not None:
             per_h = self.norm.denormalize_actions(per_h)

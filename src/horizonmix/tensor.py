@@ -411,15 +411,6 @@ def tpow(a: Tensor, exponent: float):
     return _make(a.data**exponent, (a,), bwd)
 
 
-def tanh(a: Tensor):
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bwd)
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 

@@ -8,12 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from . import transformer as tr
 from .checkpoint import save_policy
 from .config import TrainConfig
 from .errors import ConfigError, TrainingDivergedError
-from .heads import fit_bin_grid, _masked_mse, flow_target
-from .mixture import MoHLossBreakdown, moh_objective
+from .heads import fit_bin_grid
 from .policy import Normalization, Policy
 from .rng import make_rng
 
@@ -103,37 +101,6 @@ def default_loss(policy: Policy, cfg: TrainConfig):
                                           lambda_ind=cfg.lambda_ind,
                                           lambda_bal=cfg.lambda_bal)
         return breakdown
-    return fn
-
-
-def single_horizon_loss(policy: Policy, cfg: TrainConfig):
-    """Plain chunk-policy objective with the mixture machinery bypassed:
-    one full-length stream, no gate, no fusion, no balance term."""
-    if policy.cfg.head != "flow":
-        raise ConfigError("the single-horizon baseline supports the flow head")
-    if len(policy.horizons) != 1:
-        raise ConfigError("baseline loss requires HorizonSet {H}")
-    h = policy.horizons.max_horizon
-    tcfg = policy.cfg.transformer()
-
-    def fn(obs, task_ids, chunks, valid, rng):
-        ctx = policy.encode_context(obs, task_ids)
-        target = policy.norm.normalize_actions(
-            np.asarray(chunks, dtype=np.float64))
-        dtype = ctx.data.dtype
-        b, h_max, d_a = target.shape
-        tau = rng.random(b)
-        eps = rng.standard_normal(target.shape)
-        x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
-        u = flow_target(eps, target)
-        inputs = T.constant(x[:, None].astype(dtype))
-        hidden, _ = tr.forward_multi_horizon(policy.params, tcfg, ctx, inputs,
-                                             tau, [h])
-        v = T.linear(hidden, policy.params["head.w"], policy.params["head.b"])
-        l = _masked_mse(T.sub(v[:, 0], T.constant(u.astype(dtype))),
-                        np.asarray(valid, dtype=bool).astype(dtype))
-        zero = T.constant(np.zeros((), dtype=dtype))
-        return moh_objective(l, [l], zero, cfg.lambda_ind, cfg.lambda_bal)
     return fn
 
 

@@ -9,6 +9,12 @@ identical to running each truncated stream alone.
 
 Sequence layout per stream: [C context] [time token, flow heads only]
 [H action positions].
+
+One forward, ``forward_multi_horizon``, serves every head. The flow head
+fills the action positions with its noisy chunk and adds the time token;
+the one-step heads fill them with a learnable query and have no time token.
+It returns only hidden states; which (step, horizon) pairs are valid is
+``mixture.validity_grid``.
 """
 
 from __future__ import annotations
@@ -83,8 +89,8 @@ def build_stream_masks(horizons, n_context: int, max_horizon: int, with_time: bo
                        dtype=np.float32):
     """Additive attention masks, one per horizon stream.
 
-    Returns (masks, valid): masks (N, 1, L, L) ready to broadcast over batch
-    and heads, valid (N, H) flags for the action positions.
+    Returns masks (N, 1, L, L) ready to broadcast over batch and heads.
+    Which action positions are valid is ``mixture.validity_grid``.
 
     Visibility rules: context rows attend to context only, so the context
     encoding is the same in every stream and independent of horizon; the time
@@ -101,9 +107,7 @@ def build_stream_masks(horizons, n_context: int, max_horizon: int, with_time: bo
     length = n_context + t + max_horizon
     a0 = n_context + t
     masks = np.full((n, 1, length, length), T.NEG_INF, dtype=dtype)
-    valid = np.zeros((n, max_horizon), dtype=bool)
     for i, h in enumerate(horizons):
-        valid[i, :h] = True
         m = masks[i, 0]
         m[:n_context, :n_context] = 0.0
         if with_time:
@@ -114,7 +118,7 @@ def build_stream_masks(horizons, n_context: int, max_horizon: int, with_time: bo
         m[np.ix_(rows, rows)] = 0.0
         idx = np.arange(a0 + h, length)
         m[idx, idx] = 0.0
-    return masks, valid
+    return masks
 
 
 def sinusoidal_features(tau: np.ndarray, dim: int, scale: float = 100.0) -> np.ndarray:
@@ -176,36 +180,28 @@ def _run(params, cfg: TransformerConfig, ctx: T.Tensor, action_tokens: T.Tensor,
     return x[:, :, a0:, :]
 
 
-def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor,
-                          noisy_chunks: T.Tensor, tau: np.ndarray, horizons):
-    """Flow-head forward: per-horizon noisy chunk tokens plus a time token.
+def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor, horizons,
+                          chunks: T.Tensor | None = None, tau: np.ndarray | None = None):
+    """Hidden states of one stream per horizon over a shared context.
 
-    ctx:          (B, C, d_model)
-    noisy_chunks: (B, N, H, d_a), padded to H; padding content is irrelevant
-    tau:          (B,) flow times in [0, 1]
-    returns hidden states (B, N, H, d_model) and validity flags (N, H)
+    ctx:      (B, C, d_model)
+    horizons: the horizon of each stream, N in all
+    chunks:   (B, N, H, d_a) noisy chunks of the flow head, padded to H
+              (padding content is irrelevant), read at flow times tau (B,)
+              through the time token; None feeds the one-step heads'
+              learnable query, expanded to chunk length, and no time token
+    returns hidden states (B, N, H, d_model) at the action positions
     """
-    masks, valid = build_stream_masks(horizons, ctx.shape[1], cfg.max_horizon,
-                                      with_time=True, dtype=ctx.dtype)
-    tokens = T.add(T.linear(noisy_chunks, params["action_lift.w"], params["action_lift.b"]),
+    horizons = list(horizons)
+    masks = build_stream_masks(horizons, ctx.shape[1], cfg.max_horizon,
+                               with_time=chunks is not None, dtype=ctx.dtype)
+    if chunks is None:
+        b, n = ctx.shape[0], len(horizons)
+        q = T.broadcast_to(T.reshape(params["query"], (1, 1, 1, cfg.d_model)),
+                           (b, n, cfg.max_horizon, cfg.d_model))
+        return _run(params, cfg, ctx, T.add(q, params["action_pos"]), None, masks)
+    tokens = T.add(T.linear(chunks, params["action_lift.w"], params["action_lift.b"]),
                    params["action_pos"])
     feats = T.constant(sinusoidal_features(tau, cfg.d_model).astype(ctx.data.dtype))
     time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
-    return _run(params, cfg, ctx, tokens, time_token, masks), valid
-
-
-def forward_regression_queries(params, cfg: TransformerConfig, ctx: T.Tensor, horizons):
-    """One-step-head forward: the learnable query expanded to chunk length.
-
-    The expanded query is processed exactly as action tokens (positional
-    embeddings added, same masks), with no time token.
-    returns hidden states (B, N, H, d_model) and validity flags (N, H)
-    """
-    horizons = list(horizons)
-    masks, valid = build_stream_masks(horizons, ctx.shape[1], cfg.max_horizon,
-                                      with_time=False, dtype=ctx.dtype)
-    b, n = ctx.shape[0], len(horizons)
-    q = T.broadcast_to(T.reshape(params["query"], (1, 1, 1, cfg.d_model)),
-                       (b, n, cfg.max_horizon, cfg.d_model))
-    tokens = T.add(q, params["action_pos"])
-    return _run(params, cfg, ctx, tokens, masks=masks, time_token=None), valid
+    return _run(params, cfg, ctx, tokens, time_token, masks)

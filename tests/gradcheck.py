@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
-from .rng import make_rng
+from horizonmix import tensor as T
+from horizonmix.rng import make_rng
 
 
 def grad_check(f, params, step: float = 1e-5, max_probes: int = 16, floor: float = 1e-8,
@@ -204,12 +204,6 @@ def _build_cases():
         a = T.param(np.abs(_case_rng("pow").standard_normal((5,))) + 0.5)
         return lambda: T.tsum(T.tpow(a, -0.5)), [a]
 
-    @case("tanh")
-    def _():
-        rng = _case_rng("tanh")
-        a = _randn(rng, 6)
-        return lambda: T.tsum(T.tanh(a)), [a]
-
     @case("gelu")
     def _():
         rng = _case_rng("gelu")
@@ -235,7 +229,7 @@ def _build_cases():
     def _():
         rng = _case_rng("linear")
         x, w, b = _randn(rng, 4, 3), _randn(rng, 3, 2), _randn(rng, 2)
-        return lambda: T.tsum(T.tanh(T.linear(x, w, b))), [x, w, b]
+        return lambda: T.tsum(T.gelu(T.linear(x, w, b))), [x, w, b]
 
     @case("layer_norm")
     def _():

@@ -77,6 +77,20 @@ class TestTrainEval:
         run_train(root)  # second run must load, not regenerate
         assert manifest_path.stat().st_mtime_ns == stamp
 
+    def test_stale_dataset_rejected(self, root, capsys):
+        run_train(root)
+        manifest_path = root / "data" / "default" / "manifest.json"
+        fresh = json.loads(manifest_path.read_text())
+        stale = [("seed", 5), ("episodes_per_task", 3), ("max_horizon", 12),
+                 ("env_constants", {**fresh["env_constants"], "detour_bulge": 0.13}),
+                 ("expert_gains", {**fresh["expert_gains"], "bulge": 0.15})]
+        for key, value in stale:
+            manifest_path.write_text(json.dumps({**fresh, key: value}))
+            capsys.readouterr()
+            assert main(["train", "--config", "run.cfg", "--out", "runs/stale",
+                         "--episodes-per-task", "2"]) == 2
+            assert key in capsys.readouterr().err
+
     def test_eval_fixed_writes_csv(self, root):
         ckpt = run_train(root)
         out = root / "eval.csv"

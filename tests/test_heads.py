@@ -82,8 +82,9 @@ class TestFlowLoss:
     def _raw_losses(policy, obs, task_ids, chunks, valid, seed):
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        return hd.flow_loss(policy.params, policy.cfg.transformer(), policy.horizons,
-                            ctx, target, valid, make_rng(seed, "d"))
+        return hd.head_loss(policy.params, policy.cfg.transformer(), "flow",
+                            policy.horizons, ctx, target, valid, make_rng(seed, "d"),
+                            None, "gated")
 
     def test_loss_components_match_direct_recomputation(self):
         policy = make_policy("flow", seed=2)
@@ -115,9 +116,9 @@ class TestFlowLoss:
         x = (1 - tau)[:, None, None] * eps + tau[:, None, None] * chunks
         n = len(policy.horizons)
         stacked = np.broadcast_to(x[:, None], (x.shape[0], n) + x.shape[1:]).copy()
-        hidden, _ = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
-                                             ctx, T.constant(stacked), tau,
-                                             policy.horizons.horizons)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
+                                          ctx, policy.horizons.horizons,
+                                          T.constant(stacked), tau)
         return [hidden.data[:, i] for i in range(n)]
 
 
@@ -237,12 +238,12 @@ class TestClassificationLoss:
         valid[:, -1] = False
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, weights = hd.classification_loss(
-            policy.params, policy.cfg.transformer(), policy.horizons, ctx, target,
-            valid, policy.grid)
+        l_mix, per_h, weights = hd.head_loss(
+            policy.params, policy.cfg.transformer(), "classification", policy.horizons,
+            ctx, target, valid, None, policy.grid, "gated")
 
-        hidden, _ = tr.forward_regression_queries(policy.params, policy.cfg.transformer(),
-                                                  ctx, policy.horizons.horizons)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
+                                          ctx, policy.horizons.horizons)
         raw = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         logits = raw.reshape(3, len(policy.horizons), 6, 2, CFG.bins)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -269,15 +270,10 @@ class TestClassificationLoss:
         rng = make_rng(seed, "probs")
         obs = rng.standard_normal((2, CFG.obs_dim))
         ctx = policy.encode_context(obs, np.array([0, 1]))
-        hidden, _ = tr.forward_regression_queries(policy.params, policy.cfg.transformer(),
-                                                  ctx, policy.horizons.horizons)
-        logits = hd._class_logits(policy.params, hidden, CFG.d_a, CFG.bins)
-        from horizonmix.mixture import fuse, gate
-        weights = gate(policy.params, hidden, policy.horizons)
-        probs = T.texp(hd._log_softmax(logits))
-        flat = T.reshape(probs, (2, len(policy.horizons), 6, CFG.d_a * CFG.bins))
-        fused = fuse(flat, weights).data.reshape(2, 6, CFG.d_a, CFG.bins)
-        fused /= fused.sum(axis=-1, keepdims=True)
+        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg.transformer(),
+                                           "classification", policy.horizons, ctx,
+                                           policy.grid, "gated")
+        fused = fused.data / fused.data.sum(axis=-1, keepdims=True)
         assert (fused >= 0).all()
         np.testing.assert_allclose(fused.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -310,10 +306,11 @@ class TestRegressionLoss:
         obs, task_ids, chunks, valid = make_batch(30)
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, weights = hd.regression_loss(
-            policy.params, policy.cfg.transformer(), policy.horizons, ctx, target, valid)
-        hidden, _ = tr.forward_regression_queries(policy.params, policy.cfg.transformer(),
-                                                  ctx, policy.horizons.horizons)
+        l_mix, per_h, weights = hd.head_loss(
+            policy.params, policy.cfg.transformer(), "regression", policy.horizons, ctx,
+            target, valid, None, None, "gated")
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
+                                          ctx, policy.horizons.horizons)
         preds = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         alpha = weights.alpha.data
         fused = np.einsum("bnkd,bkn->bkd", preds, alpha)
@@ -323,6 +320,29 @@ class TestRegressionLoss:
         for i in range(len(policy.horizons)):
             ref = (np.abs(preds[:, i] - target) * sv[i][None, :, None]).sum() / 3
             np.testing.assert_allclose(per_h[i].item(), ref, atol=1e-11)
+
+
+class TestFusion:
+    @pytest.mark.parametrize("head", hd.HEAD_TYPES)
+    def test_uniform_fusion_weights_active_horizons_equally(self, head):
+        policy = make_policy(head, fusion="uniform")
+        obs, task_ids, chunks, valid = make_batch(37)
+        out, weights = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
+        _, _, alpha = policy.predict(obs, task_ids, rng=make_rng(39, "n"))
+        grid = validity_grid(policy.horizons)
+        expect = np.where(grid, 1.0 / grid.sum(axis=1, keepdims=True), 0.0)
+        for a in (weights.alpha.data, alpha):
+            np.testing.assert_allclose(a, np.broadcast_to(expect, a.shape), rtol=0,
+                                       atol=1e-15)
+            assert (a[:, ~grid] == 0.0).all()
+        assert out.l_bal.item() == 0.0
+
+    def test_gated_regression_fuses_per_horizon_actions(self):
+        policy = make_policy("regression", seed=4)
+        obs, task_ids, _, _ = make_batch(40)
+        fused, per_h, alpha = policy.predict(obs, task_ids)
+        np.testing.assert_allclose(fused, np.einsum("bnkd,bkn->bkd", per_h, alpha),
+                                   rtol=0, atol=1e-12)
 
 
 class TestPolicyInterface:

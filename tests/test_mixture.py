@@ -205,22 +205,23 @@ class TestBalanceLoss:
 class TestObjective:
     def test_hand_arithmetic(self):
         parts = [T.constant(v) for v in (1.0, 2.0, 3.0)]
-        out = moh_objective(parts[0], [parts[1]], parts[2])
+        out = moh_objective(parts[0], T.constant([2.0]), parts[2])
         assert out.total.item() == pytest.approx(3.003, abs=1e-12)
 
     def test_zero_losses(self):
         zero = T.constant(0.0)
-        out = moh_objective(zero, [zero, zero], zero)
+        out = moh_objective(zero, T.constant([0.0, 0.0]), zero)
         assert out.total.item() == 0.0
 
     def test_exact_combination(self):
         rng = make_rng(10, "obj")
         l_mix, l_a, l_b, l_bal = (T.constant(abs(rng.standard_normal())) for _ in range(4))
-        out = moh_objective(l_mix, [l_a, l_b], l_bal, lambda_ind=0.5, lambda_bal=1e-3)
+        out = moh_objective(l_mix, T.constant([l_a.item(), l_b.item()]), l_bal,
+                            lambda_ind=0.5, lambda_bal=1e-3)
         expect = l_mix.item() + 0.5 * (l_a.item() + l_b.item()) + 1e-3 * l_bal.item()
         assert out.total.item() == expect
 
     def test_single_horizon_degeneracy_doubles_loss(self):
         l = T.constant(1.7)
-        out = moh_objective(l, [l], T.constant(0.0), lambda_bal=0.0)
+        out = moh_objective(l, T.reshape(l, (1,)), T.constant(0.0), lambda_bal=0.0)
         assert out.total.item() == pytest.approx(2 * 1.7, abs=1e-15)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from horizonmix import tensor as T
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
-from horizonmix.gradcheck import GRADCHECK_CASES, grad_check, run_case
 from horizonmix.rng import make_rng
+
+from gradcheck import GRADCHECK_CASES, grad_check, run_case
 
 
 class TestMatmul:

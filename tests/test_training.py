@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from horizonmix import tensor as T
+from horizonmix import transformer as tr
 from horizonmix.checkpoint import (load_arrays, load_policy, save_arrays,
                                    save_policy)
 from horizonmix.config import TrainConfig, apply_items, load_config, parse_config_text
@@ -16,10 +18,11 @@ from horizonmix.envbench.dataset import generate_dataset
 from horizonmix.envbench.env import make_suite
 from horizonmix.errors import (CheckpointFormatError, ConfigError,
                                TrainingDivergedError)
+from horizonmix.heads import flow_target
+from horizonmix.mixture import moh_objective
 from horizonmix.policy import ModelConfig, Policy
 from horizonmix.rng import make_rng
-from horizonmix.training import (AdamW, lr_schedule, prepare_policy,
-                                 single_horizon_loss, train)
+from horizonmix.training import AdamW, lr_schedule, prepare_policy, train
 
 SMALL_MODEL = ModelConfig(head="flow", layers=1, heads=2, d_model=16, d_ff=32,
                           context_tokens=2, encoder_hidden=16, max_horizon=6,
@@ -179,6 +182,40 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointFormatError):
             load_arrays(path)
 
+    def test_truncated_policy_rejected(self, tmp_path, dataset):
+        cfg = small_cfg()
+        path = tmp_path / "p.bin"
+        save_policy(path, prepare_policy(cfg, dataset), cfg, iteration=0)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        base = 16 + header_len
+        for length in (0, 7, 8, 12, 16, base // 2, base, base + 5,
+                       (base + len(raw)) // 2, len(raw) - 1):
+            path.write_bytes(raw[:length])
+            with pytest.raises(CheckpointFormatError):
+                load_arrays(path)
+            with pytest.raises(CheckpointFormatError):
+                load_policy(path)
+
+    @pytest.mark.parametrize("edit", ["offset_past_end", "shape", "trailing"])
+    def test_array_table_must_match_data(self, tmp_path, edit):
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.zeros((2, 3)), "b": np.ones(4)}, {})
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + header_len])
+        data = raw[16 + header_len:]
+        if edit == "offset_past_end":
+            header["arrays"][1]["offset"] = len(data) + 8
+        elif edit == "shape":
+            header["arrays"][0]["shape"] = [2, 2]
+        else:
+            data += b"\x00" * 8
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + data)
+        with pytest.raises(CheckpointFormatError):
+            load_arrays(path)
+
     def test_policy_roundtrip_preserves_predictions(self, tmp_path, dataset):
         cfg = small_cfg()
         policy = prepare_policy(cfg, dataset)
@@ -283,6 +320,39 @@ class TestTrainLoop:
         cfg = small_cfg(model=replace(SMALL_MODEL, n_tasks=2))
         with pytest.raises(ConfigError):
             prepare_policy(cfg, dataset)
+
+
+def single_horizon_loss(policy: Policy, cfg: TrainConfig):
+    """Plain chunk-policy objective with the mixture machinery bypassed:
+    one full-length stream, no gate, no fusion, no balance term."""
+    if policy.cfg.head != "flow":
+        raise ConfigError("the single-horizon baseline supports the flow head")
+    if len(policy.horizons) != 1:
+        raise ConfigError("baseline loss requires HorizonSet {H}")
+    h = policy.horizons.max_horizon
+    tcfg = policy.cfg.transformer()
+
+    def fn(obs, task_ids, chunks, valid, rng):
+        ctx = policy.encode_context(obs, task_ids)
+        target = policy.norm.normalize_actions(
+            np.asarray(chunks, dtype=np.float64))
+        dtype = ctx.data.dtype
+        b, h_max, d_a = target.shape
+        tau = rng.random(b)
+        eps = rng.standard_normal(target.shape)
+        x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
+        u = flow_target(eps, target)
+        inputs = T.constant(x[:, None].astype(dtype))
+        hidden = tr.forward_multi_horizon(policy.params, tcfg, ctx, [h], inputs, tau)
+        v = T.linear(hidden, policy.params["head.w"], policy.params["head.b"])
+        err = T.sub(v[:, 0], T.constant(u.astype(dtype)))
+        weight = np.asarray(valid, dtype=bool).astype(dtype)
+        total = T.tsum(T.mul(T.mul(err, err), T.constant(weight[..., None])))
+        l = T.mul(total, 1.0 / (float(weight.sum()) * d_a))
+        zero = T.constant(np.zeros((), dtype=dtype))
+        return moh_objective(l, T.reshape(l, (1,)), zero, cfg.lambda_ind,
+                             cfg.lambda_bal)
+    return fn
 
 
 class TestSingleHorizonBaseline:

@@ -7,7 +7,7 @@ from horizonmix import tensor as T
 from horizonmix import transformer as tr
 from horizonmix.encoder import encode, init_encoder_params
 from horizonmix.errors import ConfigError
-from horizonmix.mixture import build_horizon_set
+from horizonmix.mixture import build_horizon_set, horizon_set_from_list, validity_grid
 from horizonmix.rng import make_rng
 
 CFG = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=30)
@@ -24,8 +24,8 @@ def make_ctx(b=3, c=4, d_model=32, seed=1):
 
 def truncated_forward(params, cfg, ctx, chunk, tau, h):
     """Unpadded single-stream reference: sequence ends at horizon h."""
-    masks, _ = tr.build_stream_masks([h], ctx.shape[1], h, with_time=True,
-                                     dtype=ctx.data.dtype)
+    masks = tr.build_stream_masks([h], ctx.shape[1], h, with_time=True,
+                                  dtype=ctx.data.dtype)
     tokens = T.add(
         T.linear(T.constant(chunk[:, None, :h, :]), params["action_lift.w"],
                  params["action_lift.b"]),
@@ -38,22 +38,23 @@ def truncated_forward(params, cfg, ctx, chunk, tau, h):
 
 class TestMasks:
     def test_shapes_and_validity(self):
-        masks, valid = tr.build_stream_masks([3, 6], n_context=4, max_horizon=6,
-                                             with_time=True)
+        masks = tr.build_stream_masks([3, 6], n_context=4, max_horizon=6,
+                                      with_time=True)
         assert masks.shape == (2, 1, 11, 11)
+        valid = validity_grid(build_horizon_set(6, 3)).T
         np.testing.assert_array_equal(valid, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]])
 
     def test_context_rows_see_context_only(self):
-        masks, _ = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
-                                         with_time=True)
+        masks = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
+                                      with_time=True)
         for s in range(2):
             ctx_rows = masks[s, 0, :3]
             assert (ctx_rows[:, :3] == 0).all()
             assert (ctx_rows[:, 3:] == T.NEG_INF).all()
 
     def test_invalid_rows_self_only(self):
-        masks, _ = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
-                                         with_time=False)
+        masks = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
+                                      with_time=False)
         row = masks[0, 0, 3 + 3]  # step 4 of the h=2 stream
         expect = np.full(7, T.NEG_INF)
         expect[6] = 0.0
@@ -61,7 +62,7 @@ class TestMasks:
 
     def test_valid_position_sets_nest_across_horizons(self):
         hs = build_horizon_set(30, 3)
-        _, valid = tr.build_stream_masks(hs.horizons, 4, 30, with_time=True)
+        valid = validity_grid(hs).T
         for i in range(len(hs) - 1):
             assert set(np.flatnonzero(valid[i])) < set(np.flatnonzero(valid[i + 1]))
 
@@ -80,8 +81,7 @@ class TestMaskEquivalence:
             chunk = rng.standard_normal((2, 30, 2))
             tau = rng.random(2)
             chunks = T.constant(np.broadcast_to(chunk[:, None], (2, len(hs), 30, 2)).copy())
-            hidden, valid = tr.forward_multi_horizon(params, CFG, ctx, chunks, tau,
-                                                     hs.horizons)
+            hidden = tr.forward_multi_horizon(params, CFG, ctx, hs.horizons, chunks, tau)
             for i, h in enumerate(hs.horizons):
                 ref = truncated_forward(params, CFG, ctx, chunk, tau, h)
                 np.testing.assert_allclose(hidden.data[:, i, :h], ref.data[:, 0],
@@ -95,11 +95,11 @@ class TestMaskEquivalence:
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
         base = np.broadcast_to(rng.standard_normal((2, 1, 12, 2)), (2, 3, 12, 2)).copy()
         noisy = base.copy()
-        _, valid = tr.build_stream_masks(hs.horizons, 4, 12, with_time=True)
+        valid = validity_grid(hs).T
         noisy[:, ~valid] = 1e3 * rng.standard_normal(noisy[:, ~valid].shape)
         tau = rng.random(2)
-        out_a, _ = tr.forward_multi_horizon(params, cfg, ctx, T.constant(base), tau, hs.horizons)
-        out_b, _ = tr.forward_multi_horizon(params, cfg, ctx, T.constant(noisy), tau, hs.horizons)
+        out_a = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons, T.constant(base), tau)
+        out_b = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons, T.constant(noisy), tau)
         np.testing.assert_array_equal(out_a.data[:, valid], out_b.data[:, valid])
 
     def test_single_horizon_set_is_plain_forward(self):
@@ -108,9 +108,9 @@ class TestMaskEquivalence:
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
         chunk = rng.standard_normal((2, 30, 2))
         tau = rng.random(2)
-        hidden, valid = tr.forward_multi_horizon(params, CFG, ctx,
-                                                 T.constant(chunk[:, None]), tau, [30])
-        assert valid.all()
+        hidden = tr.forward_multi_horizon(params, CFG, ctx, [30], T.constant(chunk[:, None]),
+                                          tau)
+        assert validity_grid(horizon_set_from_list([30])).all()
         ref = truncated_forward(params, CFG, ctx, chunk, tau, 30)
         np.testing.assert_allclose(hidden.data[:, 0], ref.data[:, 0], atol=1e-12, rtol=0)
 
@@ -121,9 +121,9 @@ class TestRegressionQueries:
         params = make_model(cfg)
         hs = build_horizon_set(12, 4)
         ctx = make_ctx(2, 4, 32, seed=5)
-        hidden, _ = tr.forward_regression_queries(params, cfg, ctx, hs.horizons)
+        hidden = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons)
         for i, h in enumerate(hs.horizons):
-            masks, _ = tr.build_stream_masks([h], 4, h, with_time=False)
+            masks = tr.build_stream_masks([h], 4, h, with_time=False)
             tokens = T.add(
                 T.broadcast_to(T.reshape(params["query"], (1, 1, 1, 32)), (2, 1, h, 32)),
                 params["action_pos"][:h],
@@ -137,7 +137,7 @@ class TestRegressionQueries:
         params = make_model(cfg)
         params["action_pos"].data[:] = 0.0
         ctx = make_ctx(1, 4, 32, seed=6)
-        hidden, _ = tr.forward_regression_queries(params, cfg, ctx, [6])
+        hidden = tr.forward_multi_horizon(params, cfg, ctx, [6])
         first = hidden.data[:, 0, 0]
         for k in range(1, 6):
             np.testing.assert_allclose(hidden.data[:, 0, k], first, atol=1e-12)
@@ -145,8 +145,8 @@ class TestRegressionQueries:
     def test_deterministic(self):
         params = make_model()
         ctx = make_ctx(2, 4, 32, seed=7)
-        a, _ = tr.forward_regression_queries(params, CFG, ctx, [10, 20, 30])
-        b, _ = tr.forward_regression_queries(params, CFG, ctx, [10, 20, 30])
+        a = tr.forward_multi_horizon(params, CFG, ctx, [10, 20, 30])
+        b = tr.forward_multi_horizon(params, CFG, ctx, [10, 20, 30])
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -158,13 +158,13 @@ class TestNonCausality:
         rng = make_rng(9, "perm")
         chunk = rng.standard_normal((1, 1, 8, 2))
         tau = np.array([0.3])
-        out_a, _ = tr.forward_multi_horizon(params, cfg, ctx, T.constant(chunk), tau, [8])
+        out_a = tr.forward_multi_horizon(params, cfg, ctx, [8], T.constant(chunk), tau)
 
         swapped = chunk.copy()
         swapped[:, :, [2, 5]] = swapped[:, :, [5, 2]]
         pos = params["action_pos"].data
         pos[[2, 5]] = pos[[5, 2]]
-        out_b, _ = tr.forward_multi_horizon(params, cfg, ctx, T.constant(swapped), tau, [8])
+        out_b = tr.forward_multi_horizon(params, cfg, ctx, [8], T.constant(swapped), tau)
         pos[[2, 5]] = pos[[5, 2]]  # restore
 
         np.testing.assert_allclose(out_b.data[0, 0, [5, 2]], out_a.data[0, 0, [2, 5]],
