@@ -14,6 +14,8 @@ float32, and silent upcasts would hide which width a graph actually ran at.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidMaskError, ShapeMismatchError
@@ -371,7 +373,8 @@ def tsum(a: Tensor, axis=None, keepdims=False):
 
 
 def tmean(a: Tensor, axis=None, keepdims=False):
-    count = a.data.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
+    # a Python int, so the division keeps the gradient at the tensor's width
+    count = a.data.size if axis is None else math.prod(a.shape[i] for i in np.atleast_1d(axis))
 
     def bwd(g):
         if axis is not None and not keepdims:
