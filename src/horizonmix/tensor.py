@@ -10,6 +10,14 @@ Two float widths are supported (float64 for tests and oracles, float32 for
 training). The width is fixed when a tensor is created and operations refuse
 to mix widths inside one graph: finite-difference checks are meaningless at
 float32, and silent upcasts would hide which width a graph actually ran at.
+Gradients keep it too: `_accumulate` rejects a gradient whose dtype differs
+from its tensor's.
+
+Every gradient array has exactly one holder. `backward` takes each node's
+gradient away from the node before running its rule, and a rule hands each
+parent an array (or a disjoint view of one) that no other tensor holds. So
+`_accumulate` may keep the first gradient by reference and add later ones in
+place.
 """
 
 from __future__ import annotations
@@ -67,46 +75,13 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # Identity-gradient ops pass one array to several parents, and a
-        # later += must not leak across them.  Inside backward() a registry
-        # of live grad buffers tells us when storing by reference is safe;
-        # outside it, always copy.
+        if g.dtype != self.data.dtype:
+            raise ShapeMismatchError(
+                f"{g.dtype.name} gradient for a {self.data.dtype.name} tensor")
         if self.grad is None:
-            seen = _GRAD_BUFFERS
-            if seen is None or not g.flags.writeable:
-                self.grad = np.array(g, copy=True)
-                return
-            key = _buffer_key(g)
-            if key in seen:
-                self.grad = np.array(g, copy=True)
-            else:
-                seen.add(key)
-                self.grad = g
+            self.grad = g
         else:
             self.grad += g
-
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -187,38 +162,21 @@ def linearize(root: Tensor) -> list[Tensor]:
     return order
 
 
-_GRAD_BUFFERS: set | None = None
-
-
-def _buffer_key(g: np.ndarray) -> int:
-    return id(g.base) if g.base is not None else id(g)
-
-
 def backward(root: Tensor) -> None:
-    """Reverse-mode sweep from a scalar root; accumulates into .grad slots."""
-    global _GRAD_BUFFERS
+    """Reverse-mode sweep from a scalar root; accumulates into leaf .grad slots.
+
+    Every non-leaf node's gradient, the root's included, is dropped as its
+    rule runs, together with the tape edge."""
     if root.data.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     order = linearize(root)
     root.grad = np.ones_like(root.data)
-    prev = _GRAD_BUFFERS
-    _GRAD_BUFFERS = seen = set()
-    # the root seed stays referenced, so hands of it must copy
-    seen.add(_buffer_key(root.grad))
-    try:
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                g = node.grad
-                # free intermediate grads and the tape edge; leaves keep
-                # theirs; the freed buffer is handed to the closure below
-                if node is not root:
-                    node.grad = None
-                    seen.discard(_buffer_key(g))
-                node._backward(g)
-                node._parents = ()
-                node._backward = None
-    finally:
-        _GRAD_BUFFERS = prev
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            g, node.grad = node.grad, None
+            node._backward(g)
+            node._parents = ()
+            node._backward = None
 
 
 def zero_grads(params) -> None:
@@ -238,10 +196,13 @@ def add(a, b):
     _check_same_width(a, b)
 
     def bwd(g):
+        ga = None
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            a._accumulate(ga)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b._accumulate(gb.copy() if gb is ga else gb)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -272,13 +233,6 @@ def mul(a, b):
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
-
-
-def neg(a):
-    def bwd(g):
-        a._accumulate(-g)
-
-    return _make(-a.data, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor):

@@ -9,7 +9,7 @@ from horizonmix import tensor as T
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
 from horizonmix.rng import make_rng
 
-from gradcheck import GRADCHECK_CASES, grad_check, run_case
+from gradcheck import GRADCHECK_CASES, build_case, grad_check, run_case
 
 
 class TestMatmul:
@@ -155,6 +155,13 @@ class TestGradCheck:
     def test_registered_op(self, name):
         assert run_case(name) < 1e-6
 
+    @pytest.mark.parametrize("name", GRADCHECK_CASES)
+    def test_registered_op_float32_gradients(self, name):
+        f, params = build_case(name, np.float32)
+        T.backward(f())
+        for p in params:
+            assert p.grad is not None and p.grad.dtype == np.float32
+
     def test_float32_params_rejected(self):
         x = T.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="float64"):
@@ -193,3 +200,22 @@ class TestGraphMechanics:
         assert out.data.dtype == np.float32
         T.backward(T.tsum(out))
         assert x.grad.dtype == np.float32
+
+    def test_wrong_width_gradient_rejected(self):
+        x = T.param(np.ones(3, dtype=np.float32))
+        # a rule that hands its float32 parent a float64 gradient
+        y = T._make(2.0 * x.data, (x,), lambda g: x._accumulate(g.astype(np.float64)))
+        with pytest.raises(ShapeMismatchError, match="float64 gradient for a float32 tensor"):
+            T.backward(T.tsum(y))
+
+    def test_repeated_backward_sums_each_leafs_own_contributions(self):
+        # no zero_grads in between: the second backward adds in place into
+        # the arrays the first one stored, which must not be shared
+        a, b, x = T.param([1.0, 2.0]), T.param([3.0, 4.0]), T.param([5.0, 6.0])
+        weights = (np.array([1.0, 10.0]), np.array([100.0, 1000.0]))
+        for w in weights:
+            T.backward(T.tsum(T.mul(T.add(a, b), w)))
+            T.backward(T.tsum(T.mul(T.add(x, x), w)))
+        np.testing.assert_array_equal(a.grad, weights[0] + weights[1])
+        np.testing.assert_array_equal(b.grad, weights[0] + weights[1])
+        np.testing.assert_array_equal(x.grad, 2.0 * (weights[0] + weights[1]))
