@@ -16,8 +16,10 @@ fixed separators.
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +38,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     blobs = []
     offset = 0
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr)
+        data = np.asarray(arr)  # tobytes() below writes C order; keeps 0-d shapes
         le = data.dtype.newbyteorder("<")
         blob = data.astype(le, copy=False).tobytes()
         entries.append({"name": name, "dtype": le.str,
@@ -45,12 +47,19 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         offset += len(blob)
     header = json.dumps({"version": VERSION, "meta": meta, "arrays": entries},
                         sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    # a reader sees the old file or the whole new one, never a partial write
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path):
@@ -136,21 +145,30 @@ def save_policy(path, policy: Policy, train: TrainConfig, iteration: int,
 
 
 def load_policy(path):
-    """Returns (policy, train config, meta dict)."""
+    """Returns (policy, train config, meta dict).
+
+    Raises CheckpointFormatError when a well-formed container is not a
+    policy checkpoint: meta lacks "train", the config holds a key the
+    config classes do not take, or a norm.* or grid.* array is missing.
+    """
     arrays, meta = load_arrays(path)
-    train_dict = dict(meta["train"])
-    model = ModelConfig(**train_dict.pop("model"))
-    train = TrainConfig(model=model, **train_dict)
+    try:
+        train_dict = dict(meta["train"])
+        model = ModelConfig(**train_dict.pop("model"))
+        train = TrainConfig(model=model, **train_dict)
+        norm = Normalization(obs_mean=arrays["norm.obs_mean"],
+                             obs_std=arrays["norm.obs_std"],
+                             act_mean=arrays["norm.act_mean"],
+                             act_std=arrays["norm.act_std"])
+        grid = None
+        if meta.get("has_grid"):
+            grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
+                           hi=tuple(arrays["grid.hi"].tolist()),
+                           bins=model.bins)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(
+            f"{path}: not a policy checkpoint ({type(exc).__name__}: {exc})") from exc
     params = {name[len("param."):]: T.param(arr)
               for name, arr in arrays.items() if name.startswith("param.")}
-    norm = Normalization(obs_mean=arrays["norm.obs_mean"],
-                         obs_std=arrays["norm.obs_std"],
-                         act_mean=arrays["norm.act_mean"],
-                         act_std=arrays["norm.act_std"])
-    grid = None
-    if meta.get("has_grid"):
-        grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
-                       hi=tuple(arrays["grid.hi"].tolist()),
-                       bins=model.bins)
     policy = Policy(model, params, norm, grid)
     return policy, train, meta

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mixture import HorizonSet
+from .mixture import HorizonSet, validity_grid
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,17 @@ class ConsensusTrace:
     active_counts: np.ndarray  # (H,)
 
 
-def disagreement(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarray,
-                 horizons: HorizonSet, step: int) -> float:
-    """Gate-weighted l1 distance between fused and per-horizon actions.
+def disagreements(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarray,
+                  valid: np.ndarray) -> np.ndarray:
+    """(H,) gate-weighted l1 distance between fused and per-horizon actions.
 
-    step is 1-based; only horizons h >= step predict the step.
+    Entry k-1 is step k's; only the horizons that cover the step (valid, the
+    (H, N) `validity_grid`) count, added in horizon order.
     fused (H, d_a), per_horizon (N, H, d_a), alpha (H, N).
     """
-    k = step - 1
-    total = 0.0
-    for i, h in enumerate(horizons.horizons):
-        if h >= step:
-            total += alpha[k, i] * np.abs(fused[k] - per_horizon[i, k]).sum()
-    return float(total)
+    l1 = np.abs(fused[None] - per_horizon).sum(axis=-1).T
+    terms = np.where(valid, alpha * l1, 0.0)
+    return terms.cumsum(axis=1)[:, -1].astype(np.float64)  # cumsum adds in order
 
 
 def consensus_prefix(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarray,
@@ -67,9 +65,9 @@ def consensus_prefix(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarr
     h_max = horizons.max_horizon
     if cfg.min_steps > h_max:
         raise ConfigError(f"min steps {cfg.min_steps} exceeds horizon {h_max}")
-    d = np.array([disagreement(fused, per_horizon, alpha, horizons, k)
-                  for k in range(1, h_max + 1)])
-    counts = np.array([len(horizons.active_at(k)) for k in range(1, h_max + 1)])
+    valid = validity_grid(horizons)
+    d = disagreements(fused, per_horizon, alpha, valid)
+    counts = valid.sum(axis=1)
     threshold = float(d[:cfg.min_steps].mean() * cfg.ratio)
     k_exec = cfg.min_steps
     for k in range(cfg.min_steps + 1, h_max + 1):

@@ -43,10 +43,6 @@ class HorizonSet:
     def __iter__(self):
         return iter(self.horizons)
 
-    def active_at(self, step: int) -> tuple[int, ...]:
-        """Horizons whose chunks cover 1-based step k."""
-        return tuple(h for h in self.horizons if h >= step)
-
 
 def build_horizon_set(max_horizon: int, stride: int) -> HorizonSet:
     if not 1 <= stride <= max_horizon:

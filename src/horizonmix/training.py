@@ -41,13 +41,23 @@ class AdamW:
         self.t = 0
 
     def step(self, lr: float) -> float:
-        """Clip by global norm, apply one update; returns the pre-clip norm."""
+        """Clip by global norm, apply one update; returns the pre-clip norm.
+
+        A non-finite norm raises TrainingDivergedError before any weight
+        moves; its iteration is the number of steps taken so far, which is
+        the training loop's iteration index."""
         b1, b2 = ADAM_BETAS
         total_sq = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 total_sq += float(np.vdot(p.grad, p.grad))
         norm = math.sqrt(total_sq)
+        if not math.isfinite(norm):
+            bad = [k for k, p in self.params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]
+            where = f"first in parameter {bad[0]!r}" if bad else "its square overflows"
+            raise TrainingDivergedError(
+                self.t, f"non-finite gradient norm at iteration {self.t}: {where}")
         scale = self.cfg.grad_clip / norm if norm > self.cfg.grad_clip else 1.0
         self.t += 1
         c1 = 1.0 - b1 ** self.t
@@ -110,7 +120,8 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
 
     Writes one JSON line per iteration when ``metrics_path`` is given and a
     checkpoint every ``cfg.checkpoint_every`` iterations under
-    ``checkpoint_dir``.  A non-finite loss aborts with the iteration index.
+    ``checkpoint_dir``.  A non-finite loss or gradient norm aborts with the
+    iteration index, before the weights are updated.
     """
     if loss_fn is None:
         loss_fn = default_loss(policy, cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizonmix.consensus import ConsensusConfig, consensus_prefix, disagreement
+from horizonmix.consensus import ConsensusConfig, consensus_prefix, disagreements
 from horizonmix.errors import ConfigError
 from horizonmix.mixture import build_horizon_set, horizon_set_from_list, validity_grid
 from horizonmix.rng import make_rng
@@ -40,7 +40,7 @@ class TestDisagreement:
         hs = build_horizon_set(30, 3)
         fused, per_h, alpha = random_predictions(0, hs)
         per_h[:] = fused[None]
-        assert disagreement(fused, per_h, alpha, hs, 7) == 0.0
+        assert disagreements(fused, per_h, alpha, validity_grid(hs))[6] == 0.0  # step 7
 
     def test_single_active_horizon(self):
         hs = build_horizon_set(30, 3)
@@ -49,7 +49,8 @@ class TestDisagreement:
         per_h[-1, 29] = [1.5, 0.5]  # l1 distance 2.0 at the last step
         alpha = validity_grid(hs).astype(float)
         alpha /= alpha.sum(axis=-1, keepdims=True)
-        assert disagreement(fused, per_h, alpha, hs, 30) == pytest.approx(2.0)
+        d = disagreements(fused, per_h, alpha, validity_grid(hs))
+        assert d[29] == pytest.approx(2.0)
 
     def test_matches_hand_expanded_sum(self):
         hs = build_horizon_set(12, 3)
@@ -58,7 +59,27 @@ class TestDisagreement:
         active = [i for i, h in enumerate(hs.horizons) if h >= k]
         expect = sum(alpha[k - 1, i] * np.abs(fused[k - 1] - per_h[i, k - 1]).sum()
                      for i in active)
-        assert disagreement(fused, per_h, alpha, hs, k) == pytest.approx(expect, abs=1e-12)
+        d = disagreements(fused, per_h, alpha, validity_grid(hs))
+        assert d[k - 1] == pytest.approx(expect, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), stride=st.sampled_from([1, 2, 3, 4, 6, 12]),
+           d_a=st.sampled_from([1, 2, 9]), width=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_per_step_loop_exactly(self, seed, stride, d_a, width):
+        # the per-step, per-horizon loop the vectorized form replaced; the
+        # arithmetic and its order are unchanged, so the bits must be too
+        hs = build_horizon_set(12, stride)
+        fused, per_h, alpha = (x.astype(width) for x in random_predictions(seed, hs, d_a))
+        expect = []
+        for step in range(1, 13):
+            total = 0.0
+            for i, h in enumerate(hs.horizons):
+                if h >= step:
+                    total += alpha[step - 1, i] * np.abs(fused[step - 1] - per_h[i, step - 1]).sum()
+            expect.append(float(total))
+        d = disagreements(fused, per_h, alpha, validity_grid(hs))
+        assert d.dtype == np.float64
+        np.testing.assert_array_equal(d, expect)
 
 
 class TestConsensusPrefix:

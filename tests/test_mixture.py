@@ -31,8 +31,10 @@ class TestHorizonSet:
 
     def test_active_horizons(self):
         hs = build_horizon_set(30, 3)
-        assert hs.active_at(7) == (9, 12, 15, 18, 21, 24, 27, 30)
-        assert hs.active_at(30) == (30,)
+        valid = validity_grid(hs)
+        active = np.asarray(hs.horizons)
+        assert tuple(active[valid[7 - 1]]) == (9, 12, 15, 18, 21, 24, 27, 30)
+        assert tuple(active[valid[30 - 1]]) == (30,)
 
     def test_from_list_rejects_unsorted(self):
         with pytest.raises(ConfigError):
@@ -71,7 +73,7 @@ class TestGate:
         params["gate.w"].data[:] = 0.0  # all logits equal the bias
         hidden = T.constant(make_rng(3, "h").standard_normal((1, 10, 30, 8)))
         w = gate(params, hidden, hs)
-        assert len(hs.active_at(7)) == 8
+        assert validity_grid(hs)[6].sum() == 8  # step 7
         np.testing.assert_allclose(w.alpha.data[0, 6, 2:], np.full(8, 1 / 8), atol=1e-12)
         np.testing.assert_array_equal(w.alpha.data[0, 6, :2], [0.0, 0.0])
 

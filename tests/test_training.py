@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +158,7 @@ class TestCheckpointContainer:
         for k in arrays:
             np.testing.assert_array_equal(arrays[k], back[k])
             assert arrays[k].dtype == back[k].dtype
+            assert arrays[k].shape == back[k].shape
 
     def test_byte_identical_roundtrip(self, tmp_path):
         p1, p2 = tmp_path / "1.bin", tmp_path / "2.bin"
@@ -164,6 +167,20 @@ class TestCheckpointContainer:
         arrays, meta = load_arrays(p1)
         save_arrays(p2, arrays, meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.zeros(2)}, {"v": 1})
+        before = path.read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_arrays(path, {"a": np.ones(2)}, {"v": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -215,6 +232,22 @@ class TestCheckpointContainer:
         path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + data)
         with pytest.raises(CheckpointFormatError):
             load_arrays(path)
+
+    @pytest.mark.parametrize("edit", ["no_train", "no_norm", "unknown_key"])
+    def test_non_policy_container_rejected(self, tmp_path, dataset, edit):
+        cfg = small_cfg()
+        path = tmp_path / "p.bin"
+        save_policy(path, prepare_policy(cfg, dataset), cfg, iteration=0)
+        arrays, meta = load_arrays(path)
+        if edit == "no_train":
+            del meta["train"]
+        elif edit == "no_norm":
+            del arrays["norm.act_std"]
+        else:
+            meta["train"]["model"]["momentum"] = 0.9
+        save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointFormatError, match="not a policy checkpoint"):
+            load_policy(path)
 
     def test_policy_roundtrip_preserves_predictions(self, tmp_path, dataset):
         cfg = small_cfg()
@@ -284,6 +317,22 @@ class TestTrainLoop:
             with np.errstate(all="ignore"):
                 train(policy, dataset, cfg)
         assert err.value.iteration >= 0
+
+    def test_nonfinite_gradient_aborts_before_update(self, dataset):
+        cfg = small_cfg(iterations=1)
+        policy = prepare_policy(cfg, dataset)
+        before = {k: v.data.copy() for k, v in policy.params.items()}
+        bias = policy.params["gate.b"]  # zeros: sqrt is finite there, its slope is not
+
+        def loss_fn(*_batch):
+            return SimpleNamespace(total=T.tsum(T.tpow(bias, 0.5)))
+
+        with pytest.raises(TrainingDivergedError, match="gradient.*'gate.b'") as err:
+            with np.errstate(divide="ignore"):
+                train(policy, dataset, cfg, loss_fn=loss_fn)
+        assert err.value.iteration == 0
+        for k, v in policy.params.items():
+            np.testing.assert_array_equal(before[k], v.data)
 
     def test_periodic_checkpoints_written(self, dataset, tmp_path):
         cfg = small_cfg(iterations=5, checkpoint_every=2)
