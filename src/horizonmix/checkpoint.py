@@ -67,8 +67,9 @@ def load_arrays(path):
 
     Raises CheckpointFormatError unless the arrays tile the data section
     exactly, in header order, as ``save_arrays`` writes them: a truncated
-    file, an offset past the end or a shape that does not match the bytes
-    all fail here instead of reading garbage.
+    file, an offset past the end, a shape that does not match the bytes or
+    a dtype that is not one scalar element all fail here instead of reading
+    garbage.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -90,14 +91,15 @@ def load_arrays(path):
         table = [(e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]),
                   e["offset"]) for e in header["arrays"]]
         meta = header["meta"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+        # numpy parses a dtype string such as ",f4" as code: SyntaxError
         raise CheckpointFormatError(f"{path}: malformed array table ({exc})") from exc
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for name, dtype, shape, start in table:
         count = math.prod(shape)
         end = offset + count * dtype.itemsize
-        if (dtype.hasobject or min(shape, default=0) < 0 or start != offset
+        if (dtype.hasobject or dtype.shape or min(shape, default=0) < 0 or start != offset
                 or base + end > len(raw)):
             raise CheckpointFormatError(
                 f"{path}: array {name!r} ({dtype.str}, shape {shape}) at offset "
@@ -149,7 +151,9 @@ def load_policy(path):
 
     Raises CheckpointFormatError when a well-formed container is not a
     policy checkpoint: meta lacks "train", the config holds a key the
-    config classes do not take, or a norm.* or grid.* array is missing.
+    config classes do not take, a norm.* or grid.* array is missing, or the
+    param.* arrays are not the names and shapes ``Policy.init`` makes for
+    the stored config, at one float width.
     """
     arrays, meta = load_arrays(path)
     try:
@@ -170,5 +174,15 @@ def load_policy(path):
             f"{path}: not a policy checkpoint ({type(exc).__name__}: {exc})") from exc
     params = {name[len("param."):]: T.param(arr)
               for name, arr in arrays.items() if name.startswith("param.")}
+    layout = Policy.init(model, seed=None, grid=grid).params  # zeros, nothing drawn
+    expected = {k: p.shape for k, p in layout.items()}
+    stored = {k: p.shape for k, p in params.items()}
+    widths = sorted({p.dtype.name for p in params.values()})
+    if stored != expected or len(widths) > 1:
+        differ = sorted(k for k in expected.keys() | stored.keys()
+                        if stored.get(k) != expected.get(k))
+        raise CheckpointFormatError(
+            f"{path}: parameters do not match the stored config (names or shapes "
+            f"differ at {differ}, float widths {widths})")
     policy = Policy(model, params, norm, grid)
     return policy, train, meta

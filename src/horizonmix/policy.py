@@ -100,7 +100,7 @@ class Policy:
         self._tcfg = cfg.transformer()
 
     @classmethod
-    def init(cls, cfg: ModelConfig, seed: int, dtype=np.float32,
+    def init(cls, cfg: ModelConfig, seed: int | None, dtype=np.float32,
              norm: Normalization | None = None, grid: hd.BinGrid | None = None) -> "Policy":
         params: dict[str, T.Tensor] = {}
         params.update(init_encoder_params(seed, cfg.obs_dim, cfg.n_tasks,

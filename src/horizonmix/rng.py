@@ -25,8 +25,13 @@ def fold_tags(*tags) -> int:
     return h
 
 
-def make_rng(seed: int, *tags) -> np.random.Generator:
-    """Philox stream keyed by (seed, folded tags)."""
+def make_rng(seed: int | None, *tags) -> np.random.Generator | None:
+    """Philox stream keyed by (seed, folded tags).
+
+    seed None gives no stream, and ``truncated_normal`` then returns zeros:
+    the parameter layout of an init function without drawing it."""
+    if seed is None:
+        return None
     key = np.array([seed & _MASK64, fold_tags(*tags)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -38,10 +43,13 @@ def truncated_normal(
     bound: float = 2.0,
     dtype=np.float64,
 ) -> np.ndarray:
-    """Normal draws with |x| > bound redrawn, then scaled by std."""
-    x = rng.standard_normal(shape)
-    bad = np.abs(x) > bound
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(x) > bound
-    return (x * std).astype(dtype)
+    """Normal draws with |x| > bound redrawn, then scaled by std; zeros
+    when rng is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    x = rng.standard_normal(shape).reshape(-1)
+    bad = np.flatnonzero(np.abs(x) > bound)
+    while bad.size:  # recheck only the redrawn entries
+        x[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(x[bad]) > bound]
+    return (x * std).astype(dtype).reshape(shape)

@@ -317,6 +317,27 @@ def take_rows(table: Tensor, idx: np.ndarray):
     return _make(table.data[idx], (table,), bwd)
 
 
+def gather_rows(a: Tensor, idx: np.ndarray):
+    """a[:, idx] along axis 1, exactly 0 where idx is -1.
+
+    Each row of a is read at most once, so the backward writes every
+    gradient row once instead of accumulating."""
+    idx = np.asarray(idx)
+    hit = idx >= 0
+    src = idx[hit]
+    if np.unique(src).size != src.size:
+        raise ShapeMismatchError("gather_rows reads a row more than once")
+    out = np.zeros(a.shape[:1] + idx.shape + a.shape[2:], dtype=a.dtype)
+    out[:, hit] = a.data[:, src]
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[:, src] = g[:, hit]
+        a._accumulate(full)
+
+    return _make(out, (a,), bwd)
+
+
 def tsum(a: Tensor, axis=None, keepdims=False):
     def bwd(g):
         if axis is not None and not keepdims:

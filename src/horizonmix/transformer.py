@@ -1,19 +1,27 @@
 """Shared full-attention action transformer over multiple horizon streams.
 
 One forward pass processes N horizon streams per example. Each stream sees
-the same context tokens, an optional flow-time token, and H action-position
-slots; a horizon-specific additive mask makes positions beyond the stream's
-horizon invisible. Streams are isolated from each other (block-diagonal
-attention with shared weights), so the batched result at valid positions is
-identical to running each truncated stream alone.
+the same context tokens, an optional flow-time token, and its own h action
+positions. Streams share weights but never see each other's action rows, so
+the result at every valid position is the one of running each truncated
+stream alone.
 
-Sequence layout per stream: [C context] [time token, flow heads only]
-[H action positions].
+Streams run in lanes. A lane is one sequence::
+
+    [C context] [time token, flow heads only] [stream a] [stream b] [pad]
+
+``lane_layout`` sorts the streams by horizon and puts the k-th longest in a
+lane with the k-th shortest; two streams of equal horizon never share one,
+so a duplicated stream computes exactly what its twin does. A stride-built
+set pairs to equal lengths, h + (H + stride - h): at the defaults (H=30,
+stride 3) that is 5 lanes of 8 + 1 + 33 = 42 rows and no pad rows.
+``lane_masks`` keeps the streams apart.
 
 One forward, ``forward_multi_horizon``, serves every head. The flow head
-fills the action positions with its noisy chunk and adds the time token;
-the one-step heads fill them with a learnable query and have no time token.
-It returns only hidden states; which (step, horizon) pairs are valid is
+fills the action slots with its noisy chunk and adds the time token; the
+one-step heads fill them with a learnable query and have no time token.
+It returns only hidden states, unpacked to (B, N, H, d_model) and exactly 0
+past each stream's horizon; which (step, horizon) pairs are valid is
 ``mixture.validity_grid``.
 """
 
@@ -39,10 +47,10 @@ class TransformerConfig:
     max_horizon: int = 30
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon) < 1:
             raise ConfigError("transformer dimensions must be positive")
+        if self.d_model % self.heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 
 
 def init_transformer_params(seed: int, cfg: TransformerConfig, d_a: int,
@@ -81,44 +89,65 @@ def init_transformer_params(seed: int, cfg: TransformerConfig, d_a: int,
 
 
 # ---------------------------------------------------------------------------
-# masks
+# lanes
 # ---------------------------------------------------------------------------
 
 
-def build_stream_masks(horizons, n_context: int, max_horizon: int, with_time: bool,
-                       dtype=np.float32):
-    """Additive attention masks, one per horizon stream.
+def lane_layout(horizons, max_horizon: int):
+    """Pack horizon streams into lanes of action slots.
 
-    Returns masks (N, 1, L, L) ready to broadcast over batch and heads.
-    Which action positions are valid is ``mixture.validity_grid``.
+    Streams sorted by horizon pair outside-in: the k-th longest shares a
+    lane with the k-th shortest, unless their horizons are equal, in which
+    case every remaining stream gets a lane of its own.
 
-    Visibility rules: context rows attend to context only, so the context
-    encoding is the same in every stream and independent of horizon; the time
-    token attends to context and itself; a valid action position attends to
-    context, the time token, and every valid action position; an invalid
-    position attends only to itself (its output is discarded, but a fully
-    blocked row has no softmax).
+    returns (stream, step, source):
+      stream, step: (lanes, La) stream index and 0-based chunk step of each
+                    action slot, -1 at pad slots
+      source:       (N, max_horizon) flat slot (lane * La + slot) holding each
+                    (stream, step), -1 past the stream's horizon
     """
-    horizons = list(horizons)
-    if max(horizons) > max_horizon:
-        raise ConfigError(f"horizon {max(horizons)} exceeds max horizon {max_horizon}")
-    n = len(horizons)
-    t = 1 if with_time else 0
-    length = n_context + t + max_horizon
-    a0 = n_context + t
-    masks = np.full((n, 1, length, length), T.NEG_INF, dtype=dtype)
-    for i, h in enumerate(horizons):
-        m = masks[i, 0]
-        m[:n_context, :n_context] = 0.0
-        if with_time:
-            m[n_context, :n_context] = 0.0
-            m[n_context, n_context] = 0.0
-        rows = np.arange(a0, a0 + h)
-        m[np.ix_(rows, np.arange(0, a0))] = 0.0
-        m[np.ix_(rows, rows)] = 0.0
-        idx = np.arange(a0 + h, length)
-        m[idx, idx] = 0.0
-    return masks
+    hs = [int(h) for h in horizons]
+    if max(hs) > max_horizon:
+        raise ConfigError(f"horizon {max(hs)} exceeds max horizon {max_horizon}")
+    order = sorted(range(len(hs)), key=hs.__getitem__)
+    lanes = []
+    lo, hi = 0, len(order) - 1
+    while lo < hi and hs[order[lo]] != hs[order[hi]]:
+        lanes.append((order[hi], order[lo]))
+        lo, hi = lo + 1, hi - 1
+    lanes.extend((i,) for i in order[lo:hi + 1])
+    width = max(sum(hs[i] for i in lane) for lane in lanes)
+    stream = np.full((len(lanes), width), -1)
+    step = np.full((len(lanes), width), -1)
+    source = np.full((len(hs), max_horizon), -1)
+    for j, lane in enumerate(lanes):
+        at = 0
+        for i in lane:
+            stream[j, at:at + hs[i]] = i
+            step[j, at:at + hs[i]] = np.arange(hs[i])
+            source[i, :hs[i]] = j * width + np.arange(at, at + hs[i])
+            at += hs[i]
+    return stream, step, source
+
+
+def lane_masks(stream: np.ndarray, n_context: int, with_time: bool, dtype=np.float32):
+    """Additive attention masks (lanes, 1, L, L) for the lanes of ``lane_layout``.
+
+    Context rows see context, so every lane encodes the same context; the
+    time row sees context and itself; an action row sees context, the time
+    token and its own stream's rows; a pad row sees only itself (nothing
+    reads it, but a fully blocked row has no softmax).
+    """
+    a0 = n_context + (1 if with_time else 0)
+    n_lanes, width = stream.shape
+    sees = np.zeros((n_lanes, a0 + width, a0 + width), dtype=bool)
+    sees[:, :n_context, :n_context] = True
+    sees[:, n_context:a0, :a0] = True
+    valid = stream >= 0
+    sees[:, a0:, :a0] = valid[:, :, None]
+    own = (stream[:, :, None] == stream[:, None, :]) & valid[:, :, None]
+    sees[:, a0:, a0:] = own | np.eye(width, dtype=bool)
+    return np.where(sees, 0.0, T.NEG_INF).astype(dtype)[:, None]
 
 
 def sinusoidal_features(tau: np.ndarray, dim: int, scale: float = 100.0) -> np.ndarray:
@@ -186,22 +215,25 @@ def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor, horizon
 
     ctx:      (B, C, d_model)
     horizons: the horizon of each stream, N in all
-    chunks:   (B, N, H, d_a) noisy chunks of the flow head, padded to H
-              (padding content is irrelevant), read at flow times tau (B,)
-              through the time token; None feeds the one-step heads'
-              learnable query, expanded to chunk length, and no time token
-    returns hidden states (B, N, H, d_model) at the action positions
+    chunks:   (B, N, H, d_a) constant noisy chunks of the flow head, padded
+              to H (padding content is irrelevant), read at flow times tau
+              (B,) through the time token; None feeds the one-step heads'
+              learnable query and no time token
+    returns hidden states (B, N, H, d_model) at the action positions,
+    exactly 0 past each stream's horizon
     """
-    horizons = list(horizons)
-    masks = build_stream_masks(horizons, ctx.shape[1], cfg.max_horizon,
-                               with_time=chunks is not None, dtype=ctx.dtype)
+    stream, step, source = lane_layout(horizons, cfg.max_horizon)
+    masks = lane_masks(stream, ctx.shape[1], with_time=chunks is not None, dtype=ctx.dtype)
+    pos = T.take_rows(params["action_pos"], np.maximum(step, 0))
+    b = ctx.shape[0]
     if chunks is None:
-        b, n = ctx.shape[0], len(horizons)
-        q = T.broadcast_to(T.reshape(params["query"], (1, 1, 1, cfg.d_model)),
-                           (b, n, cfg.max_horizon, cfg.d_model))
-        return _run(params, cfg, ctx, T.add(q, params["action_pos"]), None, masks)
-    tokens = T.add(T.linear(chunks, params["action_lift.w"], params["action_lift.b"]),
-                   params["action_pos"])
-    feats = T.constant(sinusoidal_features(tau, cfg.d_model).astype(ctx.data.dtype))
-    time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
-    return _run(params, cfg, ctx, tokens, time_token, masks)
+        tokens = T.broadcast_to(T.add(params["query"], pos), (b,) + pos.shape)
+        time_token = None
+    else:
+        packed = np.where((stream >= 0)[..., None], chunks.data[:, stream, step], 0.0)
+        tokens = T.add(T.linear(T.constant(packed), params["action_lift.w"],
+                                params["action_lift.b"]), pos)
+        feats = T.constant(sinusoidal_features(tau, cfg.d_model).astype(ctx.data.dtype))
+        time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
+    hidden = _run(params, cfg, ctx, tokens, time_token, masks)
+    return T.gather_rows(T.reshape(hidden, (b, -1, cfg.d_model)), source)

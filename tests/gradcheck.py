@@ -152,6 +152,13 @@ def _build_cases():
         idx = np.array([0, 2, 2, 4])
         return lambda: T.tsum(T.tpow(T.take_rows(a, idx), 2.0)), [a]
 
+    @case("gather_rows")
+    def _():
+        rng = _case_rng("gather_rows")
+        a = _randn(rng, 2, 5, 3)
+        idx = np.array([[4, -1, 0], [-1, 2, 1]])  # row 3 unread, two outputs fixed at 0
+        return lambda: T.tsum(T.tpow(T.gather_rows(a, idx), 2.0)), [a]
+
     @case("sum_axis")
     def _():
         rng = _case_rng("sum_axis")

@@ -36,3 +36,25 @@ def test_truncated_normal_dtype_and_spread():
     x = truncated_normal(rng, (20000,), std=0.02, dtype=np.float32)
     assert x.dtype == np.float32
     assert 0.015 < x.std() < 0.025
+
+
+def test_truncated_normal_matches_full_array_redraw_loop():
+    def reference(rng, shape, std, bound=2.0):
+        x = rng.standard_normal(shape)
+        bad = np.abs(x) > bound
+        while bad.any():
+            x[bad] = rng.standard_normal(int(bad.sum()))
+            bad = np.abs(x) > bound
+        return x * std
+
+    for seed, shape in [(0, (64, 256)), (1, (7,)), (2, (3, 5, 4)), (3, ())]:
+        np.testing.assert_array_equal(
+            truncated_normal(make_rng(seed, "t"), shape, std=0.02, bound=1.0),
+            reference(make_rng(seed, "t"), shape, std=0.02, bound=1.0))
+
+
+def test_no_seed_gives_zeros_without_drawing():
+    assert make_rng(None, "init") is None
+    x = truncated_normal(None, (2, 3), std=0.02, dtype=np.float32)
+    np.testing.assert_array_equal(x, np.zeros((2, 3), dtype=np.float32))
+    assert x.dtype == np.float32

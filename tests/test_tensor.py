@@ -219,3 +219,8 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(a.grad, weights[0] + weights[1])
         np.testing.assert_array_equal(b.grad, weights[0] + weights[1])
         np.testing.assert_array_equal(x.grad, 2.0 * (weights[0] + weights[1]))
+
+    def test_gather_rows_rejects_a_row_read_twice(self):
+        a = T.param(np.ones((1, 3, 2)))
+        with pytest.raises(ShapeMismatchError, match="more than once"):
+            T.gather_rows(a, np.array([0, 2, 0]))

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonmix import tensor as T
 from horizonmix import transformer as tr
@@ -214,7 +216,8 @@ class TestCheckpointContainer:
             with pytest.raises(CheckpointFormatError):
                 load_policy(path)
 
-    @pytest.mark.parametrize("edit", ["offset_past_end", "shape", "trailing"])
+    @pytest.mark.parametrize("edit", ["offset_past_end", "shape", "trailing",
+                                      "dtype_code", "dtype_subarray"])
     def test_array_table_must_match_data(self, tmp_path, edit):
         path = tmp_path / "c.bin"
         save_arrays(path, {"a": np.zeros((2, 3)), "b": np.ones(4)}, {})
@@ -226,6 +229,10 @@ class TestCheckpointContainer:
             header["arrays"][1]["offset"] = len(data) + 8
         elif edit == "shape":
             header["arrays"][0]["shape"] = [2, 2]
+        elif edit == "dtype_code":  # numpy parses it as code: SyntaxError
+            header["arrays"][0]["dtype"] = ",f8"
+        elif edit == "dtype_subarray":  # fits the bytes, but 3 values per element
+            header["arrays"][0].update(dtype="3<f8", shape=[2])
         else:
             data += b"\x00" * 8
         text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -249,6 +256,22 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointFormatError, match="not a policy checkpoint"):
             load_policy(path)
 
+    @pytest.mark.parametrize("edit", ["missing", "shape", "width"])
+    def test_params_must_match_config(self, tmp_path, dataset, edit):
+        cfg = small_cfg()
+        path = tmp_path / "p.bin"
+        save_policy(path, prepare_policy(cfg, dataset), cfg, iteration=0)
+        arrays, meta = load_arrays(path)
+        if edit == "missing":
+            del arrays["param.gate.w"]
+        elif edit == "shape":
+            arrays["param.head.w"] = arrays["param.head.w"][:, :1]
+        else:
+            arrays["param.gate.b"] = arrays["param.gate.b"].astype(np.float64)
+        save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointFormatError, match="do not match the stored config"):
+            load_policy(path)
+
     def test_policy_roundtrip_preserves_predictions(self, tmp_path, dataset):
         cfg = small_cfg()
         policy = prepare_policy(cfg, dataset)
@@ -261,6 +284,50 @@ class TestCheckpointContainer:
         a1 = policy.detached().predict(obs, ids, rng=make_rng(0, "n"))[0]
         a2 = loaded.detached().predict(obs, ids, rng=make_rng(0, "n"))[0]
         np.testing.assert_array_equal(a1, a2)
+
+
+@pytest.fixture(scope="module")
+def policy_bytes(dataset, tmp_path_factory):
+    cfg = small_cfg()
+    path = tmp_path_factory.mktemp("fuzz") / "p.bin"
+    save_policy(path, prepare_policy(cfg, dataset), cfg, iteration=0)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    return raw, 16 + header_len, path
+
+
+def _load_or_typed_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        load_arrays(path)
+    except CheckpointFormatError:
+        pass
+    try:
+        load_policy(path)
+    except (CheckpointFormatError, ConfigError):
+        pass
+
+
+class TestCheckpointFuzz:
+    """A damaged policy file loads or fails with a typed error: load_arrays
+    raises only CheckpointFormatError; load_policy also ConfigError, for a
+    stored config the config classes reject."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, policy_bytes, data):
+        raw, _, path = policy_bytes
+        length = data.draw(st.integers(0, len(raw) - 1))
+        _load_or_typed_error(path, raw[:length])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_byte_flip(self, policy_bytes, data):
+        raw, base, path = policy_bytes
+        at = data.draw(st.one_of(st.integers(0, base - 1), st.integers(0, len(raw) - 1)))
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        _load_or_typed_error(path, bytes(flipped))
 
 
 class TestTrainLoop:

@@ -1,7 +1,10 @@
-"""Multi-horizon transformer: mask construction and batching equivalence."""
+"""Multi-horizon transformer: lane layout, the padded-stream oracle, and
+batching equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonmix import tensor as T
 from horizonmix import transformer as tr
@@ -22,10 +25,62 @@ def make_ctx(b=3, c=4, d_model=32, seed=1):
     return T.constant(rng.standard_normal((b, c, d_model)))
 
 
+# ---------------------------------------------------------------------------
+# padded-stream oracle: one stream per horizon, each padded to H
+# ---------------------------------------------------------------------------
+
+
+def build_stream_masks(horizons, n_context: int, max_horizon: int, with_time: bool,
+                       dtype=np.float32):
+    """Additive attention masks (N, 1, L, L), one per padded horizon stream.
+
+    Context rows attend to context only; the time token attends to context
+    and itself; a valid action position attends to context, the time token,
+    and every valid action position; an invalid position attends only to
+    itself (its output is discarded, but a fully blocked row has no softmax).
+    """
+    horizons = list(horizons)
+    if max(horizons) > max_horizon:
+        raise ConfigError(f"horizon {max(horizons)} exceeds max horizon {max_horizon}")
+    n = len(horizons)
+    t = 1 if with_time else 0
+    length = n_context + t + max_horizon
+    a0 = n_context + t
+    masks = np.full((n, 1, length, length), T.NEG_INF, dtype=dtype)
+    for i, h in enumerate(horizons):
+        m = masks[i, 0]
+        m[:n_context, :n_context] = 0.0
+        if with_time:
+            m[n_context, :n_context] = 0.0
+            m[n_context, n_context] = 0.0
+        rows = np.arange(a0, a0 + h)
+        m[np.ix_(rows, np.arange(0, a0))] = 0.0
+        m[np.ix_(rows, rows)] = 0.0
+        idx = np.arange(a0 + h, length)
+        m[idx, idx] = 0.0
+    return masks
+
+
+def padded_forward(params, cfg, ctx, horizons, chunks=None, tau=None):
+    """(B, N, H, d_model) hidden states of N padded streams of C + t + H rows."""
+    masks = build_stream_masks(horizons, ctx.shape[1], cfg.max_horizon,
+                               with_time=chunks is not None, dtype=ctx.data.dtype)
+    if chunks is None:
+        b, n = ctx.shape[0], len(horizons)
+        q = T.broadcast_to(T.reshape(params["query"], (1, 1, 1, cfg.d_model)),
+                           (b, n, cfg.max_horizon, cfg.d_model))
+        return tr._run(params, cfg, ctx, T.add(q, params["action_pos"]), None, masks)
+    tokens = T.add(T.linear(chunks, params["action_lift.w"], params["action_lift.b"]),
+                   params["action_pos"])
+    feats = T.constant(tr.sinusoidal_features(tau, cfg.d_model))
+    time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
+    return tr._run(params, cfg, ctx, tokens, time_token, masks)
+
+
 def truncated_forward(params, cfg, ctx, chunk, tau, h):
     """Unpadded single-stream reference: sequence ends at horizon h."""
-    masks = tr.build_stream_masks([h], ctx.shape[1], h, with_time=True,
-                                  dtype=ctx.data.dtype)
+    masks = build_stream_masks([h], ctx.shape[1], h, with_time=True,
+                               dtype=ctx.data.dtype)
     tokens = T.add(
         T.linear(T.constant(chunk[:, None, :h, :]), params["action_lift.w"],
                  params["action_lift.b"]),
@@ -38,23 +93,23 @@ def truncated_forward(params, cfg, ctx, chunk, tau, h):
 
 class TestMasks:
     def test_shapes_and_validity(self):
-        masks = tr.build_stream_masks([3, 6], n_context=4, max_horizon=6,
-                                      with_time=True)
+        masks = build_stream_masks([3, 6], n_context=4, max_horizon=6,
+                                   with_time=True)
         assert masks.shape == (2, 1, 11, 11)
         valid = validity_grid(build_horizon_set(6, 3)).T
         np.testing.assert_array_equal(valid, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]])
 
     def test_context_rows_see_context_only(self):
-        masks = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
-                                      with_time=True)
+        masks = build_stream_masks([2, 4], n_context=3, max_horizon=4,
+                                   with_time=True)
         for s in range(2):
             ctx_rows = masks[s, 0, :3]
             assert (ctx_rows[:, :3] == 0).all()
             assert (ctx_rows[:, 3:] == T.NEG_INF).all()
 
     def test_invalid_rows_self_only(self):
-        masks = tr.build_stream_masks([2, 4], n_context=3, max_horizon=4,
-                                      with_time=False)
+        masks = build_stream_masks([2, 4], n_context=3, max_horizon=4,
+                                   with_time=False)
         row = masks[0, 0, 3 + 3]  # step 4 of the h=2 stream
         expect = np.full(7, T.NEG_INF)
         expect[6] = 0.0
@@ -68,7 +123,89 @@ class TestMasks:
 
     def test_horizon_beyond_max_rejected(self):
         with pytest.raises(ConfigError):
-            tr.build_stream_masks([3, 31], 4, 30, with_time=True)
+            build_stream_masks([3, 31], 4, 30, with_time=True)
+
+
+# (max horizon, stream horizons): odd N, pad rows, equal horizons in separate lanes
+LANE_SETS = {
+    "stride_12_4": (12, [4, 8, 12]),
+    "irregular": (30, [1, 2, 7, 30]),
+    "doubled_12_4": (12, [4, 8, 12] * 2),
+}
+
+
+horizon_lists = st.lists(st.integers(1, 12), min_size=1, max_size=9)
+
+
+class TestLanes:
+    def test_stride_set_fills_lanes_without_pad(self):
+        hs = build_horizon_set(30, 3).horizons
+        stream, _, _ = tr.lane_layout(hs, 30)
+        assert stream.shape == (5, 33)
+        assert (stream >= 0).all()
+        stream, _, _ = tr.lane_layout(list(hs) * 2, 30)
+        assert stream.shape == (10, 33)
+        assert (stream >= 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(horizon_lists)
+    def test_every_valid_pair_has_exactly_one_slot(self, hs):
+        stream, step, source = tr.lane_layout(hs, 12)
+        assert (stream >= 0).sum() == sum(hs)
+        for i, h in enumerate(hs):
+            for k in range(12):
+                slots = np.flatnonzero((stream == i) & (step == k))
+                if k < h:
+                    assert slots.tolist() == [source[i, k]]
+                else:
+                    assert slots.size == 0 and source[i, k] == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(horizon_lists)
+    def test_equal_horizons_never_share_a_lane(self, hs):
+        stream, _, _ = tr.lane_layout(hs, 12)
+        for lane in stream:
+            members = np.unique(lane[lane >= 0])
+            assert len({hs[i] for i in members}) == members.size
+
+    @pytest.mark.parametrize("with_time", [True, False])
+    def test_mask_visibility(self, with_time):
+        stream, _, _ = tr.lane_layout([1, 2, 7, 30], 30)
+        c = 3
+        a0 = c + int(with_time)
+        sees = tr.lane_masks(stream, c, with_time, dtype=np.float64)[:, 0] == 0.0
+        assert sees[:, :c, :c].all() and not sees[:, :c, c:].any()
+        if with_time:
+            assert sees[:, c, :a0].all() and not sees[:, c, a0:].any()
+        for j, lane in enumerate(stream):
+            for r, i in enumerate(lane):
+                row = sees[j, a0 + r]
+                if i < 0:  # pad rows see only themselves
+                    expect = np.zeros_like(row)
+                    expect[a0 + r] = True
+                else:
+                    expect = np.concatenate([np.ones(a0, bool), lane == i])
+                np.testing.assert_array_equal(row, expect)
+        assert (stream < 0).any()
+
+    @pytest.mark.parametrize("with_time", [True, False])
+    def test_invalid_outputs_exactly_zero(self, with_time):
+        params = make_model()
+        hs = [1, 2, 7, 30, 7]
+        rng = make_rng(12, "invalid-zero")
+        ctx = T.constant(rng.standard_normal((2, 4, 32)))
+        chunks = tau = None
+        if with_time:
+            chunks = T.constant(rng.standard_normal((2, len(hs), 30, 2)))
+            tau = rng.random(2)
+        hidden = tr.forward_multi_horizon(params, CFG, ctx, hs, chunks, tau).data
+        past = np.arange(30)[None, :] >= np.asarray(hs)[:, None]
+        assert (hidden[:, past] == 0.0).all()
+        assert (hidden[:, ~past] != 0.0).any(axis=-1).all()
+
+    def test_horizon_beyond_max_rejected(self):
+        with pytest.raises(ConfigError):
+            tr.lane_layout([3, 31], 30)
 
 
 class TestMaskEquivalence:
@@ -86,6 +223,23 @@ class TestMaskEquivalence:
                 ref = truncated_forward(params, CFG, ctx, chunk, tau, h)
                 np.testing.assert_allclose(hidden.data[:, i, :h], ref.data[:, 0],
                                            atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("with_time", [True, False])
+    @pytest.mark.parametrize("name", sorted(LANE_SETS))
+    def test_packed_matches_padded_oracle_64bit(self, name, with_time):
+        h_max, hs = LANE_SETS[name]
+        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=h_max)
+        params = make_model(cfg)
+        rng = make_rng(13, "packed-vs-padded", name)
+        ctx = T.constant(rng.standard_normal((2, 4, 32)))
+        chunks = tau = None
+        if with_time:
+            chunks = T.constant(rng.standard_normal((2, len(hs), h_max, 2)))
+            tau = rng.random(2)
+        packed = tr.forward_multi_horizon(params, cfg, ctx, hs, chunks, tau).data
+        padded = padded_forward(params, cfg, ctx, hs, chunks, tau).data
+        for i, h in enumerate(hs):
+            np.testing.assert_allclose(packed[:, i, :h], padded[:, i, :h], atol=1e-12, rtol=0)
 
     def test_padding_content_is_irrelevant(self):
         cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=12)
@@ -123,7 +277,7 @@ class TestRegressionQueries:
         ctx = make_ctx(2, 4, 32, seed=5)
         hidden = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons)
         for i, h in enumerate(hs.horizons):
-            masks = tr.build_stream_masks([h], 4, h, with_time=False)
+            masks = build_stream_masks([h], 4, h, with_time=False)
             tokens = T.add(
                 T.broadcast_to(T.reshape(params["query"], (1, 1, 1, 32)), (2, 1, h, 32)),
                 params["action_pos"][:h],
