@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, ConfigError
 from .heads import BinGrid
 from .policy import ModelConfig, Normalization, Policy
 
@@ -150,28 +150,37 @@ def load_policy(path):
     """Returns (policy, train config, meta dict).
 
     Raises CheckpointFormatError when a well-formed container is not a
-    policy checkpoint: meta lacks "train", the config holds a key the
-    config classes do not take, a norm.* or grid.* array is missing, or the
-    param.* arrays are not the names and shapes ``Policy.init`` makes for
-    the stored config, at one float width.
+    policy checkpoint: meta lacks "train", the config holds a key or a
+    value the config classes do not take, a norm.* or grid.* array is
+    missing, an array does not hold floats, or the param.* arrays are not
+    the names and shapes ``Policy.init`` makes for the stored config, at
+    one float width.
     """
     arrays, meta = load_arrays(path)
     try:
-        train_dict = dict(meta["train"])
-        model = ModelConfig(**train_dict.pop("model"))
-        train = TrainConfig(model=model, **train_dict)
-        norm = Normalization(obs_mean=arrays["norm.obs_mean"],
-                             obs_std=arrays["norm.obs_std"],
-                             act_mean=arrays["norm.act_mean"],
-                             act_std=arrays["norm.act_std"])
-        grid = None
-        if meta.get("has_grid"):
-            grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
-                           hi=tuple(arrays["grid.hi"].tolist()),
-                           bins=model.bins)
-    except (KeyError, TypeError) as exc:
+        return _policy_from(path, arrays, meta)
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointFormatError(
             f"{path}: not a policy checkpoint ({type(exc).__name__}: {exc})") from exc
+
+
+def _policy_from(path, arrays, meta):
+    not_float = sorted(name for name, arr in arrays.items() if arr.dtype.kind != "f")
+    if not_float:
+        raise CheckpointFormatError(
+            f"{path}: not a policy checkpoint (arrays {not_float} do not hold floats)")
+    train_dict = dict(meta["train"])
+    model = ModelConfig(**train_dict.pop("model"))
+    train = TrainConfig(model=model, **train_dict)
+    norm = Normalization(obs_mean=arrays["norm.obs_mean"],
+                         obs_std=arrays["norm.obs_std"],
+                         act_mean=arrays["norm.act_mean"],
+                         act_std=arrays["norm.act_std"])
+    grid = None
+    if meta.get("has_grid"):
+        grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
+                       hi=tuple(arrays["grid.hi"].tolist()),
+                       bins=model.bins)
     params = {name[len("param."):]: T.param(arr)
               for name, arr in arrays.items() if name.startswith("param.")}
     layout = Policy.init(model, seed=None, grid=grid).params  # zeros, nothing drawn
@@ -184,5 +193,4 @@ def load_policy(path):
         raise CheckpointFormatError(
             f"{path}: parameters do not match the stored config (names or shapes "
             f"differ at {differ}, float widths {widths})")
-    policy = Policy(model, params, norm, grid)
-    return policy, train, meta
+    return Policy(model, params, norm, grid), train, meta

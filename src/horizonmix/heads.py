@@ -129,9 +129,7 @@ def _fused_forward(params, cfg: tr.TransformerConfig, head: str, horizons: Horiz
     b, n, h_max = out.shape[:3]
     d_a = len(grid.lo)
     logits = T.reshape(out, (b, n, h_max, d_a, grid.bins))
-    # the subtracted max is treated as constant; its gradient cancels exactly
-    shifted = T.sub(logits, T.constant(logits.data.max(axis=-1, keepdims=True)))
-    logp = T.sub(shifted, T.tlog(T.tsum(T.texp(shifted), axis=-1, keepdims=True)))
+    logp = T.log_softmax(logits, axis=-1)
     probs = T.texp(logp)
     fused = fuse(T.reshape(probs, (b, n, h_max, d_a * grid.bins)), weights)
     return probs, T.reshape(fused, (b, h_max, d_a, grid.bins)), logp, weights

@@ -1,6 +1,6 @@
-"""Mixture-of-horizons core: horizon sets, chunk truncation, the linear
-gating head, per-step fused predictions, the gate balance penalty, and the
-combined training objective.
+"""Mixture-of-horizons core: horizon sets, the linear gating head, per-step
+fused predictions, the gate balance penalty, and the combined training
+objective.
 
 Gate semantics: at chunk step k (1-based step k corresponds to row k-1), the
 horizons that predict the step are exactly {h : h >= k}. A shared linear map
@@ -50,19 +50,6 @@ def build_horizon_set(max_horizon: int, stride: int) -> HorizonSet:
     if max_horizon % stride != 0:
         raise ConfigError(f"max horizon {max_horizon} not divisible by stride {stride}")
     return HorizonSet(tuple(range(stride, max_horizon + 1, stride)), stride, max_horizon)
-
-
-def horizon_set_from_list(horizons) -> HorizonSet:
-    hs = tuple(int(h) for h in horizons)
-    stride = hs[0] if len(hs) < 2 else hs[1] - hs[0]
-    return HorizonSet(hs, stride, hs[-1])
-
-
-def truncate(chunk: np.ndarray, h: int) -> np.ndarray:
-    """First h rows of an H-step chunk, unmodified."""
-    if h > chunk.shape[-2]:
-        raise ConfigError(f"horizon {h} exceeds chunk length {chunk.shape[-2]}")
-    return chunk[..., :h, :]
 
 
 def validity_grid(horizons: HorizonSet) -> np.ndarray:

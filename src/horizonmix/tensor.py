@@ -17,7 +17,20 @@ Every gradient array has exactly one holder. `backward` takes each node's
 gradient away from the node before running its rule, and a rule hands each
 parent an array (or a disjoint view of one) that no other tensor holds. So
 `_accumulate` may keep the first gradient by reference and add later ones in
-place.
+place; a rule may also overwrite its own incoming gradient.
+
+The transformer's elementwise work runs in fused primitives, one tape node
+each, with a closed-form backward and in-place temporaries at the tensor's
+width. Each keeps only what its backward reads:
+
+- `gelu`: x and tanh(c (x + 0.044715 x³)); it works in cache-sized blocks;
+- `layer_norm`: x̂ = (x - mean) rstd and rstd = (var + eps)^-½;
+- `attention` (scale, additive mask, stable softmax, `@ v`): the
+  probabilities p, besides the output and its inputs;
+- `log_softmax`: only its output.
+
+Their forward values are bit-identical to the unfused code they replaced,
+which tests/test_tensor.py keeps as their oracle.
 """
 
 from __future__ import annotations
@@ -391,31 +404,68 @@ def tpow(a: Tensor, exponent: float):
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
+# GELU runs its elementwise chain block by block, so that the temporaries of
+# one block stay in cache instead of streaming every pass through memory.
+_BLOCK = 1 << 16
+
+
+def _blocks(size: int):
+    return (slice(i, i + _BLOCK) for i in range(0, size, _BLOCK))
+
 
 def gelu(a: Tensor):
-    """tanh-approximation GELU, fused so the FFN stays one tape node."""
-    x = a.data
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    """tanh-approximation GELU 0.5 x (1 + tanh(c (x + 0.044715 x³))), c = sqrt(2/pi)."""
+    x = a.data.reshape(-1)
+    t = np.empty_like(x)
+    out_data = np.empty_like(x)
+    for s in _blocks(x.size):
+        xs, ts, outs = x[s], t[s], out_data[s]
+        np.multiply(xs, xs, out=ts)
+        ts *= xs
+        ts *= 0.044715
+        ts += xs
+        ts *= _GELU_C
+        np.tanh(ts, out=ts)
+        np.add(ts, 1.0, out=outs)
+        outs *= xs
+        outs *= 0.5
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+        # g is this rule's own array, so it becomes the gradient in place:
+        # g *= 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 * 0.044715 x²)
+        g = g.reshape(-1)
+        d = np.empty(min(_BLOCK, x.size), dtype=x.dtype)
+        u = np.empty_like(d)
+        for s in _blocks(x.size):
+            xs, ts = x[s], t[s]
+            ds, us = d[:xs.size], u[:xs.size]
+            np.multiply(xs, xs, out=ds)
+            ds *= 0.134145
+            ds += 1.0
+            ds *= _GELU_C
+            ds *= xs
+            np.multiply(ts, ts, out=us)
+            np.subtract(1.0, us, out=us)
+            ds *= us
+            ds += ts
+            ds += 1.0
+            ds *= 0.5
+            g[s] *= ds
+        a._accumulate(g.reshape(a.shape))
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data.reshape(a.shape), (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1):
-    """Stable softmax; entries pushed below the NEG_INF sentinel come out 0."""
+def log_softmax(a: Tensor, axis: int = -1):
+    """Stable log-softmax: shifted - log(sum(exp(shifted))), shifted = a - max(a)."""
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        d = np.exp(out_data)
+        d *= g.sum(axis=axis, keepdims=True)
+        np.subtract(g, d, out=d)
+        a._accumulate(d)
 
     return _make(out_data, (a,), bwd)
 
@@ -461,11 +511,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None):
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    rstd = tpow(add(var, constant(eps, dtype=x.dtype)), -0.5)
-    return add(mul(mul(centered, rstd), gamma), beta)
+    """x̂ gamma + beta over the last axis, x̂ = (x - mean) rstd, rstd = (var + eps)^-½.
+
+    dx = rstd (dx̂ - mean(dx̂) - x̂ mean(dx̂ x̂)) with dx̂ = g gamma.
+    """
+    _check_same_width(x, gamma)
+    _check_same_width(x, beta)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = (np.square(xhat).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat *= rstd
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    if out_data.shape != x.shape:
+        raise ShapeMismatchError(f"gamma {gamma.shape} and beta {beta.shape} widen x {x.shape}")
+    n = x.shape[-1]
+
+    def bwd(g):
+        # g is this rule's own array, so it becomes dx in place
+        if beta.requires_grad:
+            gb = _unbroadcast(g, beta.shape)
+            beta._accumulate(gb.copy() if gb is g else gb)
+        gx = g * xhat
+        if gamma.requires_grad:
+            gg = _unbroadcast(gx, gamma.shape)
+            gamma._accumulate(gg.copy() if gg is gx else gg)
+        if not x.requires_grad:
+            return
+        mean_dxhat_xhat = np.einsum("...i,...i->...", gx, gamma.data)[..., None] / n
+        g *= gamma.data
+        corr = np.multiply(xhat, mean_dxhat_xhat, out=gx)
+        corr += np.einsum("...i->...", g)[..., None] / n
+        g -= corr
+        g *= rstd
+        x._accumulate(g)
+
+    return _make(out_data, (x, gamma, beta), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, additive_mask: np.ndarray | None = None):
@@ -473,15 +553,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, additive_mask: np.ndarray | None 
 
     additive_mask entries are 0 (attend) or NEG_INF (blocked); a row whose
     entries are all blocked has no distribution to normalize and is rejected.
+    The backward's score gradient is ds = p (g vᵀ - rowsum(g vᵀ p)) / sqrt(d),
+    with rowsum(g vᵀ p) taken as the equal and cheaper rowsum(g out).
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeMismatchError(f"q/k feature dims disagree: {q.shape} vs {k.shape}")
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-                 constant(1.0 / np.sqrt(d), dtype=q.dtype))
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(f"k/v key counts disagree: {k.shape} vs {v.shape}")
+    _check_same_width(q, k)
+    _check_same_width(q, v)
+    scale = q.data.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= scale
     if additive_mask is not None:
         additive_mask = np.asarray(additive_mask, dtype=q.data.dtype)
         if np.any(np.all(additive_mask <= NEG_INF / 2, axis=-1)):
             raise InvalidMaskError("attention row with every key blocked")
-        scores = add(scores, constant(additive_mask, dtype=q.dtype))
-    return matmul(softmax(scores, axis=-1), v)
+        if np.broadcast_shapes(p.shape, additive_mask.shape) == p.shape:
+            p += additive_mask
+        else:
+            p = p + additive_mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = p @ v.data
+
+    def bwd(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(p.swapaxes(-1, -2) @ g, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = g @ v.data.swapaxes(-1, -2)
+        ds -= np.einsum("...i,...i->...", g, out_data)[..., None]
+        ds *= p
+        ds *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(ds @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.shape))
+
+    return _make(out_data, (q, k, v), bwd)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from horizonmix import tensor as T
+from horizonmix import transformer as tr
 from horizonmix.rng import make_rng
 
 
@@ -211,12 +212,12 @@ def _build_cases():
         a = _randn(rng, 2, 5)
         return lambda: T.tsum(T.gelu(a)), [a]
 
-    @case("softmax")
+    @case("log_softmax")
     def _():
-        rng = _case_rng("softmax")
-        a = _randn(rng, 3, 5)
-        b = _randn(rng, 3, 5)
-        return lambda: T.tsum(T.mul(T.softmax(a, axis=-1), b)), [a, b]
+        rng = _case_rng("log_softmax")
+        a = _randn(rng, 2, 3, 5)
+        b = _randn(rng, 2, 3, 5)
+        return lambda: T.tsum(T.mul(T.log_softmax(a, axis=-1), b)), [a, b]
 
     @case("masked_softmax")
     def _():
@@ -248,6 +249,18 @@ def _build_cases():
         mask[:, :, 4] = T.NEG_INF
         mask[0, 1, :3] = T.NEG_INF
         return lambda: T.tsum(T.tabs(T.attention(q, k, v, mask))), [q, k, v]
+
+    @case("attention_lane_mask")
+    def _():
+        # (B, lanes, heads, L, hd) against a (1, lanes, 1, L, L) lane mask
+        # with a pad row, as in transformer._run
+        rng = _case_rng("attention_lane_mask")
+        stream, _, _ = tr.lane_layout((1, 2, 3), 3)
+        mask = tr.lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)[None]
+        length = mask.shape[-1]
+        q, k, v = (_randn(rng, 2, stream.shape[0], 2, length, 3) for _ in range(3))
+        w = rng.standard_normal(q.shape)  # a plain array: T.mul casts it to q's width
+        return lambda: T.tsum(T.mul(T.attention(q, k, v, mask), w)), [q, k, v]
 
     @case("attention_unmasked")
     def _():

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from horizonmix.consensus import ConsensusConfig, consensus_prefix, disagreements
 from horizonmix.errors import ConfigError
-from horizonmix.mixture import build_horizon_set, horizon_set_from_list, validity_grid
+from horizonmix.mixture import build_horizon_set, validity_grid
 from horizonmix.rng import make_rng
+
+from horizons import horizon_set_from_list
 
 
 def reference_prefix(disagreements, active_counts, ratio, min_steps, min_active):

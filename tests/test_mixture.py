@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 from horizonmix import tensor as T
 from horizonmix.errors import ConfigError, ShapeMismatchError
 from horizonmix.mixture import (GateWeights, HorizonSet, balance_loss, build_horizon_set,
-                                fuse, gate, horizon_set_from_list, init_gate_params,
-                                moh_objective, truncate, validity_grid)
+                                fuse, gate, init_gate_params, moh_objective, validity_grid)
 from horizonmix.rng import make_rng
+
+from horizons import horizon_set_from_list
+
+
+def truncate(chunk: np.ndarray, h: int) -> np.ndarray:
+    """First h rows of an H-step chunk, unmodified."""
+    if h > chunk.shape[-2]:
+        raise ConfigError(f"horizon {h} exceeds chunk length {chunk.shape[-2]}")
+    return chunk[..., :h, :]
 
 
 class TestHorizonSet:

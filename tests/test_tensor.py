@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonmix import tensor as T
+from horizonmix import transformer as tr
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
 from horizonmix.rng import make_rng
 
@@ -134,6 +135,153 @@ class TestAttention:
         with_mask = T.attention(q, k, v, np.zeros((5, 5))).data
         without = T.attention(q, k, v).data
         np.testing.assert_array_equal(with_mask, without)
+
+
+# ---------------------------------------------------------------------------
+# the fused ops against the tape composites they replaced
+# ---------------------------------------------------------------------------
+
+
+def gelu_composite(a):
+    """The GELU node with out-of-place temporaries that the fused one replaced."""
+    x = a.data
+    x2 = x * x
+    t = np.tanh(T._GELU_C * (x + 0.044715 * (x2 * x)))
+
+    def bwd(g):
+        dinner = T._GELU_C * (1.0 + 0.134145 * x2)
+        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+
+    return T._make(0.5 * x * (1.0 + t), (a,), bwd)
+
+
+def layer_norm_composite(x, gamma, beta, eps=1e-5):
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    rstd = T.tpow(T.add(var, T.constant(eps, dtype=x.dtype)), -0.5)
+    return T.add(T.mul(T.mul(centered, rstd), gamma), beta)
+
+
+def softmax_node(a):
+    """Stable softmax over the last axis as one node, as the tape had it."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        a._accumulate(out_data * (g - dot))
+
+    return T._make(out_data, (a,), bwd)
+
+
+def attention_composite(q, k, v, additive_mask=None):
+    kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = T.mul(T.matmul(q, kt), T.constant(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype))
+    if additive_mask is not None:
+        scores = T.add(scores, T.constant(additive_mask, dtype=q.dtype))
+    return T.matmul(softmax_node(scores), v)
+
+
+def log_softmax_chain(logits):
+    """The sub / texp / tsum / tlog / sub chain the classification head ran."""
+    shifted = T.sub(logits, T.constant(logits.data.max(axis=-1, keepdims=True)))
+    return T.sub(shifted, T.tlog(T.tsum(T.texp(shifted), axis=-1, keepdims=True)))
+
+
+def _lane_shapes():
+    """(B, lanes, heads, L, hd) of a lane pass and its (1, lanes, 1, L, L) mask.
+
+    Horizons (1, 2, 3, 5) pack into lanes (5, 1) and (3, 2) of width 6, so
+    the second lane ends in a pad row that sees only itself."""
+    stream, _, _ = tr.lane_layout((1, 2, 3, 5), 5)
+    mask = tr.lane_masks(stream, n_context=3, with_time=True, dtype=np.float64)[None]
+    assert (stream == -1).any()
+    return (2, stream.shape[0], 2, mask.shape[-1], 4), mask
+
+
+def _fused_vs_composite(fused, composite, params, seed):
+    """Outputs and every input gradient of a random projection of both ops."""
+    results = []
+    for op in (fused, composite):
+        T.zero_grads(params)
+        out = op(*params)
+        w = make_rng(seed, "fused-projection").standard_normal(out.shape)
+        T.backward(T.tsum(T.mul(out, w)))
+        results.append((out.data, [p.grad for p in params]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+    for gf, gc in zip(grads_f, grads_c):
+        np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+
+
+def _lane_inputs(op, dtype=np.float64):
+    """(fused op, composite, inputs) at the shapes of a lane pass."""
+    shape, mask = _lane_shapes()
+    b, lanes, _, length, _ = shape
+    rng = make_rng(10, "fused", op)
+    if op == "attention":
+        inputs = [rng.standard_normal(shape) for _ in range(3)]
+        fused = lambda *a: T.attention(*a, mask)  # noqa: E731
+        composite = lambda *a: attention_composite(*a, mask)  # noqa: E731
+    elif op == "layer_norm":
+        inputs = [3.0 * rng.standard_normal((b, lanes, length, 16)) + 1.0,
+                  1.0 + 0.1 * rng.standard_normal(16), rng.standard_normal(16)]
+        fused, composite = T.layer_norm, layer_norm_composite
+    else:
+        inputs = [2.0 * rng.standard_normal((b, lanes, length, 32))]
+        fused, composite = T.gelu, gelu_composite
+    return fused, composite, [T.param(a.astype(dtype)) for a in inputs]
+
+
+FUSED_OPS = ["attention", "layer_norm", "gelu"]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_equals_composite_at_lane_shapes(self, op):
+        fused, composite, params = _lane_inputs(op)
+        _fused_vs_composite(fused, composite, params, 11)
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_forward_bit_identical_to_composite_at_float32(self, op):
+        fused, composite, params = _lane_inputs(op, np.float32)
+        np.testing.assert_array_equal(fused(*params).data, composite(*params).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_blocks_cover_a_ragged_tail(self, dtype):
+        # more than two blocks, the last one partial
+        x = make_rng(13, "gelu-blocks").standard_normal((5, T._BLOCK // 2 + 7)) * 3.0
+        params = [T.param(x.astype(dtype))]
+        if dtype == np.float64:
+            _fused_vs_composite(T.gelu, gelu_composite, params, 13)
+        else:
+            np.testing.assert_array_equal(T.gelu(*params).data, gelu_composite(*params).data)
+
+    def test_attention_mask_may_widen_the_batch(self):
+        rng = make_rng(12, "fused-widen")
+        q, k, v = (T.param(rng.standard_normal((4, 3))) for _ in range(3))
+        mask = np.zeros((2, 4, 4))
+        mask[1, :, 0] = T.NEG_INF
+        _fused_vs_composite(lambda *a: T.attention(*a, mask),
+                            lambda *a: attention_composite(*a, mask), [q, k, v], 12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_softmax_forward_bit_identical_to_chain(self, dtype):
+        logits = make_rng(13, "fused-logsoftmax").standard_normal((2, 3, 4, 2, 8)) * 5.0
+        x = T.constant(logits.astype(dtype))
+        np.testing.assert_array_equal(T.log_softmax(x, axis=-1).data,
+                                      log_softmax_chain(x).data)
+
+    def test_log_softmax_gradient_equals_chain(self):
+        x = T.param(make_rng(14, "fused-logsoftmax").standard_normal((3, 4, 8)))
+        _fused_vs_composite(lambda a: T.log_softmax(a, axis=-1), log_softmax_chain, [x], 14)
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_one_tape_node(self, op):
+        fused, _, params = _lane_inputs(op)
+        assert len(T.linearize(fused(*params))) == len(params) + 1
 
 
 class TestGradCheck:

@@ -10,8 +10,10 @@ from horizonmix import tensor as T
 from horizonmix import transformer as tr
 from horizonmix.encoder import encode, init_encoder_params
 from horizonmix.errors import ConfigError
-from horizonmix.mixture import build_horizon_set, horizon_set_from_list, validity_grid
+from horizonmix.mixture import build_horizon_set, validity_grid
 from horizonmix.rng import make_rng
+
+from horizons import horizon_set_from_list
 
 CFG = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=30)
 
