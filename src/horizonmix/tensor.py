@@ -19,18 +19,23 @@ parent an array (or a disjoint view of one) that no other tensor holds. So
 `_accumulate` may keep the first gradient by reference and add later ones in
 place; a rule may also overwrite its own incoming gradient.
 
-The transformer's elementwise work runs in fused primitives, one tape node
-each, with a closed-form backward and in-place temporaries at the tensor's
-width. Each keeps only what its backward reads:
+The transformer runs in fused primitives, one tape node each, with a
+closed-form backward and in-place temporaries at the tensor's width. Each
+keeps only what its backward reads:
 
+- `linear`: one GEMM on the 2-d view of x with the bias added in place;
+  it keeps that view;
 - `gelu`: x and tanh(c (x + 0.044715 x³)); it works in cache-sized blocks;
 - `layer_norm`: x̂ = (x - mean) rstd and rstd = (var + eps)^-½;
-- `attention` (scale, additive mask, stable softmax, `@ v`): the
-  probabilities p, besides the output and its inputs;
+- `attention` (head split, scale, additive masks, stable softmax, `@ v`
+  and head merge over a shared prefix plus lanes): the probabilities p,
+  besides the output and its inputs;
 - `log_softmax`: only its output.
 
-Their forward values are bit-identical to the unfused code they replaced,
-which tests/test_tensor.py keeps as their oracle.
+tests/ keeps the unfused code they replaced as their oracles. The forwards
+of `linear`, `gelu`, `layer_norm` and `log_softmax` are bit-identical to
+it; `attention` reads the prefix once instead of once per lane, so its sums
+run over other GEMM shapes and agree with the oracle to rounding.
 """
 
 from __future__ import annotations
@@ -246,23 +251,6 @@ def mul(a, b):
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_width(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _make(a.data @ b.data, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape):
@@ -493,21 +481,44 @@ def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1):
     return _make(out_data, (logits,), bwd)
 
 
+
+
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None):
-    # collapse leading axes into one GEMM instead of a stacked-matmul loop
-    if x.ndim > 2 and w.ndim == 2:
-        out = reshape(matmul(reshape(x, (-1, x.shape[-1])), w),
-                      x.shape[:-1] + (w.shape[-1],))
-    else:
-        out = matmul(x, w)
+    """x w + b over the last axis of x, as one GEMM on the 2-d view of x.
+
+    The bias is added in place into the GEMM output, and its gradient is the
+    ones-vector product ones @ g over the rows of that view.
+    """
+    _check_same_width(x, w)
     if b is not None:
-        out = add(out, b)
-    return out
+        _check_same_width(x, b)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeMismatchError(f"linear needs rank >= 2 x and a 2-d weight, got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear inner dimensions disagree: {x.shape} x {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeMismatchError(f"bias {b.shape} does not match weight {w.shape}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out_data = x2 @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if b is not None and b.requires_grad:
+            b._accumulate(np.ones(g2.shape[0], dtype=g.dtype) @ g2)
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out_data.reshape(x.shape[:-1] + w.shape[1:]), parents, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -548,48 +559,123 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     return _make(out_data, (x, gamma, beta), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, additive_mask: np.ndarray | None = None):
-    """softmax(q kᵀ / sqrt(d) + mask) v over the last two axes.
-
-    additive_mask entries are 0 (attend) or NEG_INF (blocked); a row whose
-    entries are all blocked has no distribution to normalize and is rejected.
-    The backward's score gradient is ds = p (g vᵀ - rowsum(g vᵀ p)) / sqrt(d),
-    with rowsum(g vᵀ p) taken as the equal and cheaper rowsum(g out).
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeMismatchError(f"q/k feature dims disagree: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatchError(f"k/v key counts disagree: {k.shape} vs {v.shape}")
-    _check_same_width(q, k)
-    _check_same_width(q, v)
-    scale = q.data.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    p = q.data @ k.data.swapaxes(-1, -2)
-    p *= scale
-    if additive_mask is not None:
-        additive_mask = np.asarray(additive_mask, dtype=q.data.dtype)
-        if np.any(np.all(additive_mask <= NEG_INF / 2, axis=-1)):
-            raise InvalidMaskError("attention row with every key blocked")
-        if np.broadcast_shapes(p.shape, additive_mask.shape) == p.shape:
-            p += additive_mask
-        else:
-            p = p + additive_mask
+def _softmax_rows(p: np.ndarray) -> None:
+    """Stable softmax over the last axis, in place."""
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = p @ v.data
+    p /= np.einsum("...i->...", p)[..., None]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              prefix_mask: np.ndarray, lane_mask: np.ndarray):
+    """Multi-head softmax(q kᵀ / sqrt(hd) + mask) v over a [prefix | lanes] sequence.
+
+    q, k, v:     (B, R, d) rows: P shared prefix rows, then `lanes` lanes of
+                 W rows each, R = P + lanes W; heads are split and merged inside
+    prefix_mask: (P, P) additive mask of the prefix rows over the prefix
+    lane_mask:   (lanes, W, P + W) additive mask of each lane's rows over the
+                 prefix and their own lane
+    Mask entries are 0 (attend) or NEG_INF (blocked); a row whose entries are
+    all blocked has no distribution to normalize and is rejected.
+
+    Prefix rows never see a lane, so every lane shares one prefix. The lane
+    rows' scores and values against the prefix are one GEMM over all lane
+    rows, and the prefix K/V gradient sums the prefix block and that block.
+    The score gradient is ds = p (g vᵀ - rowsum(g vᵀ p)) / sqrt(hd), with
+    rowsum(g vᵀ p) taken as the equal and cheaper rowsum(g out).
+    """
+    _check_same_width(q, k)
+    _check_same_width(q, v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatchError(f"attention needs equal (B, R, d) q, k, v: {q.shape}, {k.shape}, {v.shape}")
+    b, r, d = q.shape
+    n_pre = prefix_mask.shape[-1]
+    lanes, width = lane_mask.shape[:2]
+    if (d % heads or prefix_mask.shape != (n_pre, n_pre)
+            or lane_mask.shape != (lanes, width, n_pre + width) or r != n_pre + lanes * width):
+        raise ShapeMismatchError(
+            f"{heads} heads, prefix mask {prefix_mask.shape} and lane mask {lane_mask.shape} "
+            f"do not lay out {q.shape}")
+    dtype = q.data.dtype
+    prefix_mask = np.asarray(prefix_mask, dtype=dtype)
+    lane_mask = np.asarray(lane_mask, dtype=dtype)
+    for mask in (prefix_mask, lane_mask):
+        if np.any(np.all(mask <= NEG_INF / 2, axis=-1)):
+            raise InvalidMaskError("attention row with every key blocked")
+    hd = d // heads
+    scale = dtype.type(1.0 / np.sqrt(hd))
+
+    def split(a):
+        """Views of (B, R, d) rows as heads, which GEMMs also write through:
+        prefix (B, h, P, hd), lane rows (B, h, lanes W, hd) and the same
+        lane rows (B, h, lanes, W, hd)."""
+        rows = a.reshape(b, r, heads, hd).transpose(0, 2, 1, 3)
+        lane_rows = rows[:, :, n_pre:]
+        return rows[:, :, :n_pre], lane_rows, lane_rows.reshape(b, heads, lanes, width, hd)
+
+    def blocks(s):
+        """Views of (B, h, lanes, W, P + W) lane scores: over the prefix as
+        (B, h, lanes W, P), and over their own lane."""
+        return s.reshape(b, heads, lanes * width, -1)[..., :n_pre], s[..., n_pre:]
+
+    def lane_scores(x, x5, y, y5):
+        """Products of lane rows x with the prefix rows y and the lane rows y5."""
+        s = np.empty((b, heads, lanes, width, n_pre + width), dtype)
+        on_prefix, on_lane = blocks(s)
+        np.matmul(x, y.swapaxes(-1, -2), out=on_prefix)
+        np.matmul(x5, y5.swapaxes(-1, -2), out=on_lane)
+        return s
+
+    qp, ql, ql5 = split(q.data)
+    kp, _, kl5 = split(k.data)
+    vp, _, vl5 = split(v.data)
+    pp = qp @ kp.swapaxes(-1, -2)
+    pl = lane_scores(ql, ql5, kp, kl5)
+    for p, mask in ((pp, prefix_mask), (pl, lane_mask)):
+        p *= scale
+        p += mask
+        _softmax_rows(p)
+    pl_pre, pl_own = blocks(pl)
+    out_data = np.empty_like(q.data)
+    op, ol, _ = split(out_data)
+    np.matmul(pp, vp, out=op)
+    np.matmul(pl_pre, vp, out=ol)
+    ol += (pl_own @ vl5).reshape(ol.shape)
 
     def bwd(g):
+        gp, gl, gl5 = split(g)
         if v.requires_grad:
-            v._accumulate(_unbroadcast(p.swapaxes(-1, -2) @ g, v.shape))
+            dv = np.empty_like(v.data)
+            dvp, _, dvl5 = split(dv)
+            np.matmul(pp.swapaxes(-1, -2), gp, out=dvp)
+            dvp += pl_pre.swapaxes(-1, -2) @ gl
+            np.matmul(pl_own.swapaxes(-1, -2), gl5, out=dvl5)
+            v._accumulate(dv)
         if not (q.requires_grad or k.requires_grad):
             return
-        ds = g @ v.data.swapaxes(-1, -2)
-        ds -= np.einsum("...i,...i->...", g, out_data)[..., None]
-        ds *= p
-        ds *= scale
+        row_dot = np.einsum("brhd,brhd->bhr", g.reshape(b, r, heads, hd),
+                            out_data.reshape(b, r, heads, hd))
+        dpp = gp @ vp.swapaxes(-1, -2)
+        dpp -= row_dot[:, :, :n_pre, None]
+        dpl = lane_scores(gl, gl5, vp, vl5)
+        dpl -= row_dot[:, :, n_pre:].reshape(b, heads, lanes, width, 1)
+        for ds, p in ((dpp, pp), (dpl, pl)):
+            ds *= p
+            ds *= scale
+        dpl_pre, dpl_own = blocks(dpl)
         if q.requires_grad:
-            q._accumulate(_unbroadcast(ds @ k.data, q.shape))
+            dq = np.empty_like(q.data)
+            dqp, dql, _ = split(dq)
+            np.matmul(dpp, kp, out=dqp)
+            np.matmul(dpl_pre, kp, out=dql)
+            dql += (dpl_own @ kl5).reshape(dql.shape)
+            q._accumulate(dq)
         if k.requires_grad:
-            k._accumulate(_unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.shape))
+            dk = np.empty_like(k.data)
+            dkp, _, dkl5 = split(dk)
+            np.matmul(dpp.swapaxes(-1, -2), qp, out=dkp)
+            dkp += dpl_pre.swapaxes(-1, -2) @ ql
+            np.matmul(dpl_own.swapaxes(-1, -2), ql5, out=dkl5)
+            k._accumulate(dk)
 
     return _make(out_data, (q, k, v), bwd)

@@ -6,20 +6,26 @@ positions. Streams share weights but never see each other's action rows, so
 the result at every valid position is the one of running each truncated
 stream alone.
 
-Streams run in lanes. A lane is one sequence::
+All streams of an example run in one sequence, a shared prefix plus
+lanes::
 
-    [C context] [time token, flow heads only] [stream a] [stream b] [pad]
+    [C context] [time row, flow heads only] [lane 0] [lane 1] ...
+    lane: [stream a] [stream b] [pad]
 
+Context rows see only context, and the time row sees context and itself,
+so the prefix is the same for every stream and is encoded once. A lane's
+rows see the prefix and their own stream in the lane, never another lane.
 ``lane_layout`` sorts the streams by horizon and puts the k-th longest in a
 lane with the k-th shortest; two streams of equal horizon never share one,
 so a duplicated stream computes exactly what its twin does. A stride-built
-set pairs to equal lengths, h + (H + stride - h): at the defaults (H=30,
-stride 3) that is 5 lanes of 8 + 1 + 33 = 42 rows and no pad rows.
-``lane_masks`` keeps the streams apart.
+set pairs to equal lengths, h + (H + stride - h): at the defaults (C=8,
+H=30, stride 3) that is a prefix of 8 + 1 rows and 5 lanes of 33 rows,
+174 rows in all and no pad rows. ``lane_masks`` keeps the streams apart,
+and ``tensor.attention`` runs that layout as one node.
 
 One forward, ``forward_multi_horizon``, serves every head. The flow head
-fills the action slots with its noisy chunk and adds the time token; the
-one-step heads fill them with a learnable query and have no time token.
+fills the action slots with its noisy chunk and adds the time row; the
+one-step heads fill them with a learnable query and have no time row.
 It returns only hidden states, unpacked to (B, N, H, d_model) and exactly 0
 past each stream's horizon; which (step, horizon) pairs are valid is
 ``mixture.validity_grid``.
@@ -131,23 +137,26 @@ def lane_layout(horizons, max_horizon: int):
 
 
 def lane_masks(stream: np.ndarray, n_context: int, with_time: bool, dtype=np.float32):
-    """Additive attention masks (lanes, 1, L, L) for the lanes of ``lane_layout``.
+    """Additive attention masks of the shared prefix and the lanes of ``lane_layout``.
 
-    Context rows see context, so every lane encodes the same context; the
-    time row sees context and itself; an action row sees context, the time
-    token and its own stream's rows; a pad row sees only itself (nothing
-    reads it, but a fully blocked row has no softmax).
+    Context rows see context; the time row sees context and itself; an
+    action row sees the prefix and its own stream's rows in its lane; a pad
+    row sees only itself (nothing reads it, but a fully blocked row has no
+    softmax).
+
+    returns the prefix mask (P, P) and the lane mask (lanes, W, P + W),
+    P = n_context + 1 with the time row and W the lane width
     """
-    a0 = n_context + (1 if with_time else 0)
+    n_pre = n_context + (1 if with_time else 0)
     n_lanes, width = stream.shape
-    sees = np.zeros((n_lanes, a0 + width, a0 + width), dtype=bool)
-    sees[:, :n_context, :n_context] = True
-    sees[:, n_context:a0, :a0] = True
+    prefix = np.ones((n_pre, n_pre), dtype=bool)
+    prefix[:n_context, n_context:] = False
     valid = stream >= 0
-    sees[:, a0:, :a0] = valid[:, :, None]
+    lane = np.empty((n_lanes, width, n_pre + width), dtype=bool)
+    lane[:, :, :n_pre] = valid[:, :, None]
     own = (stream[:, :, None] == stream[:, None, :]) & valid[:, :, None]
-    sees[:, a0:, a0:] = own | np.eye(width, dtype=bool)
-    return np.where(sees, 0.0, T.NEG_INF).astype(dtype)[:, None]
+    lane[:, :, n_pre:] = own | np.eye(width, dtype=bool)
+    return tuple(np.where(sees, 0.0, T.NEG_INF).astype(dtype) for sees in (prefix, lane))
 
 
 def sinusoidal_features(tau: np.ndarray, dim: int, scale: float = 100.0) -> np.ndarray:
@@ -166,47 +175,17 @@ def sinusoidal_features(tau: np.ndarray, dim: int, scale: float = 100.0) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    b, n, length, d = x.shape
-    return T.transpose(T.reshape(x, (b, n, length, heads, d // heads)), (0, 1, 3, 2, 4))
-
-
-def _merge_heads(x: T.Tensor) -> T.Tensor:
-    b, n, heads, length, hd = x.shape
-    return T.reshape(T.transpose(x, (0, 1, 3, 2, 4)), (b, n, length, heads * hd))
-
-
-def _block(params, i: int, x: T.Tensor, mask: np.ndarray, heads: int) -> T.Tensor:
+def _block(params, i: int, x: T.Tensor, masks, heads: int) -> T.Tensor:
     pre = T.layer_norm(x, params[f"blocks.{i}.ln1.g"], params[f"blocks.{i}.ln1.b"])
-    q = _split_heads(T.linear(pre, params[f"blocks.{i}.attn.wq"], params[f"blocks.{i}.attn.wq_b"]), heads)
-    k = _split_heads(T.linear(pre, params[f"blocks.{i}.attn.wk"], params[f"blocks.{i}.attn.wk_b"]), heads)
-    v = _split_heads(T.linear(pre, params[f"blocks.{i}.attn.wv"], params[f"blocks.{i}.attn.wv_b"]), heads)
-    att = _merge_heads(T.attention(q, k, v, mask))
+    q = T.linear(pre, params[f"blocks.{i}.attn.wq"], params[f"blocks.{i}.attn.wq_b"])
+    k = T.linear(pre, params[f"blocks.{i}.attn.wk"], params[f"blocks.{i}.attn.wk_b"])
+    v = T.linear(pre, params[f"blocks.{i}.attn.wv"], params[f"blocks.{i}.attn.wv_b"])
+    att = T.attention(q, k, v, heads, *masks)
     x = T.add(x, T.linear(att, params[f"blocks.{i}.attn.wo"], params[f"blocks.{i}.attn.wo_b"]))
     pre2 = T.layer_norm(x, params[f"blocks.{i}.ln2.g"], params[f"blocks.{i}.ln2.b"])
     ffn = T.linear(T.gelu(T.linear(pre2, params[f"blocks.{i}.ffn.w1"], params[f"blocks.{i}.ffn.b1"])),
                    params[f"blocks.{i}.ffn.w2"], params[f"blocks.{i}.ffn.b2"])
     return T.add(x, ffn)
-
-
-def _run(params, cfg: TransformerConfig, ctx: T.Tensor, action_tokens: T.Tensor,
-         time_token: T.Tensor | None, masks: np.ndarray) -> T.Tensor:
-    """Core pass over (B, N, L, d_model) sequences; returns action hiddens."""
-    b, n = action_tokens.shape[0], action_tokens.shape[1]
-    c = ctx.shape[1]
-    ctx_rep = T.broadcast_to(T.reshape(ctx, (b, 1, c, cfg.d_model)), (b, n, c, cfg.d_model))
-    parts = [ctx_rep]
-    if time_token is not None:
-        parts.append(T.broadcast_to(T.reshape(time_token, (b, 1, 1, cfg.d_model)),
-                                    (b, n, 1, cfg.d_model)))
-    parts.append(action_tokens)
-    x = T.concat(parts, axis=2)
-    mask = masks[None]  # broadcast over batch; heads axis already singleton
-    for i in range(cfg.layers):
-        x = _block(params, i, x, mask, cfg.heads)
-    x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-    a0 = c + (0 if time_token is None else 1)
-    return x[:, :, a0:, :]
 
 
 def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor, horizons,
@@ -217,23 +196,27 @@ def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor, horizon
     horizons: the horizon of each stream, N in all
     chunks:   (B, N, H, d_a) constant noisy chunks of the flow head, padded
               to H (padding content is irrelevant), read at flow times tau
-              (B,) through the time token; None feeds the one-step heads'
-              learnable query and no time token
+              (B,) through the time row; None feeds the one-step heads'
+              learnable query and no time row
     returns hidden states (B, N, H, d_model) at the action positions,
     exactly 0 past each stream's horizon
     """
     stream, step, source = lane_layout(horizons, cfg.max_horizon)
     masks = lane_masks(stream, ctx.shape[1], with_time=chunks is not None, dtype=ctx.dtype)
-    pos = T.take_rows(params["action_pos"], np.maximum(step, 0))
+    n_pre = masks[0].shape[0]
+    pos = T.take_rows(params["action_pos"], np.maximum(step, 0).reshape(-1))
     b = ctx.shape[0]
     if chunks is None:
-        tokens = T.broadcast_to(T.add(params["query"], pos), (b,) + pos.shape)
-        time_token = None
+        parts = [ctx, T.broadcast_to(T.add(params["query"], pos), (b,) + pos.shape)]
     else:
         packed = np.where((stream >= 0)[..., None], chunks.data[:, stream, step], 0.0)
-        tokens = T.add(T.linear(T.constant(packed), params["action_lift.w"],
-                                params["action_lift.b"]), pos)
+        tokens = T.add(T.linear(T.constant(packed.reshape(b, pos.shape[0], -1)),
+                                params["action_lift.w"], params["action_lift.b"]), pos)
         feats = T.constant(sinusoidal_features(tau, cfg.d_model).astype(ctx.data.dtype))
-        time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
-    hidden = _run(params, cfg, ctx, tokens, time_token, masks)
-    return T.gather_rows(T.reshape(hidden, (b, -1, cfg.d_model)), source)
+        time_row = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
+        parts = [ctx, T.reshape(time_row, (b, 1, cfg.d_model)), tokens]
+    x = T.concat(parts, axis=1)
+    for i in range(cfg.layers):
+        x = _block(params, i, x, masks, cfg.heads)
+    x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    return T.gather_rows(x, np.where(source >= 0, source + n_pre, -1))

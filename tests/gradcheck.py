@@ -2,7 +2,8 @@
 
 `grad_check` compares reverse-mode gradients against central differences at
 float64. `GRADCHECK_CASES` enumerates one scalar-valued function per
-operation (including the composites), so the test suite can sweep every
+operation (including the composites, and the oracles of `oracles.py` that
+the fused ops are tested against), so the test suite can sweep every
 backward rule in a single parametrized pass.
 """
 
@@ -13,6 +14,8 @@ import numpy as np
 from horizonmix import tensor as T
 from horizonmix import transformer as tr
 from horizonmix.rng import make_rng
+
+import oracles
 
 
 def grad_check(f, params, step: float = 1e-5, max_probes: int = 16, floor: float = 1e-8,
@@ -100,19 +103,19 @@ def _build_cases():
     def _():
         rng = _case_rng("matmul")
         a, b = _randn(rng, 3, 4), _randn(rng, 4, 2)
-        return lambda: T.tsum(T.matmul(a, b)), [a, b]
+        return lambda: T.tsum(oracles.matmul(a, b)), [a, b]
 
     @case("matmul_batched")
     def _():
         rng = _case_rng("matmul_batched")
         a, b = _randn(rng, 2, 3, 4), _randn(rng, 2, 4, 5)
-        return lambda: T.tsum(T.tabs(T.matmul(a, b))), [a, b]
+        return lambda: T.tsum(T.tabs(oracles.matmul(a, b))), [a, b]
 
     @case("matmul_broadcast")
     def _():
         rng = _case_rng("matmul_broadcast")
         a, b = _randn(rng, 2, 3, 4), _randn(rng, 4, 5)
-        return lambda: T.tsum(T.matmul(a, b)), [a, b]
+        return lambda: T.tsum(oracles.matmul(a, b)), [a, b]
 
     @case("reshape")
     def _():
@@ -233,6 +236,13 @@ def _build_cases():
         x, w, b = _randn(rng, 4, 3), _randn(rng, 3, 2), _randn(rng, 2)
         return lambda: T.tsum(T.gelu(T.linear(x, w, b))), [x, w, b]
 
+    @case("linear_rows")
+    def _():
+        # a (B, R, d) input, as the transformer feeds it
+        rng = _case_rng("linear_rows")
+        x, w, b = _randn(rng, 2, 3, 4), _randn(rng, 4, 5), _randn(rng, 5)
+        return lambda: T.tsum(T.gelu(T.linear(x, w, b))), [x, w, b]
+
     @case("layer_norm")
     def _():
         rng = _case_rng("layer_norm")
@@ -248,25 +258,38 @@ def _build_cases():
         mask = np.zeros((2, 4, 5))
         mask[:, :, 4] = T.NEG_INF
         mask[0, 1, :3] = T.NEG_INF
-        return lambda: T.tsum(T.tabs(T.attention(q, k, v, mask))), [q, k, v]
+        return lambda: T.tsum(T.tabs(oracles.attention(q, k, v, mask))), [q, k, v]
 
     @case("attention_lane_mask")
     def _():
-        # (B, lanes, heads, L, hd) against a (1, lanes, 1, L, L) lane mask
-        # with a pad row, as in transformer._run
+        # the per-lane oracle: (B, lanes, heads, L, hd) against a
+        # (1, lanes, 1, L, L) full lane mask with a pad row, as in oracles.run
         rng = _case_rng("attention_lane_mask")
         stream, _, _ = tr.lane_layout((1, 2, 3), 3)
-        mask = tr.lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)[None]
+        mask = oracles.full_lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)[None]
         length = mask.shape[-1]
         q, k, v = (_randn(rng, 2, stream.shape[0], 2, length, 3) for _ in range(3))
         w = rng.standard_normal(q.shape)  # a plain array: T.mul casts it to q's width
-        return lambda: T.tsum(T.mul(T.attention(q, k, v, mask), w)), [q, k, v]
+        return lambda: T.tsum(T.mul(oracles.attention(q, k, v, mask), w)), [q, k, v]
+
+    @case("attention_prefix_lanes")
+    def _():
+        # flat (B, P + lanes W, d) rows with a time row, pad rows and lanes of
+        # unequal horizons: (1, 2, 3, 5, 5) packs into lanes (5, 1), (5, 2) and
+        # (3,) of width 7
+        rng = _case_rng("attention_prefix_lanes")
+        stream, _, _ = tr.lane_layout((1, 2, 3, 5, 5), 5)
+        masks = tr.lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)
+        rows = masks[0].shape[0] + stream.size
+        q, k, v = (_randn(rng, 2, rows, 4) for _ in range(3))
+        w = rng.standard_normal(q.shape)
+        return lambda: T.tsum(T.mul(T.attention(q, k, v, 2, *masks), w)), [q, k, v]
 
     @case("attention_unmasked")
     def _():
         rng = _case_rng("attention_unmasked")
         q, k, v = _randn(rng, 3, 4), _randn(rng, 6, 4), _randn(rng, 6, 4)
-        return lambda: T.tmean(T.attention(q, k, v)), [q, k, v]
+        return lambda: T.tmean(oracles.attention(q, k, v)), [q, k, v]
 
     return cases
 

@@ -1,0 +1,143 @@
+"""Reference code the fused transformer path replaced, kept as test oracles.
+
+- `matmul`, the general tape node that `tensor.linear` was built from;
+- `attention`, the one-node attention over (..., L, hd) per-lane sequences
+  under a full additive mask, with its head split and merge;
+- `full_lane_masks`, the (lanes, 1, L, L) masks of lanes that each carry
+  their own copy of the context and time rows;
+- `run`, the transformer pass over (B, N, L, d_model) sequences of that
+  layout, which also runs the padded-stream and truncated-stream oracles.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from horizonmix import tensor as T
+from horizonmix.errors import InvalidMaskError, ShapeMismatchError
+
+
+def matmul(a, b):
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    T._check_same_width(a, b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatchError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+
+    return T._make(a.data @ b.data, (a, b), bwd)
+
+
+def linear_composite(x, w, b=None):
+    """`tensor.linear` as the reshape / matmul / reshape / add chain it replaced."""
+    out = T.reshape(matmul(T.reshape(x, (-1, x.shape[-1])), w), x.shape[:-1] + (w.shape[-1],))
+    return out if b is None else T.add(out, b)
+
+
+def attention(q, k, v, additive_mask=None):
+    """softmax(q kᵀ / sqrt(d) + mask) v over the last two axes, one node."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeMismatchError(f"q/k feature dims disagree: {q.shape} vs {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(f"k/v key counts disagree: {k.shape} vs {v.shape}")
+    T._check_same_width(q, k)
+    T._check_same_width(q, v)
+    scale = q.data.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= scale
+    if additive_mask is not None:
+        additive_mask = np.asarray(additive_mask, dtype=q.data.dtype)
+        if np.any(np.all(additive_mask <= T.NEG_INF / 2, axis=-1)):
+            raise InvalidMaskError("attention row with every key blocked")
+        if np.broadcast_shapes(p.shape, additive_mask.shape) == p.shape:
+            p += additive_mask
+        else:
+            p = p + additive_mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = p @ v.data
+
+    def bwd(g):
+        if v.requires_grad:
+            v._accumulate(T._unbroadcast(p.swapaxes(-1, -2) @ g, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = g @ v.data.swapaxes(-1, -2)
+        ds -= np.einsum("...i,...i->...", g, out_data)[..., None]
+        ds *= p
+        ds *= scale
+        if q.requires_grad:
+            q._accumulate(T._unbroadcast(ds @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(T._unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.shape))
+
+    return T._make(out_data, (q, k, v), bwd)
+
+
+def split_heads(x, heads: int):
+    b, n, length, d = x.shape
+    return T.transpose(T.reshape(x, (b, n, length, heads, d // heads)), (0, 1, 3, 2, 4))
+
+
+def merge_heads(x):
+    b, n, heads, length, hd = x.shape
+    return T.reshape(T.transpose(x, (0, 1, 3, 2, 4)), (b, n, length, heads * hd))
+
+
+def full_lane_masks(stream: np.ndarray, n_context: int, with_time: bool, dtype=np.float32):
+    """Additive masks (lanes, 1, L, L) of lanes [C context] [time] [lane rows].
+
+    Context rows see context, so every lane encodes the same context; the
+    time row sees context and itself; an action row sees context, the time
+    row and its own stream's rows; a pad row sees only itself.
+    """
+    a0 = n_context + (1 if with_time else 0)
+    n_lanes, width = stream.shape
+    sees = np.zeros((n_lanes, a0 + width, a0 + width), dtype=bool)
+    sees[:, :n_context, :n_context] = True
+    sees[:, n_context:a0, :a0] = True
+    valid = stream >= 0
+    sees[:, a0:, :a0] = valid[:, :, None]
+    own = (stream[:, :, None] == stream[:, None, :]) & valid[:, :, None]
+    sees[:, a0:, a0:] = own | np.eye(width, dtype=bool)
+    return np.where(sees, 0.0, T.NEG_INF).astype(dtype)[:, None]
+
+
+def _block(params, i: int, x, mask: np.ndarray, heads: int):
+    pre = T.layer_norm(x, params[f"blocks.{i}.ln1.g"], params[f"blocks.{i}.ln1.b"])
+    q, k, v = (split_heads(T.linear(pre, params[f"blocks.{i}.attn.{n}"],
+                                    params[f"blocks.{i}.attn.{n}_b"]), heads)
+               for n in ("wq", "wk", "wv"))
+    att = merge_heads(attention(q, k, v, mask))
+    x = T.add(x, T.linear(att, params[f"blocks.{i}.attn.wo"], params[f"blocks.{i}.attn.wo_b"]))
+    pre2 = T.layer_norm(x, params[f"blocks.{i}.ln2.g"], params[f"blocks.{i}.ln2.b"])
+    ffn = T.linear(T.gelu(T.linear(pre2, params[f"blocks.{i}.ffn.w1"], params[f"blocks.{i}.ffn.b1"])),
+                   params[f"blocks.{i}.ffn.w2"], params[f"blocks.{i}.ffn.b2"])
+    return T.add(x, ffn)
+
+
+def run(params, cfg, ctx, action_tokens, time_token, masks: np.ndarray):
+    """Pass over (B, N, L, d_model) sequences, each with its own copy of the
+    context and time rows; returns the action hiddens (B, N, L - a0, d_model)."""
+    b, n = action_tokens.shape[0], action_tokens.shape[1]
+    c = ctx.shape[1]
+    ctx_rep = T.broadcast_to(T.reshape(ctx, (b, 1, c, cfg.d_model)), (b, n, c, cfg.d_model))
+    parts = [ctx_rep]
+    if time_token is not None:
+        parts.append(T.broadcast_to(T.reshape(time_token, (b, 1, 1, cfg.d_model)),
+                                    (b, n, 1, cfg.d_model)))
+    parts.append(action_tokens)
+    x = T.concat(parts, axis=2)
+    mask = masks[None]  # broadcast over batch; heads axis already singleton
+    for i in range(cfg.layers):
+        x = _block(params, i, x, mask, cfg.heads)
+    x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    a0 = c + (0 if time_token is None else 1)
+    return x[:, :, a0:, :]

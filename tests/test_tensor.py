@@ -10,37 +10,40 @@ from horizonmix import transformer as tr
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
 from horizonmix.rng import make_rng
 
+import oracles
 from gradcheck import GRADCHECK_CASES, build_case, grad_check, run_case
 
 
 class TestMatmul:
+    """The matmul node of the oracles."""
+
     def test_identity(self):
         rng = make_rng(0, "matmul-identity")
         b = rng.standard_normal((3, 3))
-        out = T.matmul(T.constant(np.eye(3)), T.constant(b))
+        out = oracles.matmul(T.constant(np.eye(3)), T.constant(b))
         np.testing.assert_array_equal(out.data, b)
 
     def test_hand_case(self):
         a = T.constant([[1.0, 2.0], [3.0, 4.0]])
         b = T.constant([[0.0], [1.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, [[2.0], [4.0]])
+        np.testing.assert_array_equal(oracles.matmul(a, b).data, [[2.0], [4.0]])
 
     def test_grad_of_sum_is_ones_times_bt(self):
         rng = make_rng(1, "matmul-grad")
         a = T.param(rng.standard_normal((3, 4)))
         b = T.constant(rng.standard_normal((4, 2)))
-        T.backward(T.tsum(T.matmul(a, b)))
+        T.backward(T.tsum(oracles.matmul(a, b)))
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T, rtol=0, atol=1e-15)
 
     def test_inner_dim_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
+            oracles.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
 
     def test_mixed_width_rejected(self):
         a = T.constant(np.zeros((2, 2), dtype=np.float32))
         b = T.constant(np.zeros((2, 2), dtype=np.float64))
         with pytest.raises(ShapeMismatchError, match="mixed float widths"):
-            T.matmul(a, b)
+            oracles.matmul(a, b)
 
 
 class TestMaskedSoftmax:
@@ -96,11 +99,13 @@ def _attention_bruteforce(q, k, v, mask=None):
 
 
 class TestAttention:
+    """The per-lane attention node of the oracles."""
+
     def test_single_token_no_mask_returns_v(self):
         rng = make_rng(2, "attn-single")
         q, k, v = (rng.standard_normal((1, 4)) for _ in range(3))
         np.testing.assert_allclose(
-            T.attention(T.constant(q), T.constant(k), T.constant(v)).data, v, atol=1e-15
+            oracles.attention(T.constant(q), T.constant(k), T.constant(v)).data, v, atol=1e-15
         )
 
     def test_identical_kv_tokens(self):
@@ -108,7 +113,7 @@ class TestAttention:
         q = rng.standard_normal((1, 4))
         k = np.tile(rng.standard_normal((1, 4)), (2, 1))
         v = np.tile(rng.standard_normal((1, 4)), (2, 1))
-        out = T.attention(T.constant(q), T.constant(k), T.constant(v)).data
+        out = oracles.attention(T.constant(q), T.constant(k), T.constant(v)).data
         np.testing.assert_allclose(out, v[0:1], atol=1e-15)
 
     def test_random_case_vs_bruteforce(self):
@@ -116,7 +121,7 @@ class TestAttention:
         q, k, v = (rng.standard_normal((4, 8)) for _ in range(3))
         mask = np.where(rng.random((4, 4)) < 0.3, T.NEG_INF, 0.0)
         mask[np.arange(4), np.arange(4)] = 0.0  # keep each row attendable
-        ours = T.attention(T.constant(q), T.constant(k), T.constant(v), mask).data
+        ours = oracles.attention(T.constant(q), T.constant(k), T.constant(v), mask).data
         np.testing.assert_allclose(ours, _attention_bruteforce(q, k, v, mask), atol=1e-12)
 
     def test_fully_blocked_row_raises(self):
@@ -125,15 +130,15 @@ class TestAttention:
         mask = np.zeros((3, 3))
         mask[1, :] = T.NEG_INF
         with pytest.raises(InvalidMaskError):
-            T.attention(q, k, v, mask)
+            oracles.attention(q, k, v, mask)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_zero_mask_equals_no_mask(self, seed):
         rng = make_rng(seed, "attn-zero-mask")
         q, k, v = (T.constant(rng.standard_normal((5, 6))) for _ in range(3))
-        with_mask = T.attention(q, k, v, np.zeros((5, 5))).data
-        without = T.attention(q, k, v).data
+        with_mask = oracles.attention(q, k, v, np.zeros((5, 5))).data
+        without = oracles.attention(q, k, v).data
         np.testing.assert_array_equal(with_mask, without)
 
 
@@ -178,10 +183,10 @@ def softmax_node(a):
 
 def attention_composite(q, k, v, additive_mask=None):
     kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = T.mul(T.matmul(q, kt), T.constant(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype))
+    scores = T.mul(oracles.matmul(q, kt), T.constant(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype))
     if additive_mask is not None:
         scores = T.add(scores, T.constant(additive_mask, dtype=q.dtype))
-    return T.matmul(softmax_node(scores), v)
+    return oracles.matmul(softmax_node(scores), v)
 
 
 def log_softmax_chain(logits):
@@ -196,7 +201,7 @@ def _lane_shapes():
     Horizons (1, 2, 3, 5) pack into lanes (5, 1) and (3, 2) of width 6, so
     the second lane ends in a pad row that sees only itself."""
     stream, _, _ = tr.lane_layout((1, 2, 3, 5), 5)
-    mask = tr.lane_masks(stream, n_context=3, with_time=True, dtype=np.float64)[None]
+    mask = oracles.full_lane_masks(stream, n_context=3, with_time=True, dtype=np.float64)[None]
     assert (stream == -1).any()
     return (2, stream.shape[0], 2, mask.shape[-1], 4), mask
 
@@ -223,7 +228,7 @@ def _lane_inputs(op, dtype=np.float64):
     rng = make_rng(10, "fused", op)
     if op == "attention":
         inputs = [rng.standard_normal(shape) for _ in range(3)]
-        fused = lambda *a: T.attention(*a, mask)  # noqa: E731
+        fused = lambda *a: oracles.attention(*a, mask)  # noqa: E731
         composite = lambda *a: attention_composite(*a, mask)  # noqa: E731
     elif op == "layer_norm":
         inputs = [3.0 * rng.standard_normal((b, lanes, length, 16)) + 1.0,
@@ -264,7 +269,7 @@ class TestFusedOps:
         q, k, v = (T.param(rng.standard_normal((4, 3))) for _ in range(3))
         mask = np.zeros((2, 4, 4))
         mask[1, :, 0] = T.NEG_INF
-        _fused_vs_composite(lambda *a: T.attention(*a, mask),
+        _fused_vs_composite(lambda *a: oracles.attention(*a, mask),
                             lambda *a: attention_composite(*a, mask), [q, k, v], 12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -282,6 +287,152 @@ class TestFusedOps:
     def test_one_tape_node(self, op):
         fused, _, params = _lane_inputs(op)
         assert len(T.linearize(fused(*params))) == len(params) + 1
+
+
+class TestLinear:
+    SHAPES = ((2, 5, 7, 16), (16, 24), (24,))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_to_composite(self, dtype):
+        rng = make_rng(15, "linear-composite")
+        x, w, b = (T.constant(rng.standard_normal(s).astype(dtype)) for s in self.SHAPES)
+        np.testing.assert_array_equal(T.linear(x, w, b).data,
+                                      oracles.linear_composite(x, w, b).data)
+
+    def test_gradients_equal_composite(self):
+        rng = make_rng(16, "linear-composite")
+        params = [T.param(rng.standard_normal(s)) for s in self.SHAPES]
+        _fused_vs_composite(T.linear, oracles.linear_composite, params, 16)
+
+    def test_one_tape_node(self):
+        params = [T.param(np.ones(s)) for s in self.SHAPES]
+        assert len(T.linearize(T.linear(*params))) == len(params) + 1
+
+    def test_inner_dim_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
+            T.linear(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
+
+    def test_bias_must_match_weight(self):
+        with pytest.raises(ShapeMismatchError, match="bias"):
+            T.linear(T.constant(np.zeros((2, 3))), T.constant(np.zeros((3, 4))),
+                     T.constant(np.zeros((1, 4))))
+
+    def test_mixed_width_rejected(self):
+        x = T.constant(np.zeros((2, 2), dtype=np.float32))
+        w = T.constant(np.zeros((2, 2), dtype=np.float64))
+        with pytest.raises(ShapeMismatchError, match="mixed float widths"):
+            T.linear(x, w)
+
+
+# ---------------------------------------------------------------------------
+# attention over a shared prefix plus lanes
+# ---------------------------------------------------------------------------
+
+
+def _prefix_lane_layout(with_time=True, n_context=3):
+    """Lanes of horizons (1, 2, 3, 5, 5): (5, 1), (5, 2) and (3,), width 7,
+    so two lanes end in pad rows and no lane holds equal horizons."""
+    stream, _, _ = tr.lane_layout((1, 2, 3, 5, 5), 5)
+    assert (stream == -1).any()
+    return stream, tr.lane_masks(stream, n_context, with_time, dtype=np.float64)
+
+
+def per_lane_attention(q, k, v, heads, stream, n_context, with_time):
+    """`T.attention` through the oracle: each lane gets its own copy of the
+    prefix rows, the composite attention runs under the full lane masks, and
+    the prefix output is read from lane 0."""
+    b, r, d = q.shape
+    lanes, width = stream.shape
+    n_pre = r - lanes * width
+    mask = oracles.full_lane_masks(stream, n_context, with_time, dtype=q.dtype)[None]
+
+    def lane_sequences(a):
+        seqs = [T.concat([a[:, :n_pre], a[:, n_pre + j * width:n_pre + (j + 1) * width]], axis=1)
+                for j in range(lanes)]
+        return oracles.split_heads(
+            T.concat([T.reshape(x, (b, 1, n_pre + width, d)) for x in seqs], axis=1), heads)
+
+    out = oracles.merge_heads(attention_composite(lane_sequences(q), lane_sequences(k),
+                                                  lane_sequences(v), mask))
+    return T.concat([out[:, 0, :n_pre]] + [out[:, j, n_pre:] for j in range(lanes)], axis=1)
+
+
+def _prefix_lane_inputs(with_time, seed):
+    """(stream, masks, [q, k, v]) of 2 examples and 2 heads of width 4."""
+    stream, masks = _prefix_lane_layout(with_time)
+    rows = masks[0].shape[0] + stream.size
+    rng = make_rng(seed, "prefix-lanes", with_time)
+    qkv = [T.param(rng.standard_normal((2, rows, 8))) for _ in range(3)]
+    return stream, masks, qkv
+
+
+class TestSharedPrefixAttention:
+    @pytest.mark.parametrize("with_time", [True, False])
+    def test_equals_per_lane_composite(self, with_time):
+        stream, masks, qkv = _prefix_lane_inputs(with_time, 17)
+        _fused_vs_composite(lambda *a: T.attention(*a, 2, *masks),
+                            lambda *a: per_lane_attention(*a, 2, stream, 3, with_time), qkv, 17)
+
+    def test_matches_row_by_row_bruteforce(self):
+        _, (prefix_mask, lane_mask), qkv = _prefix_lane_inputs(True, 18)
+        q, k, v = (a.data for a in qkv)
+        out = T.attention(*qkv, 2, prefix_mask, lane_mask).data
+        n_pre, (lanes, width) = prefix_mask.shape[0], lane_mask.shape[:2]
+        for h in range(2):
+            cols = slice(4 * h, 4 * h + 4)
+            for i in range(2):
+                pre = slice(0, n_pre)
+                ref = _attention_bruteforce(q[i, pre, cols], k[i, pre, cols], v[i, pre, cols],
+                                            prefix_mask)
+                np.testing.assert_allclose(out[i, pre, cols], ref, rtol=0, atol=1e-12)
+                for j in range(lanes):
+                    own = slice(n_pre + j * width, n_pre + (j + 1) * width)
+                    keys = np.r_[0:n_pre, own]
+                    ref = _attention_bruteforce(q[i, own, cols], k[i, keys, cols],
+                                                v[i, keys, cols], lane_mask[j])
+                    np.testing.assert_allclose(out[i, own, cols], ref, rtol=0, atol=1e-12)
+
+    def test_prefix_output_ignores_the_lanes(self):
+        _, masks, qkv = _prefix_lane_inputs(True, 19)
+        n_pre = masks[0].shape[0]
+        base = T.attention(*qkv, 2, *masks).data
+        for a in qkv:
+            a.data[:, n_pre:] += 5.0
+        moved = T.attention(*qkv, 2, *masks).data
+        np.testing.assert_array_equal(moved[:, :n_pre], base[:, :n_pre])
+
+    def test_one_tape_node(self):
+        _, masks, qkv = _prefix_lane_inputs(True, 20)
+        assert len(T.linearize(T.attention(*qkv, 2, *masks))) == 4
+
+    @pytest.mark.parametrize("which", ["prefix", "lane"])
+    def test_fully_blocked_row_raises(self, which):
+        _, (prefix_mask, lane_mask), qkv = _prefix_lane_inputs(True, 22)
+        if which == "prefix":
+            prefix_mask[1, :] = T.NEG_INF
+        else:
+            lane_mask[2, 1, :] = T.NEG_INF
+        with pytest.raises(InvalidMaskError):
+            T.attention(*qkv, 2, prefix_mask, lane_mask)
+
+    def test_mixed_width_rejected(self):
+        _, masks, (q, k, v) = _prefix_lane_inputs(True, 23)
+        k32 = T.constant(k.data.astype(np.float32))
+        with pytest.raises(ShapeMismatchError, match="mixed float widths"):
+            T.attention(q, k32, v, 2, *masks)
+
+    @pytest.mark.parametrize("case", ["rows", "heads", "kv_shape"])
+    def test_layout_mismatch_rejected(self, case):
+        _, masks, (q, k, v) = _prefix_lane_inputs(True, 24)
+        heads = 2
+        if case == "rows":
+            q, k, v = (T.constant(a.data[:, 1:]) for a in (q, k, v))
+        elif case == "heads":
+            heads = 3
+        else:
+            v = T.constant(v.data[:, :, :4])
+        with pytest.raises(ShapeMismatchError):
+            T.attention(q, k, v, heads, *masks)
 
 
 class TestGradCheck:
@@ -344,7 +495,7 @@ class TestGraphMechanics:
 
     def test_train_width_preserved(self):
         x = T.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = T.gelu(T.matmul(x, x))
+        out = T.gelu(T.linear(x, x))
         assert out.data.dtype == np.float32
         T.backward(T.tsum(out))
         assert x.grad.dtype == np.float32

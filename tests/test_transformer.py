@@ -13,6 +13,7 @@ from horizonmix.errors import ConfigError
 from horizonmix.mixture import build_horizon_set, validity_grid
 from horizonmix.rng import make_rng
 
+import oracles
 from horizons import horizon_set_from_list
 
 CFG = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=30)
@@ -71,12 +72,12 @@ def padded_forward(params, cfg, ctx, horizons, chunks=None, tau=None):
         b, n = ctx.shape[0], len(horizons)
         q = T.broadcast_to(T.reshape(params["query"], (1, 1, 1, cfg.d_model)),
                            (b, n, cfg.max_horizon, cfg.d_model))
-        return tr._run(params, cfg, ctx, T.add(q, params["action_pos"]), None, masks)
+        return oracles.run(params, cfg, ctx, T.add(q, params["action_pos"]), None, masks)
     tokens = T.add(T.linear(chunks, params["action_lift.w"], params["action_lift.b"]),
                    params["action_pos"])
     feats = T.constant(tr.sinusoidal_features(tau, cfg.d_model))
     time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
-    return tr._run(params, cfg, ctx, tokens, time_token, masks)
+    return oracles.run(params, cfg, ctx, tokens, time_token, masks)
 
 
 def truncated_forward(params, cfg, ctx, chunk, tau, h):
@@ -90,7 +91,7 @@ def truncated_forward(params, cfg, ctx, chunk, tau, h):
     )
     feats = T.constant(tr.sinusoidal_features(tau, cfg.d_model))
     time_token = T.linear(feats, params["time_lift.w"], params["time_lift.b"])
-    return tr._run(params, cfg, ctx, tokens, time_token, masks)
+    return oracles.run(params, cfg, ctx, tokens, time_token, masks)
 
 
 class TestMasks:
@@ -175,20 +176,48 @@ class TestLanes:
         stream, _, _ = tr.lane_layout([1, 2, 7, 30], 30)
         c = 3
         a0 = c + int(with_time)
-        sees = tr.lane_masks(stream, c, with_time, dtype=np.float64)[:, 0] == 0.0
-        assert sees[:, :c, :c].all() and not sees[:, :c, c:].any()
+        prefix, lane = (m == 0.0 for m in tr.lane_masks(stream, c, with_time, dtype=np.float64))
+        n_lanes, width = stream.shape
+        assert prefix.shape == (a0, a0) and lane.shape == (n_lanes, width, a0 + width)
+        assert prefix[:c, :c].all() and not prefix[:c, c:].any()
         if with_time:
-            assert sees[:, c, :a0].all() and not sees[:, c, a0:].any()
-        for j, lane in enumerate(stream):
-            for r, i in enumerate(lane):
-                row = sees[j, a0 + r]
+            assert prefix[c].all()
+        for j, lane_streams in enumerate(stream):
+            for r, i in enumerate(lane_streams):
+                row = lane[j, r]
                 if i < 0:  # pad rows see only themselves
                     expect = np.zeros_like(row)
                     expect[a0 + r] = True
                 else:
-                    expect = np.concatenate([np.ones(a0, bool), lane == i])
+                    expect = np.concatenate([np.ones(a0, bool), lane_streams == i])
                 np.testing.assert_array_equal(row, expect)
         assert (stream < 0).any()
+
+    @pytest.mark.parametrize("head", ["flow", "regression"])
+    def test_default_layout(self, head, monkeypatch):
+        # C=8 context rows, the flow time row, and the stride-3 set in 5 lanes of 33
+        cfg = tr.TransformerConfig()
+        with_time = head == "flow"
+        hs = build_horizon_set(30, 3).horizons
+        stream, _, _ = tr.lane_layout(hs, 30)
+        prefix, lane = tr.lane_masks(stream, 8, with_time)
+        p = 9 if with_time else 8
+        assert prefix.shape == (p, p) and lane.shape == (5, 33, p + 33)
+        rows = []
+        attention = T.attention
+
+        def recording(q, *args):
+            rows.append(q.shape[1])
+            return attention(q, *args)
+
+        monkeypatch.setattr(T, "attention", recording)
+        rng = make_rng(14, "default-layout")
+        ctx = T.constant(rng.standard_normal((1, 8, 64)))
+        chunks = tau = None
+        if with_time:
+            chunks, tau = T.constant(rng.standard_normal((1, 10, 30, 2))), rng.random(1)
+        tr.forward_multi_horizon(make_model(cfg), cfg, ctx, hs, chunks, tau)
+        assert rows == [174 if with_time else 173] * cfg.layers
 
     @pytest.mark.parametrize("with_time", [True, False])
     def test_invalid_outputs_exactly_zero(self, with_time):
@@ -284,7 +313,7 @@ class TestRegressionQueries:
                 T.broadcast_to(T.reshape(params["query"], (1, 1, 1, 32)), (2, 1, h, 32)),
                 params["action_pos"][:h],
             )
-            ref = tr._run(params, cfg, ctx, tokens, None, masks)
+            ref = oracles.run(params, cfg, ctx, tokens, None, masks)
             np.testing.assert_allclose(hidden.data[:, i, :h], ref.data[:, 0],
                                        atol=1e-12, rtol=0)
 
