@@ -23,14 +23,18 @@ over the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from . import transformer as tr
 from .errors import ConfigError
-from .mixture import HorizonSet, fuse, gate, uniform_gate, validity_grid
+from .mixture import HorizonSet, fuse, gate, validity_grid
 from .rng import make_rng, truncated_normal
+
+if TYPE_CHECKING:
+    from .policy import ModelConfig
 
 HEAD_TYPES = ("flow", "regression", "classification")
 
@@ -103,15 +107,9 @@ def dequantize(indices: np.ndarray, grid: BinGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gate_weights(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str):
-    if fusion == "uniform":
-        return uniform_gate(hidden.shape[0], horizons, dtype=hidden.data.dtype)
-    return gate(params, hidden, horizons)
-
-
-def _fused_forward(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
-                   ctx: T.Tensor, grid: BinGrid | None, fusion: str,
-                   chunks: T.Tensor | None = None, tau: np.ndarray | None = None):
+def _fused_forward(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
+                   grid: BinGrid | None, chunks: T.Tensor | None = None,
+                   tau: np.ndarray | None = None):
     """One forward, one gate and one fuse.
 
     Streams are fused in the head's output space: velocities or actions
@@ -119,20 +117,19 @@ def _fused_forward(params, cfg: tr.TransformerConfig, head: str, horizons: Horiz
     (B, N, H, d_a, bins) for classification, whose log-probabilities are
     returned as well.
     returns (per-stream outputs, fused (B, H, ...), log-probabilities or
-    None, gate weights)
+    None, gate weights alpha (B, H, N))
     """
     hidden = tr.forward_multi_horizon(params, cfg, ctx, horizons.horizons, chunks, tau)
     out = T.linear(hidden, params["head.w"], params["head.b"])
-    weights = _gate_weights(params, hidden, horizons, fusion)
-    if head != "classification":
-        return out, fuse(out, weights), None, weights
+    alpha = gate(params, hidden, horizons, cfg.fusion)
+    if cfg.head != "classification":
+        return out, fuse(out, alpha), None, alpha
     b, n, h_max = out.shape[:3]
-    d_a = len(grid.lo)
-    logits = T.reshape(out, (b, n, h_max, d_a, grid.bins))
+    logits = T.reshape(out, (b, n, h_max, cfg.d_a, grid.bins))
     logp = T.log_softmax(logits, axis=-1)
     probs = T.texp(logp)
-    fused = fuse(T.reshape(probs, (b, n, h_max, d_a * grid.bins)), weights)
-    return probs, T.reshape(fused, (b, h_max, d_a, grid.bins)), logp, weights
+    fused = fuse(T.reshape(probs, (b, n, h_max, cfg.d_a * grid.bins)), alpha)
+    return probs, T.reshape(fused, (b, h_max, cfg.d_a, grid.bins)), logp, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +142,17 @@ def flow_target(eps: np.ndarray, target: np.ndarray) -> np.ndarray:
     return target - eps
 
 
-def head_loss(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
-              ctx: T.Tensor, target: np.ndarray, valid_rows: np.ndarray, rng,
-              grid: BinGrid | None, fusion: str):
+def head_loss(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
+              target: np.ndarray, valid_rows: np.ndarray, rng, grid: BinGrid | None):
     """L_mix and the per-horizon losses of one batch.
 
     target:     (B, H, d_a) normalized action chunks
     valid_rows: (B, H) flags; padded chunk rows carry no loss anywhere
     rng:        draws the flow time and noise (flow head only)
     grid:       the bin grid (classification head only)
-    returns (l_mix, per-horizon losses (N,), gate weights)
+    returns (l_mix, per-horizon losses (N,), gate weights alpha (B, H, N))
     """
+    head = cfg.head
     b, h_max, d_a = target.shape
     n = len(horizons)
     dtype = ctx.data.dtype
@@ -166,15 +163,13 @@ def head_loss(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
         chunks = T.constant(np.broadcast_to(x[:, None], (b, n, h_max, d_a)).astype(dtype))
         target = flow_target(eps, target)
-    out, fused, logp, weights = _fused_forward(params, cfg, head, horizons, ctx, grid,
-                                               fusion, chunks, tau)
+    out, fused, logp, alpha = _fused_forward(params, cfg, horizons, ctx, grid, chunks, tau)
 
     # per-row losses: (B, N, H) per stream and (B, H) fused
     if head == "classification":
         bins0 = quantize(target, grid) - 1
         neg_onehot = -(np.arange(grid.bins) == bins0[..., None]).astype(dtype)
-        norm = T.tpow(T.tsum(fused, axis=-1, keepdims=True), -1.0)
-        fused_logp = T.tlog(T.add(T.mul(fused, norm), T.constant(PROB_FLOOR, dtype=dtype)))
+        fused_logp = T.tlog(T.add(fused, PROB_FLOOR))
         rows = T.tsum(T.mul(logp, T.constant(neg_onehot[:, None])), axis=(-2, -1))
         fused_rows = T.tsum(T.mul(fused_logp, T.constant(neg_onehot)), axis=(-2, -1))
     else:
@@ -193,7 +188,7 @@ def head_loss(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet
         row_w, fused_w = mask / b, valid_rows / b
     per_h = T.tsum(T.mul(rows, T.constant(row_w.astype(dtype))), axis=(0, 2))
     l_mix = T.tsum(T.mul(fused_rows, T.constant(fused_w.astype(dtype))))
-    return l_mix, per_h, weights
+    return l_mix, per_h, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +196,10 @@ def head_loss(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet
 # ---------------------------------------------------------------------------
 
 
-def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.Tensor,
-               steps: int, rng, d_a: int, need_per_horizon: bool = True,
-               fusion: str = "gated"):
-    """Euler integration of the learned field from noise to an action chunk.
+def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rng,
+               need_per_horizon: bool = True):
+    """Euler integration of the learned field from noise to an action chunk,
+    in ``cfg.ode_steps`` steps.
 
     Maintains the fused trajectory (driven by the gate-fused velocity; every
     stream is evaluated on the current fused chunk) and, when requested, each
@@ -213,13 +208,12 @@ def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.T
 
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
     """
-    if steps < 1:
-        raise ConfigError(f"ODE steps must be >= 1, got {steps}")
+    steps = cfg.ode_steps
     b = ctx.shape[0]
     n = len(horizons)
     h_max = horizons.max_horizon
     dtype = ctx.data.dtype
-    eps = rng.standard_normal((b, h_max, d_a))
+    eps = rng.standard_normal((b, h_max, cfg.d_a))
     fused_x = eps.copy()
     own_x = np.repeat(eps[:, None], n, axis=1) if need_per_horizon else None
     dtau = 1.0 / steps
@@ -227,34 +221,33 @@ def flow_infer(params, cfg: tr.TransformerConfig, horizons: HorizonSet, ctx: T.T
     stream_horizons = list(horizons.horizons) * (2 if need_per_horizon else 1)
     for s in range(steps):
         tau = np.full(b, s * dtau)
-        fused_rep = np.broadcast_to(fused_x[:, None], (b, n, h_max, d_a))
+        fused_rep = np.broadcast_to(fused_x[:, None], (b, n, h_max, cfg.d_a))
         stacked = np.concatenate([fused_rep, own_x], axis=1) if need_per_horizon else fused_rep
         hidden = tr.forward_multi_horizon(params, cfg, ctx, stream_horizons,
                                           T.constant(stacked.astype(dtype)), tau)
         v = T.linear(hidden, params["head.w"], params["head.b"]).data.astype(np.float64)
-        weights = _gate_weights(params, hidden[:, :n], horizons, fusion)
-        fused_v = fuse(T.constant(v[:, :n].astype(dtype)), weights).data.astype(np.float64)
-        alpha_acc += weights.alpha.data.astype(np.float64)
+        alpha = gate(params, hidden[:, :n], horizons, cfg.fusion)
+        fused_v = fuse(T.constant(v[:, :n].astype(dtype)), alpha).data.astype(np.float64)
+        alpha_acc += alpha.data.astype(np.float64)
         fused_x = fused_x + dtau * fused_v
         if need_per_horizon:
             own_x = own_x + dtau * v[:, n:]
     return fused_x, own_x, alpha_acc / steps
 
 
-def head_infer(params, cfg: tr.TransformerConfig, head: str, horizons: HorizonSet,
-               ctx: T.Tensor, grid: BinGrid | None, fusion: str):
+def head_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
+               grid: BinGrid | None):
     """One-step heads: fused and per-horizon actions from one forward.
 
     Regression reads the actions directly; classification takes the
-    centers of the most likely bins, of the renormalized fused distribution
-    and of each stream's own.
+    centers of the most likely bins, of the fused distribution and of each
+    stream's own.
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a), alpha (B,H,N))
     """
-    out, fused, _, weights = _fused_forward(params, cfg, head, horizons, ctx, grid, fusion)
+    out, fused, _, alpha = _fused_forward(params, cfg, horizons, ctx, grid)
     fused, per_h = fused.data, out.data
-    if head == "classification":
-        fused = dequantize((fused / fused.sum(axis=-1, keepdims=True)).argmax(axis=-1) + 1,
-                           grid)
+    if cfg.head == "classification":
+        fused = dequantize(fused.argmax(axis=-1) + 1, grid)
         per_h = dequantize(per_h.argmax(axis=-1) + 1, grid)
     return (fused.astype(np.float64), per_h.astype(np.float64),
-            weights.alpha.data.astype(np.float64))
+            alpha.data.astype(np.float64))

@@ -25,8 +25,6 @@ from .rng import make_rng, truncated_normal
 @dataclass(frozen=True)
 class HorizonSet:
     horizons: tuple[int, ...]
-    stride: int
-    max_horizon: int
 
     def __post_init__(self):
         hs = self.horizons
@@ -34,8 +32,10 @@ class HorizonSet:
             raise ConfigError("empty horizon set")
         if any(h < 1 for h in hs) or list(hs) != sorted(set(hs)):
             raise ConfigError(f"horizons must be strictly increasing positive ints, got {hs}")
-        if hs[-1] != self.max_horizon:
-            raise ConfigError(f"last horizon {hs[-1]} must equal max horizon {self.max_horizon}")
+
+    @property
+    def max_horizon(self) -> int:
+        return self.horizons[-1]
 
     def __len__(self):
         return len(self.horizons)
@@ -49,7 +49,7 @@ def build_horizon_set(max_horizon: int, stride: int) -> HorizonSet:
         raise ConfigError(f"stride {stride} outside [1, {max_horizon}]")
     if max_horizon % stride != 0:
         raise ConfigError(f"max horizon {max_horizon} not divisible by stride {stride}")
-    return HorizonSet(tuple(range(stride, max_horizon + 1, stride)), stride, max_horizon)
+    return HorizonSet(tuple(range(stride, max_horizon + 1, stride)))
 
 
 def validity_grid(horizons: HorizonSet) -> np.ndarray:
@@ -71,58 +71,43 @@ def init_gate_params(seed: int, d_model: int, dtype=np.float32) -> dict[str, T.T
     }
 
 
-@dataclass
-class GateWeights:
-    """alpha: (B, H, N) mixture weights; logits: (B, H, N); valid: (H, N)."""
+def gate(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str) -> T.Tensor:
+    """Mixture weights alpha (B, H, N) from per-horizon hidden states (B, N, H, d_model).
 
-    alpha: T.Tensor
-    logits: T.Tensor
-    valid: np.ndarray
-
-
-def gate(params, hidden: T.Tensor, horizons: HorizonSet) -> GateWeights:
-    """Mixture weights from per-horizon hidden states (B, N, H, d_model)."""
-    b, n, h_max = hidden.shape[0], hidden.shape[1], hidden.shape[2]
+    ``fusion="gated"`` scores each hidden state with the linear gate.
+    ``"uniform"`` is the ablation with no learned gate: the logits are
+    constant zeros, so the horizons active at a step share its weight
+    equally, nothing flows back, and the balance loss is exactly 0.
+    """
+    b, n, h_max = hidden.shape[:3]
     if n != len(horizons) or h_max != horizons.max_horizon:
         raise ShapeMismatchError(
             f"hidden states (N={n}, H={h_max}) do not match horizon set "
             f"(N={len(horizons)}, H={horizons.max_horizon})"
         )
-    scores = T.linear(hidden, params["gate.w"], params["gate.b"])
-    logits = T.transpose(T.reshape(scores, (b, n, h_max)), (0, 2, 1))
-    valid = validity_grid(horizons)
-    alpha = T.masked_softmax(logits, np.broadcast_to(valid, logits.shape), axis=-1)
-    return GateWeights(alpha=alpha, logits=logits, valid=valid)
+    if fusion == "uniform":
+        logits = T.constant(np.zeros((b, h_max, n), dtype=hidden.dtype))
+    else:
+        scores = T.linear(hidden, params["gate.w"], params["gate.b"])
+        logits = T.transpose(T.reshape(scores, (b, n, h_max)), (0, 2, 1))
+    valid = np.broadcast_to(validity_grid(horizons), logits.shape)
+    return T.masked_softmax(logits, valid, axis=-1)
 
 
-def uniform_gate(batch: int, horizons: HorizonSet, dtype=np.float32) -> GateWeights:
-    """Constant uniform weights over the horizons active at each step.
-
-    Ablation fusion mode: no learned gate, no gradient, and a balance loss
-    of exactly zero.
-    """
-    valid = validity_grid(horizons)
-    alpha = valid.astype(dtype) / valid.sum(axis=1, keepdims=True)
-    alpha = np.broadcast_to(alpha, (batch,) + alpha.shape)
-    logits = T.constant(np.zeros_like(alpha), dtype=dtype)
-    return GateWeights(alpha=T.constant(alpha.copy(), dtype=dtype),
-                       logits=logits, valid=valid)
-
-
-def fuse(per_horizon: T.Tensor, weights: GateWeights) -> T.Tensor:
+def fuse(per_horizon: T.Tensor, alpha: T.Tensor) -> T.Tensor:
     """alpha-weighted per-step sum of per-horizon predictions.
 
     per_horizon: (B, N, H, d_a), rows beyond each stream's horizon carry
     weight exactly 0 and never influence the result.
+    alpha:       (B, H, N) gate weights
     returns (B, H, d_a)
     """
     b, n, h_max = per_horizon.shape[:3]
-    if weights.alpha.shape != (b, h_max, n):
+    if alpha.shape != (b, h_max, n):
         raise ShapeMismatchError(
-            f"gate weights {weights.alpha.shape} do not match predictions "
-            f"{per_horizon.shape}"
+            f"gate weights {alpha.shape} do not match predictions {per_horizon.shape}"
         )
-    w = T.reshape(T.transpose(weights.alpha, (0, 2, 1)), (b, n, h_max, 1))
+    w = T.reshape(T.transpose(alpha, (0, 2, 1)), (b, n, h_max, 1))
     return T.tsum(T.mul(per_horizon, w), axis=1)
 
 
@@ -138,31 +123,34 @@ def balance_loss(alpha: T.Tensor, horizons: HorizonSet, eps: float = 1e-10) -> T
     interval i (steps h_{i-1}+1 .. h_i) the active horizons are those with
     h > h_{i-1}; their average usage over the batch and the interval's steps
     forms a vector whose Var/Mean^2 is the interval's squared CV (population
-    variance). Intervals with a single active horizon carry no signal and
-    are skipped; the loss is the mean over the remaining intervals.
+    variance). The last interval has a single active horizon and carries no
+    signal; the loss is the mean over the others.
+
+    All intervals reduce at once over an (interval, horizon) usage matrix.
+    The variance is half the mean squared pairwise difference of the active
+    usages, so equal usages give exactly 0 whatever their rounding.
 
     eps only guards the division; usage means are bounded below by 1/N, so
     any value well under 1/N^2 leaves the statistic unchanged in practice.
     """
-    hs = horizons.horizons
-    n = len(hs)
-    terms = []
-    lo = 0
-    for i, hi in enumerate(hs):
-        if n - i > 1:
-            usage = T.tmean(alpha[:, lo:hi, i:], axis=(0, 1))
-            mean = T.tmean(usage)
-            centered = T.sub(usage, mean)
-            var = T.tmean(T.mul(centered, centered))
-            denom = T.add(T.mul(mean, mean), T.constant(eps, dtype=alpha.dtype))
-            terms.append(T.mul(var, T.tpow(denom, -1.0)))
-        lo = hi
-    if not terms:
+    n = len(horizons)
+    if n < 2:
         return T.constant(np.zeros((), dtype=alpha.dtype))
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(terms))
+    b, h_max = alpha.shape[:2]
+    dtype = alpha.dtype
+    interval = np.searchsorted(horizons.horizons, np.arange(1, h_max + 1))  # (H,)
+    rows = interval[:, None, None] == np.arange(n - 1)[:, None]            # (H, N-1, 1)
+    active = np.arange(n) >= np.arange(n - 1)[:, None]                     # (N-1, N)
+    count = active.sum(axis=1)
+    pairs = active[:, :, None] & active[:, None, :]
+    usage = T.tsum(T.mul(T.reshape(T.tsum(alpha, axis=0), (h_max, 1, n)),
+                         T.constant((rows / (b * rows.sum(axis=0))).astype(dtype))),
+                   axis=0)                                                 # (N-1, N)
+    diff = T.sub(T.reshape(usage, (n - 1, n, 1)), T.reshape(usage, (n - 1, 1, n)))
+    pair_w = pairs / (2.0 * count[:, None, None] ** 2)
+    var = T.tsum(T.mul(T.mul(diff, diff), T.constant(pair_w.astype(dtype))), axis=(1, 2))
+    mean = T.tsum(T.mul(usage, T.constant((active / count[:, None]).astype(dtype))), axis=1)
+    return T.tmean(T.mul(var, T.tpow(T.add(T.mul(mean, mean), eps), -1.0)))
 
 
 # ---------------------------------------------------------------------------

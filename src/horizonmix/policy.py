@@ -46,11 +46,15 @@ class ModelConfig:
             raise ConfigError(f"unknown head type {self.head!r}")
         if self.fusion not in ("gated", "uniform"):
             raise ConfigError(f"unknown fusion mode {self.fusion!r}")
-
-    def transformer(self) -> tr.TransformerConfig:
-        return tr.TransformerConfig(layers=self.layers, heads=self.heads,
-                                    d_model=self.d_model, d_ff=self.d_ff,
-                                    max_horizon=self.max_horizon)
+        if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon) < 1:
+            raise ConfigError("transformer dimensions must be positive")
+        if self.d_model % self.heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.head == "flow" and self.d_model % 2 != 0:
+            raise ConfigError(f"the flow time features need an even d_model, got {self.d_model}")
+        if self.ode_steps < 1:
+            raise ConfigError(f"ODE steps must be >= 1, got {self.ode_steps}")
+        self.horizon_set()  # rejects a stride that does not divide max_horizon
 
     def horizon_set(self) -> HorizonSet:
         return build_horizon_set(self.max_horizon, self.stride)
@@ -97,7 +101,6 @@ class Policy:
         self.norm = norm
         self.grid = grid
         self.horizons = cfg.horizon_set()
-        self._tcfg = cfg.transformer()
 
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int | None, dtype=np.float32,
@@ -106,8 +109,7 @@ class Policy:
         params.update(init_encoder_params(seed, cfg.obs_dim, cfg.n_tasks,
                                           cfg.context_tokens, cfg.d_model,
                                           cfg.encoder_hidden, dtype=dtype))
-        params.update(tr.init_transformer_params(seed, cfg.transformer(), cfg.d_a,
-                                                 dtype=dtype))
+        params.update(tr.init_transformer_params(seed, cfg, dtype=dtype))
         params.update(init_gate_params(seed, cfg.d_model, dtype=dtype))
         params.update(hd.init_head_params(seed, cfg.head, cfg.d_model, cfg.d_a,
                                           cfg.bins, dtype=dtype))
@@ -124,7 +126,7 @@ class Policy:
         frozen = {k: T.Tensor(v.data) for k, v in self.params.items()}
         clone = Policy.__new__(Policy)
         clone.cfg, clone.params, clone.norm = self.cfg, frozen, self.norm
-        clone.grid, clone.horizons, clone._tcfg = self.grid, self.horizons, self._tcfg
+        clone.grid, clone.horizons = self.grid, self.horizons
         return clone
 
     def encode_context(self, obs: np.ndarray, task_ids: np.ndarray) -> T.Tensor:
@@ -135,19 +137,18 @@ class Policy:
     # -- training ----------------------------------------------------------
     def loss(self, obs, task_ids, chunks, valid_rows, rng,
              lambda_ind: float = 1.0, lambda_bal: float = 1e-3):
-        """MoH loss breakdown for one batch of env-scale chunks."""
+        """MoH loss breakdown and gate weights alpha (B, H, N) for one batch
+        of env-scale chunks."""
         ctx = self.encode_context(obs, task_ids)
         target = self.norm.normalize_actions(np.asarray(chunks, dtype=np.float64))
         valid_rows = np.asarray(valid_rows, dtype=bool)
-        l_mix, per_h, weights = hd.head_loss(self.params, self._tcfg, self.cfg.head,
-                                             self.horizons, ctx, target, valid_rows, rng,
-                                             self.grid, self.cfg.fusion)
-        l_bal = balance_loss(weights.alpha, self.horizons)
-        return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), weights
+        l_mix, per_h, alpha = hd.head_loss(self.params, self.cfg, self.horizons, ctx,
+                                           target, valid_rows, rng, self.grid)
+        l_bal = balance_loss(alpha, self.horizons)
+        return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), alpha
 
     # -- inference ---------------------------------------------------------
-    def predict(self, obs, task_ids, rng=None, need_per_horizon: bool = True,
-                ode_steps: int | None = None):
+    def predict(self, obs, task_ids, rng=None, need_per_horizon: bool = True):
         """Env-scale fused chunk, per-horizon chunks, and gate weights.
 
         returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
@@ -156,15 +157,11 @@ class Policy:
         if self.cfg.head == "flow":
             if rng is None:
                 raise ConfigError("flow inference requires an rng for the noise draw")
-            steps = self.cfg.ode_steps if ode_steps is None else ode_steps
-            fused, per_h, alpha = hd.flow_infer(self.params, self._tcfg, self.horizons,
-                                                ctx, steps, rng, self.cfg.d_a,
-                                                need_per_horizon=need_per_horizon,
-                                                fusion=self.cfg.fusion)
+            fused, per_h, alpha = hd.flow_infer(self.params, self.cfg, self.horizons, ctx,
+                                                rng, need_per_horizon=need_per_horizon)
         else:
-            fused, per_h, alpha = hd.head_infer(self.params, self._tcfg, self.cfg.head,
-                                                self.horizons, ctx, self.grid,
-                                                self.cfg.fusion)
+            fused, per_h, alpha = hd.head_infer(self.params, self.cfg, self.horizons, ctx,
+                                                self.grid)
         fused = self.norm.denormalize_actions(fused)
         if per_h is not None:
             per_h = self.norm.denormalize_actions(per_h)

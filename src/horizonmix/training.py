@@ -107,9 +107,9 @@ def prepare_policy(cfg: TrainConfig, dataset) -> Policy:
 
 def default_loss(policy: Policy, cfg: TrainConfig):
     def fn(obs, task_ids, chunks, valid, rng):
-        breakdown, _weights = policy.loss(obs, task_ids, chunks, valid, rng,
-                                          lambda_ind=cfg.lambda_ind,
-                                          lambda_bal=cfg.lambda_bal)
+        breakdown, _alpha = policy.loss(obs, task_ids, chunks, valid, rng,
+                                        lambda_ind=cfg.lambda_ind,
+                                        lambda_bal=cfg.lambda_bal)
         return breakdown
     return fn
 

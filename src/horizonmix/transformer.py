@@ -33,7 +33,7 @@ past each stream's horizon; which (step, horizon) pairs are valid is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,25 +41,13 @@ from . import tensor as T
 from .errors import ConfigError
 from .rng import make_rng, truncated_normal
 
+if TYPE_CHECKING:
+    from .policy import ModelConfig
+
 INIT_STD = 0.02
 
 
-@dataclass(frozen=True)
-class TransformerConfig:
-    layers: int = 4
-    heads: int = 4
-    d_model: int = 64
-    d_ff: int = 256
-    max_horizon: int = 30
-
-    def __post_init__(self):
-        if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon) < 1:
-            raise ConfigError("transformer dimensions must be positive")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-
-
-def init_transformer_params(seed: int, cfg: TransformerConfig, d_a: int,
+def init_transformer_params(seed: int, cfg: ModelConfig,
                             dtype=np.float32) -> dict[str, T.Tensor]:
     p: dict[str, T.Tensor] = {}
 
@@ -85,7 +73,7 @@ def init_transformer_params(seed: int, cfg: TransformerConfig, d_a: int,
         p[f"blocks.{i}.ffn.b2"] = zeros(d)
         p[f"blocks.{i}.ln2.g"], p[f"blocks.{i}.ln2.b"] = ones(d), zeros(d)
     p["final_ln.g"], p["final_ln.b"] = ones(d), zeros(d)
-    p["action_lift.w"] = proj("action_lift.w", d_a, d)
+    p["action_lift.w"] = proj("action_lift.w", cfg.d_a, d)
     p["action_lift.b"] = zeros(d)
     p["action_pos"] = proj("action_pos", cfg.max_horizon, d)
     p["time_lift.w"] = proj("time_lift.w", d, d)
@@ -188,7 +176,7 @@ def _block(params, i: int, x: T.Tensor, masks, heads: int) -> T.Tensor:
     return T.add(x, ffn)
 
 
-def forward_multi_horizon(params, cfg: TransformerConfig, ctx: T.Tensor, horizons,
+def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor, horizons,
                           chunks: T.Tensor | None = None, tau: np.ndarray | None = None):
     """Hidden states of one stream per horizon over a shared context.
 

@@ -13,9 +13,11 @@ import numpy as np
 
 from horizonmix import tensor as T
 from horizonmix import transformer as tr
+from horizonmix.mixture import balance_loss, validity_grid
 from horizonmix.rng import make_rng
 
 import oracles
+from horizons import horizon_set_from_list
 
 
 def grad_check(f, params, step: float = 1e-5, max_probes: int = 16, floor: float = 1e-8,
@@ -290,6 +292,16 @@ def _build_cases():
         rng = _case_rng("attention_unmasked")
         q, k, v = _randn(rng, 3, 4), _randn(rng, 6, 4), _randn(rng, 6, 4)
         return lambda: T.tmean(oracles.attention(q, k, v)), [q, k, v]
+
+    @case("balance_loss")
+    def _():
+        # the gate's masked softmax over irregular horizons: intervals of
+        # 1, 1, 2 and 3 steps with 4, 3, 2 and 1 active horizons
+        rng = _case_rng("balance_loss")
+        hs = horizon_set_from_list((1, 2, 4, 7))
+        logits = _randn(rng, 3, 7, 4)
+        mask = np.broadcast_to(validity_grid(hs), logits.shape)
+        return lambda: balance_loss(T.masked_softmax(logits, mask), hs), [logits]
 
     return cases
 

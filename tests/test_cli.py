@@ -49,6 +49,11 @@ class TestExitCodes:
         assert main(["train", "--config", "run.cfg",
                      "--set", "model.stride=0"]) == 2
 
+    @pytest.mark.parametrize("override", ["model.heads=3", "model.ode_steps=0"])
+    def test_bad_model_config_is_2_before_any_dataset(self, root, override):
+        assert main(["train", "--config", "run.cfg", "--set", override]) == 2
+        assert not (root / "data").exists()
+
     def test_missing_checkpoint_is_3(self, root):
         assert main(["eval", "--checkpoint", "nope.bin"]) == 3
 

@@ -82,16 +82,15 @@ class TestFlowLoss:
     def _raw_losses(policy, obs, task_ids, chunks, valid, seed):
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        return hd.head_loss(policy.params, policy.cfg.transformer(), "flow",
-                            policy.horizons, ctx, target, valid, make_rng(seed, "d"),
-                            None, "gated")
+        return hd.head_loss(policy.params, policy.cfg, policy.horizons, ctx, target,
+                            valid, make_rng(seed, "d"), None)
 
     def test_loss_components_match_direct_recomputation(self):
         policy = make_policy("flow", seed=2)
         obs, task_ids, chunks, valid = make_batch(8)
         valid[:, -2:] = False  # exercise dataset padding
-        l_mix, per_h, weights = self._raw_losses(policy, obs, task_ids, chunks, valid,
-                                                 seed=9)
+        l_mix, per_h, alpha = self._raw_losses(policy, obs, task_ids, chunks, valid,
+                                               seed=9)
         rng = make_rng(9, "d")
         tau = rng.random(3)
         eps = rng.standard_normal(chunks.shape)
@@ -100,8 +99,7 @@ class TestFlowLoss:
             policy.params["head.b"].data + h @ policy.params["head.w"].data
             for h in self._hidden(policy, obs, task_ids, chunks, tau, eps)
         ], axis=1)
-        alpha = weights.alpha.data
-        fused = np.einsum("bnkd,bkn->bkd", v, alpha)
+        fused = np.einsum("bnkd,bkn->bkd", v, alpha.data)
         mse = ((fused - u) ** 2 * valid[..., None]).sum() / (valid.sum() * 2)
         np.testing.assert_allclose(l_mix.item(), mse, atol=1e-11)
         sv = validity_grid(policy.horizons).T
@@ -116,15 +114,14 @@ class TestFlowLoss:
         x = (1 - tau)[:, None, None] * eps + tau[:, None, None] * chunks
         n = len(policy.horizons)
         stacked = np.broadcast_to(x[:, None], (x.shape[0], n) + x.shape[1:]).copy()
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
-                                          ctx, policy.horizons.horizons,
-                                          T.constant(stacked), tau)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
+                                          policy.horizons.horizons, T.constant(stacked), tau)
         return [hidden.data[:, i] for i in range(n)]
 
 
 class TestFlowInfer:
-    def _constant_field_policy(self, u):
-        policy = make_policy("flow", seed=3)
+    def _constant_field_policy(self, u, ode_steps=CFG.ode_steps):
+        policy = make_policy("flow", seed=3, ode_steps=ode_steps)
         for name, p in policy.params.items():
             if name.startswith("head."):
                 p.data[:] = 0.0
@@ -133,10 +130,9 @@ class TestFlowInfer:
 
     def test_one_step_integration_of_constant_field(self):
         u = np.array([0.5, -1.25])
-        policy = self._constant_field_policy(u)
+        policy = self._constant_field_policy(u, ode_steps=1)
         obs, task_ids, _, _ = make_batch(10, b=2)
-        fused, per_h, _ = policy.predict(obs, task_ids, rng=make_rng(11, "n"),
-                                         ode_steps=1)
+        fused, per_h, _ = policy.predict(obs, task_ids, rng=make_rng(11, "n"))
         rng = make_rng(11, "n")
         eps = rng.standard_normal((2, 6, 2))
         np.testing.assert_allclose(fused, eps + u, atol=1e-12)
@@ -145,10 +141,9 @@ class TestFlowInfer:
 
     def test_step_count_invariance_on_constant_field(self):
         u = np.array([0.5, -1.25])
-        policy = self._constant_field_policy(u)
         obs, task_ids, _, _ = make_batch(12, b=2)
-        one, _, _ = policy.predict(obs, task_ids, rng=make_rng(13, "n"), ode_steps=1)
-        ten, _, _ = policy.predict(obs, task_ids, rng=make_rng(13, "n"), ode_steps=10)
+        one, ten = (self._constant_field_policy(u, ode_steps=k).predict(
+            obs, task_ids, rng=make_rng(13, "n"))[0] for k in (1, 10))
         np.testing.assert_allclose(one, ten, atol=1e-12)
 
     def test_single_horizon_fused_equals_own_trajectory(self):
@@ -159,10 +154,8 @@ class TestFlowInfer:
         np.testing.assert_array_equal(alpha, np.ones_like(alpha))
 
     def test_zero_steps_rejected(self):
-        policy = make_policy("flow")
-        obs, task_ids, _, _ = make_batch(16, b=1)
         with pytest.raises(ConfigError):
-            policy.predict(obs, task_ids, rng=make_rng(17, "n"), ode_steps=0)
+            make_policy("flow", ode_steps=0)
 
     def test_missing_rng_rejected(self):
         policy = make_policy("flow")
@@ -238,18 +231,16 @@ class TestClassificationLoss:
         valid[:, -1] = False
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, weights = hd.head_loss(
-            policy.params, policy.cfg.transformer(), "classification", policy.horizons,
-            ctx, target, valid, None, policy.grid, "gated")
+        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, policy.horizons,
+                                           ctx, target, valid, None, policy.grid)
 
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
-                                          ctx, policy.horizons.horizons)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
+                                          policy.horizons.horizons)
         raw = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         logits = raw.reshape(3, len(policy.horizons), 6, 2, CFG.bins)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         bins0 = hd.quantize(target, policy.grid) - 1
-        alpha = weights.alpha.data
         sv = validity_grid(policy.horizons).T
         b_i, k_i, d_i = np.meshgrid(range(3), range(6), range(2), indexing="ij")
         for i in range(len(policy.horizons)):
@@ -257,8 +248,7 @@ class TestClassificationLoss:
             w = sv[i][None] & valid
             ref = -(picked * w[..., None]).sum() / 3
             np.testing.assert_allclose(per_h[i].item(), ref, atol=1e-10)
-        fused = np.einsum("bnkdc,bkn->bkdc", probs, alpha)
-        fused /= fused.sum(axis=-1, keepdims=True)
+        fused = np.einsum("bnkdc,bkn->bkdc", probs, alpha.data)
         picked = np.log(fused[b_i, k_i, d_i, bins0] + hd.PROB_FLOOR)
         ref_mix = -(picked * valid[..., None]).sum() / 3
         np.testing.assert_allclose(l_mix.item(), ref_mix, atol=1e-10)
@@ -270,10 +260,9 @@ class TestClassificationLoss:
         rng = make_rng(seed, "probs")
         obs = rng.standard_normal((2, CFG.obs_dim))
         ctx = policy.encode_context(obs, np.array([0, 1]))
-        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg.transformer(),
-                                           "classification", policy.horizons, ctx,
-                                           policy.grid, "gated")
-        fused = fused.data / fused.data.sum(axis=-1, keepdims=True)
+        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg, policy.horizons,
+                                           ctx, policy.grid)
+        fused = fused.data
         assert (fused >= 0).all()
         np.testing.assert_allclose(fused.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -306,14 +295,12 @@ class TestRegressionLoss:
         obs, task_ids, chunks, valid = make_batch(30)
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, weights = hd.head_loss(
-            policy.params, policy.cfg.transformer(), "regression", policy.horizons, ctx,
-            target, valid, None, None, "gated")
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg.transformer(),
-                                          ctx, policy.horizons.horizons)
+        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, policy.horizons,
+                                           ctx, target, valid, None, None)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
+                                          policy.horizons.horizons)
         preds = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
-        alpha = weights.alpha.data
-        fused = np.einsum("bnkd,bkn->bkd", preds, alpha)
+        fused = np.einsum("bnkd,bkn->bkd", preds, alpha.data)
         np.testing.assert_allclose(l_mix.item(), np.abs(fused - target).sum() / 3,
                                    atol=1e-11)
         sv = validity_grid(policy.horizons).T
@@ -327,11 +314,11 @@ class TestFusion:
     def test_uniform_fusion_weights_active_horizons_equally(self, head):
         policy = make_policy(head, fusion="uniform")
         obs, task_ids, chunks, valid = make_batch(37)
-        out, weights = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
+        out, loss_alpha = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
         _, _, alpha = policy.predict(obs, task_ids, rng=make_rng(39, "n"))
         grid = validity_grid(policy.horizons)
         expect = np.where(grid, 1.0 / grid.sum(axis=1, keepdims=True), 0.0)
-        for a in (weights.alpha.data, alpha):
+        for a in (loss_alpha.data, alpha):
             np.testing.assert_allclose(a, np.broadcast_to(expect, a.shape), rtol=0,
                                        atol=1e-15)
             assert (a[:, ~grid] == 0.0).all()
@@ -350,9 +337,9 @@ class TestPolicyInterface:
     def test_loss_and_predict_shapes(self, head):
         policy = make_policy(head)
         obs, task_ids, chunks, valid = make_batch(31)
-        out, weights = policy.loss(obs, task_ids, chunks, valid, make_rng(32, "d"))
+        out, loss_alpha = policy.loss(obs, task_ids, chunks, valid, make_rng(32, "d"))
         assert np.isfinite(out.total.item())
-        assert weights.alpha.shape == (3, 6, 3)
+        assert loss_alpha.shape == (3, 6, 3)
         fused, per_h, alpha = policy.predict(obs, task_ids, rng=make_rng(33, "n"))
         assert fused.shape == (3, 6, 2)
         assert per_h.shape == (3, 3, 6, 2)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from horizonmix import tensor as T
 from horizonmix.errors import ConfigError, ShapeMismatchError
-from horizonmix.mixture import (GateWeights, HorizonSet, balance_loss, build_horizon_set,
-                                fuse, gate, init_gate_params, moh_objective, validity_grid)
+from horizonmix.mixture import (HorizonSet, balance_loss, build_horizon_set, fuse, gate,
+                                init_gate_params, moh_objective, validity_grid)
 from horizonmix.rng import make_rng
 
 from horizons import horizon_set_from_list
@@ -48,6 +48,10 @@ class TestHorizonSet:
         with pytest.raises(ConfigError):
             horizon_set_from_list([4, 2, 6])
 
+    def test_max_horizon_is_last_horizon(self):
+        assert HorizonSet((1, 2, 4, 7)).max_horizon == 7
+        assert build_horizon_set(30, 3).max_horizon == 30
+
 
 class TestTruncate:
     def test_full_horizon_identity(self):
@@ -68,10 +72,11 @@ class TestTruncate:
 
 
 def random_gate(seed, b=4, hs=None, d_model=16):
+    """(alpha, horizon set, gate params, hidden states) of a random gate."""
     hs = hs or build_horizon_set(30, 3)
     params = init_gate_params(seed, d_model, dtype=np.float64)
     hidden = T.constant(make_rng(seed, "hidden").standard_normal((b, len(hs), hs.max_horizon, d_model)))
-    return gate(params, hidden, hs), hs
+    return gate(params, hidden, hs, "gated"), hs, params, hidden
 
 
 class TestGate:
@@ -80,76 +85,86 @@ class TestGate:
         params = init_gate_params(0, 8, dtype=np.float64)
         params["gate.w"].data[:] = 0.0  # all logits equal the bias
         hidden = T.constant(make_rng(3, "h").standard_normal((1, 10, 30, 8)))
-        w = gate(params, hidden, hs)
+        alpha = gate(params, hidden, hs, "gated").data
         assert validity_grid(hs)[6].sum() == 8  # step 7
-        np.testing.assert_allclose(w.alpha.data[0, 6, 2:], np.full(8, 1 / 8), atol=1e-12)
-        np.testing.assert_array_equal(w.alpha.data[0, 6, :2], [0.0, 0.0])
+        np.testing.assert_allclose(alpha[0, 6, 2:], np.full(8, 1 / 8), atol=1e-12)
+        np.testing.assert_array_equal(alpha[0, 6, :2], [0.0, 0.0])
 
     def test_single_horizon_alpha_all_ones(self):
         hs = build_horizon_set(30, 30)
         params = init_gate_params(1, 8, dtype=np.float64)
         hidden = T.constant(make_rng(4, "h").standard_normal((2, 1, 30, 8)))
-        w = gate(params, hidden, hs)
-        np.testing.assert_array_equal(w.alpha.data, np.ones((2, 30, 1)))
+        alpha = gate(params, hidden, hs, "gated")
+        np.testing.assert_array_equal(alpha.data, np.ones((2, 30, 1)))
 
     def test_matches_direct_exp_normalize(self):
-        w, hs = random_gate(5)
+        alpha, hs, params, hidden = random_gate(5)
         valid = validity_grid(hs)
-        logits = w.logits.data
+        scores = hidden.data @ params["gate.w"].data + params["gate.b"].data
+        logits = scores[..., 0].transpose(0, 2, 1)
         e = np.where(valid, np.exp(logits - logits.max(axis=-1, keepdims=True)), 0.0)
         ref = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(w.alpha.data, ref, atol=1e-12)
+        np.testing.assert_allclose(alpha.data, ref, atol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_normalization_invariant(self, seed):
-        w, hs = random_gate(seed, b=2)
-        sums = w.alpha.data.sum(axis=-1)
+        alpha, hs, _, _ = random_gate(seed, b=2)
+        sums = alpha.data.sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-6)
-        assert (w.alpha.data[:, ~validity_grid(hs)] == 0.0).all()
+        assert (alpha.data[:, ~validity_grid(hs)] == 0.0).all()
 
     def test_shape_mismatch_rejected(self):
         hs = build_horizon_set(30, 3)
         params = init_gate_params(2, 8, dtype=np.float64)
         hidden = T.constant(np.zeros((1, 9, 30, 8)))
         with pytest.raises(ShapeMismatchError):
-            gate(params, hidden, hs)
+            gate(params, hidden, hs, "gated")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("horizons", [range(1, 31), range(3, 31, 3), range(5, 31, 5),
+                                          (1, 2, 4, 7)], ids=["s1", "s3", "s5", "1247"])
+    def test_uniform_splits_each_step_evenly(self, dtype, horizons):
+        hs = horizon_set_from_list(horizons)
+        hidden = T.param(np.ones((2, len(hs), hs.max_horizon, 4), dtype=dtype))
+        alpha = gate({}, hidden, hs, "uniform")
+        valid = validity_grid(hs)
+        expect = valid.astype(dtype) / valid.sum(axis=1, keepdims=True)
+        assert not alpha.requires_grad and alpha.dtype == dtype
+        np.testing.assert_array_equal(alpha.data, np.broadcast_to(expect.astype(dtype),
+                                                                  alpha.shape))
 
 
 class TestFuse:
     def test_consensus_value_passes_through(self):
-        w, hs = random_gate(6, b=2)
+        alpha, hs, _, _ = random_gate(6, b=2)
         preds = np.tile(np.float64(1.75), (2, len(hs), 30, 2))
-        fused = fuse(T.constant(preds), w)
+        fused = fuse(T.constant(preds), alpha)
         np.testing.assert_allclose(fused.data, np.full((2, 30, 2), 1.75), atol=1e-12)
 
     def test_one_hot_alpha_selects_horizon(self):
-        hs = build_horizon_set(6, 2)
         b, n, h = 1, 3, 6
         alpha = np.zeros((b, h, n))
         alpha[:, :2, 0] = 1.0  # steps 1-2 -> horizon 2
         alpha[:, 2:, 2] = 1.0  # steps 3-6 -> horizon 6
         preds = make_rng(7, "preds").standard_normal((b, n, h, 2))
-        w = GateWeights(alpha=T.constant(alpha), logits=T.constant(alpha), valid=validity_grid(hs))
-        fused = fuse(T.constant(preds), w).data
+        fused = fuse(T.constant(preds), T.constant(alpha)).data
         np.testing.assert_array_equal(fused[:, :2], preds[:, 0, :2])
         np.testing.assert_array_equal(fused[:, 2:], preds[:, 2, 2:])
 
     def test_hand_arithmetic(self):
-        hs = horizon_set_from_list([1, 2])
         alpha = np.array([[[0.25, 0.75], [0.0, 1.0]]])
         preds = np.zeros((1, 2, 2, 1))
         preds[0, 0, 0, 0] = 0.0
         preds[0, 1, 0, 0] = 4.0
-        w = GateWeights(alpha=T.constant(alpha), logits=T.constant(alpha), valid=validity_grid(hs))
-        assert fuse(T.constant(preds), w).data[0, 0, 0] == pytest.approx(3.0)
+        assert fuse(T.constant(preds), T.constant(alpha)).data[0, 0, 0] == pytest.approx(3.0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_fused_in_convex_hull(self, seed):
-        w, hs = random_gate(seed, b=2)
+        alpha, hs, _, _ = random_gate(seed, b=2)
         preds = make_rng(seed, "hull").standard_normal((2, len(hs), 30, 2))
-        fused = fuse(T.constant(preds), w).data
+        fused = fuse(T.constant(preds), alpha).data
         valid = validity_grid(hs)
         for k in range(30):
             active = np.flatnonzero(valid[k])
@@ -164,7 +179,15 @@ class TestBalanceLoss:
         alpha = np.where(validity_grid(hs), 1.0, 0.0)
         alpha /= alpha.sum(axis=-1, keepdims=True)
         out = balance_loss(T.constant(alpha[None]), hs)
-        assert out.item() <= 1e-7
+        assert out.item() == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 3, 5])
+    def test_uniform_gate_is_exactly_zero(self, dtype, stride):
+        hs = build_horizon_set(30, stride)
+        hidden = T.constant(np.zeros((64, len(hs), 30, 4), dtype=dtype))
+        out = balance_loss(gate({}, hidden, hs, "uniform"), hs)
+        assert out.dtype == dtype and out.item() == 0.0
 
     def test_hand_case_point_one_two_five(self):
         hs = horizon_set_from_list([1, 2, 3])

@@ -91,6 +91,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("override", ["model.ode_steps=0", "model.heads=3",
+                                          "model.stride=4", "model.layers=0"])
+    def test_bad_model_values_rejected_at_load(self, override):
+        with pytest.raises(ConfigError):
+            load_config(overrides=[override])
+
+    def test_odd_width_rejected_for_flow_only(self):
+        odd = ["model.d_model=33", "model.heads=3"]  # no sin/cos pairs for the time row
+        with pytest.raises(ConfigError):
+            load_config(overrides=odd)
+        assert load_config(overrides=odd + ["model.head=regression"]).model.d_model == 33
+
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("train.seed = 1\ntrain.batch_size = 16\n")
@@ -452,7 +464,6 @@ def single_horizon_loss(policy: Policy, cfg: TrainConfig):
     if len(policy.horizons) != 1:
         raise ConfigError("baseline loss requires HorizonSet {H}")
     h = policy.horizons.max_horizon
-    tcfg = policy.cfg.transformer()
 
     def fn(obs, task_ids, chunks, valid, rng):
         ctx = policy.encode_context(obs, task_ids)
@@ -465,7 +476,7 @@ def single_horizon_loss(policy: Policy, cfg: TrainConfig):
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
         u = flow_target(eps, target)
         inputs = T.constant(x[:, None].astype(dtype))
-        hidden = tr.forward_multi_horizon(policy.params, tcfg, ctx, [h], inputs, tau)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx, [h], inputs, tau)
         v = T.linear(hidden, policy.params["head.w"], policy.params["head.b"])
         err = T.sub(v[:, 0], T.constant(u.astype(dtype)))
         weight = np.asarray(valid, dtype=bool).astype(dtype)

@@ -11,16 +11,22 @@ from horizonmix import transformer as tr
 from horizonmix.encoder import encode, init_encoder_params
 from horizonmix.errors import ConfigError
 from horizonmix.mixture import build_horizon_set, validity_grid
+from horizonmix.policy import ModelConfig
 from horizonmix.rng import make_rng
 
 import oracles
 from horizons import horizon_set_from_list
 
-CFG = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=30)
+def small_cfg(max_horizon=30):
+    return ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=max_horizon,
+                       stride=max_horizon)
 
 
-def make_model(cfg=CFG, d_a=2, seed=0):
-    return tr.init_transformer_params(seed, cfg, d_a, dtype=np.float64)
+CFG = small_cfg()
+
+
+def make_model(cfg=CFG, seed=0):
+    return tr.init_transformer_params(seed, cfg, dtype=np.float64)
 
 
 def make_ctx(b=3, c=4, d_model=32, seed=1):
@@ -196,7 +202,7 @@ class TestLanes:
     @pytest.mark.parametrize("head", ["flow", "regression"])
     def test_default_layout(self, head, monkeypatch):
         # C=8 context rows, the flow time row, and the stride-3 set in 5 lanes of 33
-        cfg = tr.TransformerConfig()
+        cfg = ModelConfig()
         with_time = head == "flow"
         hs = build_horizon_set(30, 3).horizons
         stream, _, _ = tr.lane_layout(hs, 30)
@@ -259,7 +265,7 @@ class TestMaskEquivalence:
     @pytest.mark.parametrize("name", sorted(LANE_SETS))
     def test_packed_matches_padded_oracle_64bit(self, name, with_time):
         h_max, hs = LANE_SETS[name]
-        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=h_max)
+        cfg = small_cfg(h_max)
         params = make_model(cfg)
         rng = make_rng(13, "packed-vs-padded", name)
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
@@ -273,7 +279,7 @@ class TestMaskEquivalence:
             np.testing.assert_allclose(packed[:, i, :h], padded[:, i, :h], atol=1e-12, rtol=0)
 
     def test_padding_content_is_irrelevant(self):
-        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=12)
+        cfg = small_cfg(12)
         params = make_model(cfg)
         hs = build_horizon_set(12, 4)
         rng = make_rng(3, "padding")
@@ -302,7 +308,7 @@ class TestMaskEquivalence:
 
 class TestRegressionQueries:
     def test_mask_equivalence(self):
-        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=12)
+        cfg = small_cfg(12)
         params = make_model(cfg)
         hs = build_horizon_set(12, 4)
         ctx = make_ctx(2, 4, 32, seed=5)
@@ -318,7 +324,7 @@ class TestRegressionQueries:
                                        atol=1e-12, rtol=0)
 
     def test_zero_positional_embeddings_collapse_positions(self):
-        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=6)
+        cfg = small_cfg(6)
         params = make_model(cfg)
         params["action_pos"].data[:] = 0.0
         ctx = make_ctx(1, 4, 32, seed=6)
@@ -337,7 +343,7 @@ class TestRegressionQueries:
 
 class TestNonCausality:
     def test_swapping_positions_swaps_outputs(self):
-        cfg = tr.TransformerConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=8)
+        cfg = small_cfg(8)
         params = make_model(cfg)
         ctx = make_ctx(1, 4, 32, seed=8)
         rng = make_rng(9, "perm")
