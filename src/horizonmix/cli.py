@@ -152,24 +152,31 @@ def _mixed_rows(rows):
     return precision, chain, mixed
 
 
+def _number_list(flag: str, text: str, kind: type) -> list:
+    try:
+        return [kind(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from exc
+
+
 def cmd_sweep_horizons(args) -> int:
     cfg = load_config(args.config and _resolve(args.config), args.set or ())
+    runs = [(f"moh-d{d}", d) for d in _number_list("--strides", args.strides, int)]
+    runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
+    # every run's config is checked before the dataset or any training
+    runs = [(label, replace(cfg, model=replace(cfg.model, stride=d))) for label, d in runs]
     dataset = _load_or_generate_dataset(args, cfg)
     out_dir = _resolve(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    strides = [int(s) for s in args.strides.split(",") if s]
     suite = make_suite(seed=args.suite_seed)
     executor = FixedPrefixExecutor(args.prefix)
-    runs = [(f"moh-d{d}", d) for d in strides]
-    runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
     table = []
-    for label, stride in runs:
-        run_cfg = replace(cfg, model=replace(cfg.model, stride=stride))
+    for label, run_cfg in runs:
         policy, _ = _train_once(run_cfg, dataset, out_dir / label)
         rows = evaluate(policy.detached(), suite, args.trials, executor,
                         seed=args.seed)
         precision, chain, mixed = _mixed_rows(rows)
-        table.append({"label": label, "stride": stride,
+        table.append({"label": label, "stride": run_cfg.model.stride,
                       "n_horizons": len(policy.horizons),
                       "precision_success": precision["success_rate"],
                       "chain_success": chain["success_rate"],
@@ -209,21 +216,21 @@ def cmd_gate_stats(args) -> int:
 
 
 def cmd_dyninfer_sweep(args) -> int:
+    configs = [ConsensusConfig(ratio=ratio, min_steps=args.min_steps,
+                               min_active=args.min_active)
+               for ratio in _number_list("--ratios", args.ratios, float)]
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
     policy = policy.detached()
     suite = make_suite(seed=args.suite_seed)
-    ratios = [float(r) for r in args.ratios.split(",") if r]
     rows_out = []
-    for ratio in ratios:
-        executor = ConsensusExecutor(ConsensusConfig(ratio=ratio,
-                                                     min_steps=args.min_steps,
-                                                     min_active=args.min_active))
-        rows = evaluate(policy, suite, args.trials, executor, seed=args.seed)
+    for consensus in configs:
+        rows = evaluate(policy, suite, args.trials, ConsensusExecutor(consensus),
+                        seed=args.seed)
         _precision, _chain, mixed = _mixed_rows(rows)
         prefixes = [r["mean_prefix"] for r in rows]
-        rows_out.append({"r": ratio, "success_rate": mixed,
+        rows_out.append({"r": consensus.ratio, "success_rate": mixed,
                          "mean_prefix": float(np.mean(prefixes))})
-        print(f"r={ratio:g}: success {mixed:.3f} "
+        print(f"r={consensus.ratio:g}: success {mixed:.3f} "
               f"prefix {rows_out[-1]['mean_prefix']:.2f}")
     with open(_resolve(args.out), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["r", "success_rate",

@@ -49,18 +49,9 @@ class TrainConfig:
         if self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive")
 
-    # convenience views of the model section
-    @property
-    def head(self) -> str:
-        return self.model.head
-
     @property
     def max_horizon(self) -> int:
         return self.model.max_horizon
-
-    @property
-    def stride(self) -> int:
-        return self.model.stride
 
     @property
     def dtype(self):

@@ -123,16 +123,15 @@ def evaluate(policy, tasks: list[TaskSpec], trials: int, executor,
              seed: int = 0,
              constants: EnvConstants = EnvConstants()) -> list[dict]:
     """Run ``trials`` seeded rollouts per task; return per-family rows."""
-    if getattr(policy.cfg, "obs_dim", OBS_DIM) != OBS_DIM:
+    if policy.cfg.obs_dim != OBS_DIM:
         raise ConfigError(
             f"policy expects obs_dim {policy.cfg.obs_dim}, env has {OBS_DIM}")
-    if getattr(policy.cfg, "d_a", 2) != 2:
+    if policy.cfg.d_a != 2:
         raise ConfigError("policy action dimension must be 2 for this env")
     max_id = max(t.task_id for t in tasks)
-    n_tasks = getattr(policy.cfg, "n_tasks", max_id + 1)
-    if max_id >= n_tasks:
+    if max_id >= policy.cfg.n_tasks:
         raise ConfigError(
-            f"task id {max_id} out of range for policy with {n_tasks} tasks")
+            f"task id {max_id} out of range for policy with {policy.cfg.n_tasks} tasks")
     by_family: dict[str, list[EpisodeRecord]] = {}
     for task in tasks:
         for trial in range(trials):

@@ -206,6 +206,11 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     horizon's own trajectory driven by its own velocity, both from one shared
     noise draw. Gate weights are averaged over the integration steps.
 
+    Each step is one ``_fused_forward``. With per-horizon trajectories the
+    context is stacked to 2B rows: rows :B carry the fused chunk in every
+    stream and give the fused velocity and the gate weights, rows B: carry
+    each stream's own chunk and give each stream's own velocity.
+
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
     """
     steps = cfg.ode_steps
@@ -214,24 +219,23 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     h_max = horizons.max_horizon
     dtype = ctx.data.dtype
     eps = rng.standard_normal((b, h_max, cfg.d_a))
-    fused_x = eps.copy()
+    fused_x = eps
     own_x = np.repeat(eps[:, None], n, axis=1) if need_per_horizon else None
+    if need_per_horizon:
+        ctx = T.concat([ctx, ctx], axis=0)
     dtau = 1.0 / steps
     alpha_acc = np.zeros((b, h_max, n))
-    stream_horizons = list(horizons.horizons) * (2 if need_per_horizon else 1)
     for s in range(steps):
-        tau = np.full(b, s * dtau)
-        fused_rep = np.broadcast_to(fused_x[:, None], (b, n, h_max, cfg.d_a))
-        stacked = np.concatenate([fused_rep, own_x], axis=1) if need_per_horizon else fused_rep
-        hidden = tr.forward_multi_horizon(params, cfg, ctx, stream_horizons,
-                                          T.constant(stacked.astype(dtype)), tau)
-        v = T.linear(hidden, params["head.w"], params["head.b"]).data.astype(np.float64)
-        alpha = gate(params, hidden[:, :n], horizons, cfg.fusion)
-        fused_v = fuse(T.constant(v[:, :n].astype(dtype)), alpha).data.astype(np.float64)
-        alpha_acc += alpha.data.astype(np.float64)
-        fused_x = fused_x + dtau * fused_v
+        chunks = np.broadcast_to(fused_x[:, None], (b, n, h_max, cfg.d_a))
         if need_per_horizon:
-            own_x = own_x + dtau * v[:, n:]
+            chunks = np.concatenate([chunks, own_x])
+        out, fused, _, alpha = _fused_forward(params, cfg, horizons, ctx, None,
+                                              T.constant(chunks.astype(dtype)),
+                                              np.full(ctx.shape[0], s * dtau))
+        alpha_acc += alpha.data[:b]
+        fused_x = fused_x + dtau * fused.data[:b].astype(np.float64)
+        if need_per_horizon:
+            own_x = own_x + dtau * out.data[b:].astype(np.float64)
     return fused_x, own_x, alpha_acc / steps
 
 

@@ -164,8 +164,6 @@ class MoHLossBreakdown:
     l_ind: T.Tensor
     l_bal: T.Tensor
     total: T.Tensor
-    lambda_ind: float
-    lambda_bal: float
 
 
 def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor,
@@ -176,8 +174,7 @@ def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor
     """
     l_ind = T.tsum(per_horizon_losses)
     total = T.add(T.add(l_mix, T.mul(l_ind, lambda_ind)), T.mul(l_bal, lambda_bal))
-    return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total,
-                            lambda_ind=lambda_ind, lambda_bal=lambda_bal)
+    return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total)
 
 
 def write_gate_stats_csv(path, mean_alpha: np.ndarray, horizons: HorizonSet) -> None:

@@ -36,6 +36,10 @@ tests/ keeps the unfused code they replaced as their oracles. The forwards
 of `linear`, `gelu`, `layer_norm` and `log_softmax` are bit-identical to
 it; `attention` reads the prefix once instead of once per lane, so its sums
 run over other GEMM shapes and agree with the oracle to rounding.
+
+Tensors are not subscriptable: the model selects rows with `take_rows`
+and `gather_rows`. Basic slicing as a tape node (`index`) lives in
+tests/oracles.py, whose per-lane oracles cut lanes out of flat rows.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ from .errors import InvalidMaskError, ShapeMismatchError
 # negative constant rather than -inf: exp() underflows it to exactly 0.0
 # without ever producing NaN via inf - inf in the stabilizing max-subtraction.
 NEG_INF = -1e9
-
-FLOAT_WIDTHS = (np.float32, np.float64)
 
 
 class Tensor:
@@ -100,9 +102,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad += g
-
-    def __getitem__(self, key):
-        return index(self, key)
 
 
 def param(data, dtype=None) -> Tensor:
@@ -293,17 +292,6 @@ def concat(tensors, axis: int):
                 t._accumulate(g[tuple(sl)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
-
-
-def index(a: Tensor, key):
-    """Basic (slice/int) indexing; gradient scatters back into a zero array."""
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        a._accumulate(full)
-
-    return _make(a.data[key].copy(), (a,), bwd)
 
 
 def take_rows(table: Tensor, idx: np.ndarray):

@@ -16,12 +16,11 @@ Context rows see only context, and the time row sees context and itself,
 so the prefix is the same for every stream and is encoded once. A lane's
 rows see the prefix and their own stream in the lane, never another lane.
 ``lane_layout`` sorts the streams by horizon and puts the k-th longest in a
-lane with the k-th shortest; two streams of equal horizon never share one,
-so a duplicated stream computes exactly what its twin does. A stride-built
-set pairs to equal lengths, h + (H + stride - h): at the defaults (C=8,
-H=30, stride 3) that is a prefix of 8 + 1 rows and 5 lanes of 33 rows,
-174 rows in all and no pad rows. ``lane_masks`` keeps the streams apart,
-and ``tensor.attention`` runs that layout as one node.
+lane with the k-th shortest. A stride-built set pairs to equal lengths,
+h + (H + stride - h): at the defaults (C=8, H=30, stride 3) that is a
+prefix of 8 + 1 rows and 5 lanes of 33 rows, 174 rows in all and no pad
+rows. ``lane_masks`` keeps the streams apart by stream index, whatever
+their horizons, and ``tensor.attention`` runs that layout as one node.
 
 One forward, ``forward_multi_horizon``, serves every head. The flow head
 fills the action slots with its noisy chunk and adds the time row; the
@@ -91,8 +90,8 @@ def lane_layout(horizons, max_horizon: int):
     """Pack horizon streams into lanes of action slots.
 
     Streams sorted by horizon pair outside-in: the k-th longest shares a
-    lane with the k-th shortest, unless their horizons are equal, in which
-    case every remaining stream gets a lane of its own.
+    lane with the k-th shortest; with N odd the median stream has a lane of
+    its own.
 
     returns (stream, step, source):
       stream, step: (lanes, La) stream index and 0-based chunk step of each
@@ -103,13 +102,11 @@ def lane_layout(horizons, max_horizon: int):
     hs = [int(h) for h in horizons]
     if max(hs) > max_horizon:
         raise ConfigError(f"horizon {max(hs)} exceeds max horizon {max_horizon}")
-    order = sorted(range(len(hs)), key=hs.__getitem__)
-    lanes = []
-    lo, hi = 0, len(order) - 1
-    while lo < hi and hs[order[lo]] != hs[order[hi]]:
-        lanes.append((order[hi], order[lo]))
-        lo, hi = lo + 1, hi - 1
-    lanes.extend((i,) for i in order[lo:hi + 1])
+    n = len(hs)
+    order = sorted(range(n), key=hs.__getitem__)
+    lanes = [(order[n - 1 - j], order[j]) for j in range(n // 2)]
+    if n % 2:
+        lanes.append((order[n // 2],))
     width = max(sum(hs[i] for i in lane) for lane in lanes)
     stream = np.full((len(lanes), width), -1)
     step = np.full((len(lanes), width), -1)

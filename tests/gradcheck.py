@@ -149,7 +149,7 @@ def _build_cases():
     def _():
         rng = _case_rng("index")
         a = _randn(rng, 4, 5)
-        return lambda: T.tsum(T.texp(a[1:3, ::2])), [a]
+        return lambda: T.tsum(T.texp(oracles.index(a, np.s_[1:3, ::2]))), [a]
 
     @case("take_rows")
     def _():

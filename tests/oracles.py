@@ -1,6 +1,8 @@
 """Reference code the fused transformer path replaced, kept as test oracles.
 
 - `matmul`, the general tape node that `tensor.linear` was built from;
+- `index`, basic slicing as a tape node, which the per-lane oracles use to
+  cut lanes out of flat rows;
 - `attention`, the one-node attention over (..., L, hd) per-lane sequences
   under a full additive mask, with its head split and merge;
 - `full_lane_masks`, the (lanes, 1, L, L) masks of lanes that each carry
@@ -32,6 +34,17 @@ def matmul(a, b):
             b._accumulate(T._unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return T._make(a.data @ b.data, (a, b), bwd)
+
+
+def index(a, key):
+    """Basic (slice/int) indexing; gradient scatters back into a zero array."""
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        a._accumulate(full)
+
+    return T._make(a.data[key].copy(), (a,), bwd)
 
 
 def linear_composite(x, w, b=None):
@@ -140,4 +153,4 @@ def run(params, cfg, ctx, action_tokens, time_token, masks: np.ndarray):
         x = _block(params, i, x, mask, cfg.heads)
     x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     a0 = c + (0 if time_token is None else 1)
-    return x[:, :, a0:, :]
+    return index(x, np.s_[:, :, a0:])

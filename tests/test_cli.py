@@ -149,6 +149,21 @@ class TestSweeps:
         for r in rows:
             assert 0.0 <= float(r["mixed_avg"]) <= 1.0
 
+    @pytest.mark.parametrize("strides", ["3,x", "3,4"])
+    def test_bad_stride_is_2_before_any_run(self, root, strides):
+        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", strides,
+                     "--trials", "1", "--episodes-per-task", "2",
+                     "--out", "runs/sweep"]) == 2
+        assert not (root / "data").exists()
+        assert not (root / "runs" / "sweep" / "moh-d3").exists()
+
+    @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0"])
+    def test_bad_ratio_is_2_before_any_run(self, root, ratios):
+        # the checkpoint is never opened: a missing one would exit 3
+        assert main(["dyninfer-sweep", "--checkpoint", "nope.bin",
+                     "--ratios", ratios, "--out", "dyn.csv"]) == 2
+        assert not (root / "dyn.csv").exists()
+
     def test_gate_stats_requires_mixture(self, root):
         ckpt = run_train(root, "--set", "model.stride=6")
         assert main(["gate-stats", "--checkpoint", str(ckpt),

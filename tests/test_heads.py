@@ -75,8 +75,8 @@ class TestFlowLoss:
         bumped[:, 2:, :] += 10.0  # rows beyond the first horizon (h=2)
         _, per_a, _ = self._raw_losses(policy, obs, task_ids, chunks, valid, seed=7)
         _, per_b, _ = self._raw_losses(policy, obs, task_ids, bumped, valid, seed=7)
-        assert per_a[0].item() == pytest.approx(per_b[0].item(), abs=1e-12)
-        assert per_a[-1].item() != pytest.approx(per_b[-1].item(), abs=1e-6)
+        assert per_a.data[0] == pytest.approx(per_b.data[0], abs=1e-12)
+        assert per_a.data[-1] != pytest.approx(per_b.data[-1], abs=1e-6)
 
     @staticmethod
     def _raw_losses(policy, obs, task_ids, chunks, valid, seed):
@@ -106,7 +106,7 @@ class TestFlowLoss:
         for i in range(len(policy.horizons)):
             w = (sv[i][None] & valid)[..., None]
             ref = ((v[:, i] - u) ** 2 * w).sum() / (w.sum() * 2)
-            np.testing.assert_allclose(per_h[i].item(), ref, atol=1e-11)
+            np.testing.assert_allclose(per_h.data[i], ref, atol=1e-11)
 
     @staticmethod
     def _hidden(policy, obs, task_ids, chunks, tau, eps):
@@ -152,6 +152,28 @@ class TestFlowInfer:
         fused, per_h, alpha = policy.predict(obs, task_ids, rng=make_rng(15, "n"))
         np.testing.assert_array_equal(fused, per_h[:, 0])
         np.testing.assert_array_equal(alpha, np.ones_like(alpha))
+
+    @pytest.mark.parametrize("stride", [2, 1])  # N = 3 and N = 6 streams
+    def test_per_horizon_trajectories_equal_streams_run_alone(self, stride):
+        policy = make_policy("flow", stride=stride)
+        params, cfg, horizons = policy.params, policy.cfg, policy.horizons
+        obs, task_ids, _, _ = make_batch(20, b=2)
+        ctx = policy.encode_context(obs, task_ids)
+        fused, per_h, alpha = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"))
+        eps = make_rng(21, "n").standard_normal((2, cfg.max_horizon, cfg.d_a))
+        dtau = 1.0 / cfg.ode_steps
+        for i, h in enumerate(horizons):
+            x = eps.copy()
+            for s in range(cfg.ode_steps):
+                hidden = tr.forward_multi_horizon(params, cfg, ctx, [h], T.constant(x[:, None]),
+                                                  np.full(2, s * dtau))
+                x = x + dtau * T.linear(hidden, params["head.w"], params["head.b"]).data[:, 0]
+            np.testing.assert_allclose(per_h[:, i, :h], x[:, :h], atol=1e-12, rtol=0)
+        alone, none, alpha_alone = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"),
+                                                 need_per_horizon=False)
+        assert none is None
+        np.testing.assert_allclose(alone, fused, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(alpha_alone, alpha, atol=1e-12, rtol=0)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigError):
@@ -247,7 +269,7 @@ class TestClassificationLoss:
             picked = np.log(probs[:, i][b_i, k_i, d_i, bins0])
             w = sv[i][None] & valid
             ref = -(picked * w[..., None]).sum() / 3
-            np.testing.assert_allclose(per_h[i].item(), ref, atol=1e-10)
+            np.testing.assert_allclose(per_h.data[i], ref, atol=1e-10)
         fused = np.einsum("bnkdc,bkn->bkdc", probs, alpha.data)
         picked = np.log(fused[b_i, k_i, d_i, bins0] + hd.PROB_FLOOR)
         ref_mix = -(picked * valid[..., None]).sum() / 3
@@ -306,7 +328,7 @@ class TestRegressionLoss:
         sv = validity_grid(policy.horizons).T
         for i in range(len(policy.horizons)):
             ref = (np.abs(preds[:, i] - target) * sv[i][None, :, None]).sum() / 3
-            np.testing.assert_allclose(per_h[i].item(), ref, atol=1e-11)
+            np.testing.assert_allclose(per_h.data[i], ref, atol=1e-11)
 
 
 class TestFusion:

@@ -347,14 +347,17 @@ def per_lane_attention(q, k, v, heads, stream, n_context, with_time):
     mask = oracles.full_lane_masks(stream, n_context, with_time, dtype=q.dtype)[None]
 
     def lane_sequences(a):
-        seqs = [T.concat([a[:, :n_pre], a[:, n_pre + j * width:n_pre + (j + 1) * width]], axis=1)
+        lo = n_pre + width * np.arange(lanes)
+        seqs = [T.concat([oracles.index(a, np.s_[:, :n_pre]),
+                          oracles.index(a, np.s_[:, lo[j]:lo[j] + width])], axis=1)
                 for j in range(lanes)]
         return oracles.split_heads(
             T.concat([T.reshape(x, (b, 1, n_pre + width, d)) for x in seqs], axis=1), heads)
 
     out = oracles.merge_heads(attention_composite(lane_sequences(q), lane_sequences(k),
                                                   lane_sequences(v), mask))
-    return T.concat([out[:, 0, :n_pre]] + [out[:, j, n_pre:] for j in range(lanes)], axis=1)
+    return T.concat([oracles.index(out, np.s_[:, 0, :n_pre])]
+                    + [oracles.index(out, np.s_[:, j, n_pre:]) for j in range(lanes)], axis=1)
 
 
 def _prefix_lane_inputs(with_time, seed):

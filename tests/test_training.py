@@ -59,7 +59,7 @@ class TestConfig:
         assert cfg.grad_clip == 1.0
         assert cfg.batch_size == 64
         assert cfg.float_width == "float32"
-        assert cfg.head == "flow" and cfg.max_horizon == 30 and cfg.stride == 3
+        assert cfg.model.head == "flow" and cfg.max_horizon == 30 and cfg.model.stride == 3
 
     def test_parse_and_apply(self):
         text = """
@@ -478,7 +478,7 @@ def single_horizon_loss(policy: Policy, cfg: TrainConfig):
         inputs = T.constant(x[:, None].astype(dtype))
         hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx, [h], inputs, tau)
         v = T.linear(hidden, policy.params["head.w"], policy.params["head.b"])
-        err = T.sub(v[:, 0], T.constant(u.astype(dtype)))
+        err = T.sub(T.reshape(v, u.shape), T.constant(u.astype(dtype)))
         weight = np.asarray(valid, dtype=bool).astype(dtype)
         total = T.tsum(T.mul(T.mul(err, err), T.constant(weight[..., None])))
         l = T.mul(total, 1.0 / (float(weight.sum()) * d_a))
