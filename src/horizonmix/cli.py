@@ -7,7 +7,6 @@ current directory).  Exit codes: 0 success, 2 configuration/usage error,
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -94,19 +93,25 @@ def cmd_train(args) -> int:
 
 
 def _executor_from_args(args):
+    """The executor the flags ask for; a ``--trace`` file starts empty."""
+    trace_path = args.trace and str(_resolve(args.trace))
     if args.executor == "fixed":
-        return FixedPrefixExecutor(args.prefix)
-    return ConsensusExecutor(ConsensusConfig(ratio=args.ratio,
-                                             min_steps=args.min_steps,
-                                             min_active=args.min_active),
-                             trace_path=args.trace and str(_resolve(args.trace)))
+        executor = FixedPrefixExecutor(args.prefix)
+    else:
+        config = ConsensusConfig(ratio=args.ratio, min_steps=args.min_steps,
+                                 min_active=args.min_active)
+        executor = ConsensusExecutor(config, trace_path=trace_path)
+    if trace_path:
+        Path(trace_path).write_text("")  # never holds a line of an earlier run
+    return executor
 
 
 def cmd_eval(args) -> int:
+    executor = _executor_from_args(args)
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
     suite = make_suite(seed=args.suite_seed)
-    rows = evaluate(policy.detached(), suite, args.trials,
-                    _executor_from_args(args), seed=args.seed)
+    rows = evaluate(policy.detached(), suite, args.trials, executor,
+                    seed=args.seed)
     for row in rows:
         print(f"{row['family']:>16}  {row['executor']:>14}  "
               f"success {row['success_rate']:.3f}  "
@@ -119,13 +124,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    executor = _executor_from_args(args)
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
     suite = make_suite(seed=args.suite_seed)
     by_id = {t.task_id: t for t in suite}
     if args.task_id not in by_id:
         raise ConfigError(f"task id {args.task_id} not in the suite")
     rec = run_episode(policy.detached(), by_id[args.task_id], args.seed,
-                      args.trial, _executor_from_args(args))
+                      args.trial, executor)
     summary = {
         "task_id": rec.task_id,
         "family": rec.family,
@@ -145,11 +151,12 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _mixed_rows(rows):
-    precision = next(r for r in rows if r["family"] == "precision-reach")
-    chain = next(r for r in rows if r["family"] == "waypoint-chain")
-    mixed = 0.5 * (precision["success_rate"] + chain["success_rate"])
-    return precision, chain, mixed
+def _family_success(rows) -> dict:
+    """Success rate of each family and their mean, the mixed success."""
+    rate = {r["family"]: r["success_rate"] for r in rows}
+    precision, chain = rate["precision-reach"], rate["waypoint-chain"]
+    return {"precision_success": precision, "chain_success": chain,
+            "mixed_avg": 0.5 * (precision + chain)}
 
 
 def _number_list(flag: str, text: str, kind: type) -> list:
@@ -175,19 +182,11 @@ def cmd_sweep_horizons(args) -> int:
         policy, _ = _train_once(run_cfg, dataset, out_dir / label)
         rows = evaluate(policy.detached(), suite, args.trials, executor,
                         seed=args.seed)
-        precision, chain, mixed = _mixed_rows(rows)
         table.append({"label": label, "stride": run_cfg.model.stride,
-                      "n_horizons": len(policy.horizons),
-                      "precision_success": precision["success_rate"],
-                      "chain_success": chain["success_rate"],
-                      "mixed_avg": mixed})
-        print(f"{label}: mixed {mixed:.3f}")
-    path = out_dir / "horizon_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(table[0]))
-        writer.writeheader()
-        writer.writerows(table)
-    print(f"wrote {path}")
+                      "n_horizons": len(policy.horizons), **_family_success(rows)})
+        print(f"{label}: mixed {table[-1]['mixed_avg']:.3f}")
+    write_success_csv(table, out_dir / "horizon_sweep.csv")
+    print(f"wrote {out_dir / 'horizon_sweep.csv'}")
     return 0
 
 
@@ -222,21 +221,16 @@ def cmd_dyninfer_sweep(args) -> int:
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
     policy = policy.detached()
     suite = make_suite(seed=args.suite_seed)
-    rows_out = []
+    table = []
     for consensus in configs:
         rows = evaluate(policy, suite, args.trials, ConsensusExecutor(consensus),
                         seed=args.seed)
-        _precision, _chain, mixed = _mixed_rows(rows)
-        prefixes = [r["mean_prefix"] for r in rows]
-        rows_out.append({"r": consensus.ratio, "success_rate": mixed,
-                         "mean_prefix": float(np.mean(prefixes))})
-        print(f"r={consensus.ratio:g}: success {mixed:.3f} "
-              f"prefix {rows_out[-1]['mean_prefix']:.2f}")
-    with open(_resolve(args.out), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["r", "success_rate",
-                                                "mean_prefix"])
-        writer.writeheader()
-        writer.writerows(rows_out)
+        table.append({"r": consensus.ratio, **_family_success(rows),
+                      "mean_prefix": float(np.mean([r["mean_prefix"] for r in rows])),
+                      "mean_steps": float(np.mean([r["mean_steps"] for r in rows]))})
+        print(f"r={consensus.ratio:g}: " + "  ".join(
+            f"{key} {value:.3f}" for key, value in list(table[-1].items())[1:]))
+    write_success_csv(table, _resolve(args.out))
     print(f"wrote {_resolve(args.out)}")
     return 0
 

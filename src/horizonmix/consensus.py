@@ -5,6 +5,10 @@ executed prefix extends while their gate-weighted l1 disagreement stays
 under a threshold calibrated on the first n steps. Pure functions over the
 prediction arrays; the executor in envbench drives the environment with the
 returned prefix.
+
+A per-horizon prediction is one stream's output on the shared input: its
+actions (regression), its most likely bin centers (classification), or its
+velocity on the fused chunk integrated along the fused Euler path (flow).
 """
 
 from __future__ import annotations
@@ -78,12 +82,14 @@ def consensus_prefix(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarr
                           active_counts=counts)
 
 
-def append_trace(path, trace: ConsensusTrace) -> None:
-    """One JSON line per prediction, for offline prefix-length analysis."""
+def append_trace(path, trace: ConsensusTrace, **keys) -> None:
+    """One JSON line per prediction, led by the ``keys`` that join it to its
+    episode record (the evaluator's task_id, trial, prediction, executed)."""
     record = {
-        "disagreements": [round(float(x), 10) for x in trace.disagreements],
+        **keys,
+        "selected": trace.k_exec,
         "threshold": trace.threshold,
-        "k_exec": trace.k_exec,
+        "disagreements": [round(float(x), 10) for x in trace.disagreements],
         "active_counts": trace.active_counts.tolist(),
     }
     with open(path, "a") as f:

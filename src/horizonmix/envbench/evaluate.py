@@ -22,9 +22,6 @@ from ..errors import ConfigError
 from ..rng import make_rng
 from .env import OBS_DIM, EnvConstants, PointMassEnv, TaskSpec
 
-CSV_COLUMNS = ("family", "executor", "success_rate", "mean_steps",
-               "mean_prefix")
-
 
 @dataclass(frozen=True)
 class FixedPrefixExecutor:
@@ -48,7 +45,7 @@ class ConsensusExecutor:
     """Pick each prefix with the cross-horizon consensus rule."""
 
     config: ConsensusConfig = field(default_factory=ConsensusConfig)
-    trace_path: str | None = None
+    trace_path: str | None = None  # appended one line per prediction
 
     @property
     def name(self) -> str:
@@ -95,8 +92,6 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
         if executor.needs_per_horizon:
             trace = consensus_prefix(fused[0], per_h[0], alpha[0], horizons,
                                      executor.config)
-            if executor.trace_path is not None:
-                append_trace(executor.trace_path, trace)
             k = trace.k_exec
         else:
             k = min(executor.prefix, horizons.max_horizon)
@@ -110,6 +105,9 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
             if done:
                 break
         executed_lengths.append(count)
+        if executor.needs_per_horizon and executor.trace_path is not None:
+            append_trace(executor.trace_path, trace, task_id=task.task_id,
+                         trial=trial, prediction=predictions, executed=count)
         predictions += 1
     return EpisodeRecord(task_id=task.task_id, family=task.family,
                          observations=np.asarray(obs_log),
@@ -152,8 +150,8 @@ def evaluate(policy, tasks: list[TaskSpec], trials: int, executor,
 
 
 def write_success_csv(rows: list[dict], path) -> None:
+    """One line per row, in the column order of the first row's keys."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CSV_COLUMNS})
+        writer.writerows(rows)

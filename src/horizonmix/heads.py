@@ -10,9 +10,9 @@ forward, head linear map, gate, fuse):
 - per-row loss: squared error for flow, l1 error for regression, bin NLL
   for classification, each summed over action dimensions at every
   (example, stream, step) row and every fused (example, step) row;
-- decode: the fused and per-horizon velocity field integrated from noise
-  (``flow_infer``), or read directly as actions or most likely bins
-  (``head_infer``).
+- decode: one B-row forward per Euler step integrates the fused velocity,
+  and each stream's velocity on the fused chunk, from noise (``flow_infer``);
+  the one-step heads read actions or most likely bins (``head_infer``).
 
 ``head_loss`` reduces the rows to L_mix and the N per-horizon losses with
 one masked reduction each. Flow losses are means over valid positions,
@@ -201,15 +201,11 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     """Euler integration of the learned field from noise to an action chunk,
     in ``cfg.ode_steps`` steps.
 
-    Maintains the fused trajectory (driven by the gate-fused velocity; every
-    stream is evaluated on the current fused chunk) and, when requested, each
-    horizon's own trajectory driven by its own velocity, both from one shared
-    noise draw. Gate weights are averaged over the integration steps.
-
-    Each step is one ``_fused_forward``. With per-horizon trajectories the
-    context is stacked to 2B rows: rows :B carry the fused chunk in every
-    stream and give the fused velocity and the gate weights, rows B: carry
-    each stream's own chunk and give each stream's own velocity.
+    Each step is one ``_fused_forward`` over the B context rows with the
+    fused chunk x_s in every stream; the gate-fused velocity drives x_s and
+    the gate weights are averaged over the steps. Stream i's per-horizon
+    prediction is its velocity integrated along that path from the same
+    noise, ``eps + sum_s dtau * v_i(x_s)``.
 
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
     """
@@ -221,21 +217,17 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     eps = rng.standard_normal((b, h_max, cfg.d_a))
     fused_x = eps
     own_x = np.repeat(eps[:, None], n, axis=1) if need_per_horizon else None
-    if need_per_horizon:
-        ctx = T.concat([ctx, ctx], axis=0)
     dtau = 1.0 / steps
     alpha_acc = np.zeros((b, h_max, n))
     for s in range(steps):
         chunks = np.broadcast_to(fused_x[:, None], (b, n, h_max, cfg.d_a))
-        if need_per_horizon:
-            chunks = np.concatenate([chunks, own_x])
         out, fused, _, alpha = _fused_forward(params, cfg, horizons, ctx, None,
                                               T.constant(chunks.astype(dtype)),
-                                              np.full(ctx.shape[0], s * dtau))
-        alpha_acc += alpha.data[:b]
-        fused_x = fused_x + dtau * fused.data[:b].astype(np.float64)
+                                              np.full(b, s * dtau))
+        alpha_acc += alpha.data
+        fused_x = fused_x + dtau * fused.data.astype(np.float64)
         if need_per_horizon:
-            own_x = own_x + dtau * out.data[b:].astype(np.float64)
+            own_x = own_x + dtau * out.data.astype(np.float64)
     return fused_x, own_x, alpha_acc / steps
 
 

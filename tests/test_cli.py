@@ -119,9 +119,24 @@ class TestTrainEval:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert lines
         for rec in lines:
-            assert rec["k_exec"] >= 3  # never below min_steps for H=6
+            assert rec["selected"] >= 3  # never below min_steps for H=6
             assert rec["threshold"] >= 0.0
             assert len(rec["disagreements"]) == 6
+
+    def test_trace_file_holds_one_run(self, root):
+        ckpt = run_train(root)
+        trace = root / "trace.jsonl"
+        trace.write_text('{"stale": true}\n')
+        args = ["--checkpoint", str(ckpt), "--executor", "consensus",
+                "--trace", str(trace)]
+        assert main(["eval", *args, "--trials", "1"]) == 0
+        once = trace.read_text()
+        assert main(["eval", *args, "--trials", "1"]) == 0
+        assert trace.read_text() == once
+        assert "stale" not in once
+        assert main(["rollout", *args, "--task-id", "3"]) == 0
+        lines = [json.loads(l) for l in trace.read_text().splitlines()]
+        assert {(r["task_id"], r["trial"]) for r in lines} == {(3, 0)}
 
     def test_rollout_prints_summary(self, root, capsys):
         ckpt = run_train(root)
@@ -189,8 +204,15 @@ class TestSweeps:
         assert main(["dyninfer-sweep", "--checkpoint", str(ckpt),
                      "--ratios", "1.0,2.0", "--trials", "1",
                      "--out", "dyn.csv"]) == 0
-        rows = list(csv.DictReader((root / "dyn.csv").open()))
+        with (root / "dyn.csv").open() as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["r", "precision_success", "chain_success",
+                                         "mixed_avg", "mean_prefix", "mean_steps"]
+            rows = list(reader)
         assert [float(r["r"]) for r in rows] == [1.0, 2.0]
         for r in rows:
-            assert 0.0 <= float(r["success_rate"]) <= 1.0
+            precision, chain = float(r["precision_success"]), float(r["chain_success"])
+            assert 0.0 <= precision <= 1.0 and 0.0 <= chain <= 1.0
+            assert float(r["mixed_avg"]) == pytest.approx(0.5 * (precision + chain))
             assert float(r["mean_prefix"]) >= 3.0
+            assert float(r["mean_steps"]) >= 1.0

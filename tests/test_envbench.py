@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,6 +422,26 @@ class TestEvaluate:
         for row in rows:
             assert 0.0 <= row["success_rate"] <= 1.0
             assert 2.0 <= row["mean_prefix"] <= 6.0
+
+    def test_consensus_trace_lines_join_episode_records(self, tmp_path):
+        policy = small_policy()
+        config = ConsensusConfig(min_steps=2, min_active=1)
+        tasks = [SUITE[0], SUITE[8]]
+        path = tmp_path / "trace.jsonl"
+        evaluate(policy, tasks, trials=2,
+                 executor=ConsensusExecutor(config, trace_path=str(path)), seed=4)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        records = {(t.task_id, trial): run_episode(policy, t, 4, trial,
+                                                   ConsensusExecutor(config))
+                   for t in tasks for trial in range(2)}
+        keys = [(r["task_id"], r["trial"], r["prediction"]) for r in lines]
+        assert sorted(keys) == sorted((tid, trial, p)
+                                      for (tid, trial), rec in records.items()
+                                      for p in range(len(rec.prefix_lengths)))
+        for line in lines:
+            rec = records[line["task_id"], line["trial"]]
+            assert line["executed"] == rec.prefix_lengths[line["prediction"]]
+            assert line["selected"] == rec.selected_prefixes[line["prediction"]]
 
     def test_dimension_mismatch_rejected(self):
         policy = small_policy(obs_dim=5)

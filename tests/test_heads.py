@@ -9,7 +9,7 @@ from horizonmix import heads as hd
 from horizonmix import tensor as T
 from horizonmix import transformer as tr
 from horizonmix.errors import ConfigError
-from horizonmix.mixture import build_horizon_set, validity_grid
+from horizonmix.mixture import build_horizon_set, fuse, gate, validity_grid
 from horizonmix.policy import ModelConfig, Normalization, Policy
 from horizonmix.rng import make_rng
 
@@ -154,26 +154,56 @@ class TestFlowInfer:
         np.testing.assert_array_equal(alpha, np.ones_like(alpha))
 
     @pytest.mark.parametrize("stride", [2, 1])  # N = 3 and N = 6 streams
-    def test_per_horizon_trajectories_equal_streams_run_alone(self, stride):
+    def test_per_horizon_predictions_follow_the_fused_trajectory(self, stride):
         policy = make_policy("flow", stride=stride)
         params, cfg, horizons = policy.params, policy.cfg, policy.horizons
-        obs, task_ids, _, _ = make_batch(20, b=2)
+        b, n, h_max = 2, len(horizons), cfg.max_horizon
+        obs, task_ids, _, _ = make_batch(20, b=b)
         ctx = policy.encode_context(obs, task_ids)
         fused, per_h, alpha = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"))
-        eps = make_rng(21, "n").standard_normal((2, cfg.max_horizon, cfg.d_a))
+
+        eps = make_rng(21, "n").standard_normal((b, h_max, cfg.d_a))
         dtau = 1.0 / cfg.ode_steps
+        x, own, alpha_sum = eps.copy(), [eps.copy() for _ in horizons], 0.0
+        for s in range(cfg.ode_steps):
+            tau = np.full(b, s * dtau)
+            chunks = np.broadcast_to(x[:, None], (b, n, h_max, cfg.d_a)).copy()
+            hidden = tr.forward_multi_horizon(params, cfg, ctx, horizons.horizons,
+                                              T.constant(chunks), tau)
+            out = T.linear(hidden, params["head.w"], params["head.b"])
+            a = gate(params, hidden, horizons, cfg.fusion)
+            for i, h in enumerate(horizons):
+                alone = tr.forward_multi_horizon(params, cfg, ctx, [h],
+                                                 T.constant(x[:, None]), tau)
+                v = T.linear(alone, params["head.w"], params["head.b"]).data[:, 0]
+                own[i] = own[i] + dtau * v
+            x = x + dtau * fuse(out, a).data
+            alpha_sum = alpha_sum + a.data
+        np.testing.assert_allclose(fused, x, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(alpha, alpha_sum / cfg.ode_steps, atol=1e-12, rtol=0)
         for i, h in enumerate(horizons):
-            x = eps.copy()
-            for s in range(cfg.ode_steps):
-                hidden = tr.forward_multi_horizon(params, cfg, ctx, [h], T.constant(x[:, None]),
-                                                  np.full(2, s * dtau))
-                x = x + dtau * T.linear(hidden, params["head.w"], params["head.b"]).data[:, 0]
-            np.testing.assert_allclose(per_h[:, i, :h], x[:, :h], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(per_h[:, i, :h], own[i][:, :h], atol=1e-12, rtol=0)
+
         alone, none, alpha_alone = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"),
                                                  need_per_horizon=False)
         assert none is None
-        np.testing.assert_allclose(alone, fused, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(alpha_alone, alpha, atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(alone, fused)
+        np.testing.assert_array_equal(alpha_alone, alpha)
+
+    def test_every_euler_step_forwards_the_b_context_rows(self, monkeypatch):
+        policy = make_policy("flow")
+        obs, task_ids, _, _ = make_batch(22, b=3)
+        ctx = policy.encode_context(obs, task_ids)
+        rows = []
+        forward = tr.forward_multi_horizon
+
+        def recording(params, cfg, ctx, *args, **kwargs):
+            rows.append(ctx.shape[0])
+            return forward(params, cfg, ctx, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "forward_multi_horizon", recording)
+        hd.flow_infer(policy.params, policy.cfg, policy.horizons, ctx, make_rng(23, "n"))
+        assert rows == [3] * policy.cfg.ode_steps
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigError):
