@@ -24,8 +24,6 @@ from .envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                 evaluate, run_episode, write_success_csv)
 from .envbench.expert import ExpertGains
 from .errors import ConfigError, HorizonMixError
-from .mixture import write_gate_stats_csv
-from .policy import Policy
 from .rng import make_rng
 from .training import prepare_policy, train
 
@@ -96,6 +94,8 @@ def _executor_from_args(args):
     """The executor the flags ask for; a ``--trace`` file starts empty."""
     trace_path = args.trace and str(_resolve(args.trace))
     if args.executor == "fixed":
+        if trace_path:
+            raise ConfigError("--trace needs --executor consensus; fixed prefixes write no trace")
         executor = FixedPrefixExecutor(args.prefix)
     else:
         config = ConsensusConfig(ratio=args.ratio, min_steps=args.min_steps,
@@ -209,7 +209,10 @@ def cmd_gate_stats(args) -> int:
                                              dataset.task_ids[idx], rng=rng,
                                              need_per_horizon=False)
         total += alpha.sum(axis=0)
-    write_gate_stats_csv(_resolve(args.out), total / n, policy.horizons)
+    mean = total / n  # inactive (step, horizon) pairs have weight 0
+    write_success_csv([{"step": k + 1, "horizon": h, "mean_weight": f"{mean[k, i]:.8f}"}
+                       for k in range(policy.cfg.max_horizon)
+                       for i, h in enumerate(policy.horizons)], _resolve(args.out))
     print(f"wrote {_resolve(args.out)}")
     return 0
 
@@ -233,6 +236,14 @@ def cmd_dyninfer_sweep(args) -> int:
     write_success_csv(table, _resolve(args.out))
     print(f"wrote {_resolve(args.out)}")
     return 0
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_executor_flags(p, default="fixed"):
@@ -262,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset directory (generated if missing)")
     p.add_argument("--out", default="runs/train")
     p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--episodes-per-task", type=int,
+    p.add_argument("--episodes-per-task", type=positive_int,
                    default=DEFAULT_EPISODES_PER_TASK)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the task suite")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="success table CSV")
     _add_executor_flags(p)
@@ -293,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default="data/default")
     p.add_argument("--out", default="runs/sweep")
     p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--episodes-per-task", type=int,
+    p.add_argument("--episodes-per-task", type=positive_int,
                    default=DEFAULT_EPISODES_PER_TASK)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefix", type=int, default=5)
     p.set_defaults(fn=cmd_sweep_horizons)
@@ -306,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="gate_stats.csv")
     p.add_argument("--suite-seed", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=2)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--episodes", type=positive_int, default=2)
+    p.add_argument("--samples", type=positive_int, default=256)
+    p.add_argument("--batch", type=positive_int, default=64)
     p.set_defaults(fn=cmd_gate_stats)
 
     p = sub.add_parser("dyninfer-sweep",
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="1.0,1.1,1.3,2.0")
     p.add_argument("--out", default="dyninfer_sweep.csv")
     p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-steps", type=int, default=5)
     p.add_argument("--min-active", type=int, default=5)

@@ -8,33 +8,38 @@ to every token. Pure function of (parameters, observation, task id).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
 from .rng import make_rng, truncated_normal
 
+if TYPE_CHECKING:
+    from .policy import ModelConfig
+
 INIT_STD = 0.02
 
 
-def init_encoder_params(seed: int, obs_dim: int, n_tasks: int, n_tokens: int,
-                        d_model: int, hidden: int, dtype=np.float32) -> dict[str, T.Tensor]:
+def init_encoder_params(seed: int, cfg: ModelConfig, dtype=np.float32) -> dict[str, T.Tensor]:
     def proj(tag, *shape):
         rng = make_rng(seed, "encoder", tag)
         return T.param(truncated_normal(rng, shape, std=INIT_STD, dtype=dtype))
 
+    hidden, width = cfg.encoder_hidden, cfg.context_tokens * cfg.d_model
     return {
-        "encoder.w1": proj("w1", obs_dim, hidden),
+        "encoder.w1": proj("w1", cfg.obs_dim, hidden),
         "encoder.b1": T.param(np.zeros(hidden, dtype=dtype)),
-        "encoder.w2": proj("w2", hidden, n_tokens * d_model),
-        "encoder.b2": T.param(np.zeros(n_tokens * d_model, dtype=dtype)),
-        "encoder.pos": proj("pos", n_tokens, d_model),
-        "encoder.task": proj("task", n_tasks, d_model),
+        "encoder.w2": proj("w2", hidden, width),
+        "encoder.b2": T.param(np.zeros(width, dtype=dtype)),
+        "encoder.pos": proj("pos", cfg.context_tokens, cfg.d_model),
+        "encoder.task": proj("task", cfg.n_tasks, cfg.d_model),
     }
 
 
-def encode(params: dict[str, T.Tensor], obs: np.ndarray, task_ids: np.ndarray,
-           n_tokens: int, d_model: int) -> T.Tensor:
+def encode(params: dict[str, T.Tensor], cfg: ModelConfig, obs: np.ndarray,
+           task_ids: np.ndarray) -> T.Tensor:
     """(B, obs_dim) observations + (B,) integer task ids -> (B, C, d_model)."""
     obs = np.asarray(obs)
     if obs.ndim != 2 or obs.shape[1] != params["encoder.w1"].shape[0]:
@@ -51,7 +56,7 @@ def encode(params: dict[str, T.Tensor], obs: np.ndarray, task_ids: np.ndarray,
     x = T.constant(obs.astype(params["encoder.w1"].dtype))
     h = T.gelu(T.linear(x, params["encoder.w1"], params["encoder.b1"]))
     tokens = T.reshape(T.linear(h, params["encoder.w2"], params["encoder.b2"]),
-                       (obs.shape[0], n_tokens, d_model))
+                       (obs.shape[0], cfg.context_tokens, cfg.d_model))
     task = T.reshape(T.take_rows(params["encoder.task"], task_ids),
-                     (obs.shape[0], 1, d_model))
+                     (obs.shape[0], 1, cfg.d_model))
     return T.add(T.add(tokens, params["encoder.pos"]), task)

@@ -3,10 +3,12 @@ flow matching (velocity field + Euler integration), one-step l1 regression,
 and one-step binned classification.
 
 The heads differ only in three places around one shared path (transformer
-forward, head linear map, gate, fuse):
+forward, head linear map, gate, fuse), which reads the horizon set and
+every shape from ``ModelConfig``:
 
-- tokens: the flow head feeds its noisy chunk and a time token, the
-  one-step heads a learnable query (``transformer.forward_multi_horizon``);
+- tokens: the flow head feeds one noisy (B, H, d_a) chunk per example,
+  which every stream reads, and a time token; the one-step heads feed a
+  learnable query (``transformer.forward_multi_horizon``);
 - per-row loss: squared error for flow, l1 error for regression, bin NLL
   for classification, each summed over action dimensions at every
   (example, stream, step) row and every fused (example, step) row;
@@ -29,8 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from . import transformer as tr
-from .errors import ConfigError
-from .mixture import HorizonSet, fuse, gate, validity_grid
+from .mixture import fuse, gate, validity_grid
 from .rng import make_rng, truncated_normal
 
 if TYPE_CHECKING:
@@ -41,14 +42,11 @@ HEAD_TYPES = ("flow", "regression", "classification")
 PROB_FLOOR = 1e-30  # keeps log() finite if a fused bin probability underflows
 
 
-def init_head_params(seed: int, head: str, d_model: int, d_a: int, bins: int,
-                     dtype=np.float32) -> dict[str, T.Tensor]:
-    if head not in HEAD_TYPES:
-        raise ConfigError(f"unknown head type {head!r}, expected one of {HEAD_TYPES}")
-    out_dim = d_a * bins if head == "classification" else d_a
-    rng = make_rng(seed, "head", head)
+def init_head_params(seed: int, cfg: ModelConfig, dtype=np.float32) -> dict[str, T.Tensor]:
+    out_dim = cfg.d_a * cfg.bins if cfg.head == "classification" else cfg.d_a
+    rng = make_rng(seed, "head", cfg.head)
     return {
-        "head.w": T.param(truncated_normal(rng, (d_model, out_dim), std=0.02, dtype=dtype)),
+        "head.w": T.param(truncated_normal(rng, (cfg.d_model, out_dim), std=0.02, dtype=dtype)),
         "head.b": T.param(np.zeros(out_dim, dtype=dtype)),
     }
 
@@ -107,11 +105,13 @@ def dequantize(indices: np.ndarray, grid: BinGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fused_forward(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
-                   grid: BinGrid | None, chunks: T.Tensor | None = None,
-                   tau: np.ndarray | None = None):
-    """One forward, one gate and one fuse.
+def _fused_forward(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None,
+                   chunk: np.ndarray | None = None, tau: np.ndarray | None = None):
+    """One forward, one gate and one fuse over the streams of
+    ``cfg.horizon_set()``.
 
+    chunk, tau: the flow head's (B, H, d_a) noisy chunk, which every stream
+    reads, at flow times (B,); None for the one-step heads.
     Streams are fused in the head's output space: velocities or actions
     (B, N, H, d_a) for flow and regression, bin probabilities
     (B, N, H, d_a, bins) for classification, whose log-probabilities are
@@ -119,9 +119,9 @@ def _fused_forward(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor
     returns (per-stream outputs, fused (B, H, ...), log-probabilities or
     None, gate weights alpha (B, H, N))
     """
-    hidden = tr.forward_multi_horizon(params, cfg, ctx, horizons.horizons, chunks, tau)
+    hidden = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau)
     out = T.linear(hidden, params["head.w"], params["head.b"])
-    alpha = gate(params, hidden, horizons, cfg.fusion)
+    alpha = gate(params, hidden, cfg.horizon_set(), cfg.fusion)
     if cfg.head != "classification":
         return out, fuse(out, alpha), None, alpha
     b, n, h_max = out.shape[:3]
@@ -142,8 +142,8 @@ def flow_target(eps: np.ndarray, target: np.ndarray) -> np.ndarray:
     return target - eps
 
 
-def head_loss(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
-              target: np.ndarray, valid_rows: np.ndarray, rng, grid: BinGrid | None):
+def head_loss(params, cfg: ModelConfig, ctx: T.Tensor, target: np.ndarray,
+              valid_rows: np.ndarray, rng, grid: BinGrid | None):
     """L_mix and the per-horizon losses of one batch.
 
     target:     (B, H, d_a) normalized action chunks
@@ -153,17 +153,16 @@ def head_loss(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
     returns (l_mix, per-horizon losses (N,), gate weights alpha (B, H, N))
     """
     head = cfg.head
-    b, h_max, d_a = target.shape
-    n = len(horizons)
+    b, _, d_a = target.shape
     dtype = ctx.data.dtype
-    chunks = tau = None
+    chunk = tau = None
     if head == "flow":
         tau = rng.random(b)
         eps = rng.standard_normal(target.shape)
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
-        chunks = T.constant(np.broadcast_to(x[:, None], (b, n, h_max, d_a)).astype(dtype))
+        chunk = x.astype(dtype)
         target = flow_target(eps, target)
-    out, fused, logp, alpha = _fused_forward(params, cfg, horizons, ctx, grid, chunks, tau)
+    out, fused, logp, alpha = _fused_forward(params, cfg, ctx, grid, chunk, tau)
 
     # per-row losses: (B, N, H) per stream and (B, H) fused
     if head == "classification":
@@ -180,7 +179,7 @@ def head_loss(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
         fused_rows = T.tsum(row(fused_err), axis=-1)
 
     # stream i scores the valid rows within its horizon
-    mask = validity_grid(horizons).T[None] & valid_rows[:, None]
+    mask = validity_grid(cfg.horizon_set()).T[None] & valid_rows[:, None]
     if head == "flow":
         row_w = mask / (mask.sum(axis=(0, 2), keepdims=True) * d_a)
         fused_w = valid_rows / (valid_rows.sum() * d_a)
@@ -196,23 +195,22 @@ def head_loss(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
 # ---------------------------------------------------------------------------
 
 
-def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rng,
-               need_per_horizon: bool = True):
+def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: bool = True):
     """Euler integration of the learned field from noise to an action chunk,
     in ``cfg.ode_steps`` steps.
 
-    Each step is one ``_fused_forward`` over the B context rows with the
-    fused chunk x_s in every stream; the gate-fused velocity drives x_s and
-    the gate weights are averaged over the steps. Stream i's per-horizon
-    prediction is its velocity integrated along that path from the same
-    noise, ``eps + sum_s dtau * v_i(x_s)``.
+    Each step is one ``_fused_forward`` over the B context rows and the
+    fused chunk x_s, which every stream reads; the gate-fused velocity
+    drives x_s and the gate weights are averaged over the steps. Stream i's
+    per-horizon prediction is its velocity integrated along that path from
+    the same noise, ``eps + sum_s dtau * v_i(x_s)``.
 
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
     """
     steps = cfg.ode_steps
     b = ctx.shape[0]
-    n = len(horizons)
-    h_max = horizons.max_horizon
+    n = len(cfg.horizon_set())
+    h_max = cfg.max_horizon
     dtype = ctx.data.dtype
     eps = rng.standard_normal((b, h_max, cfg.d_a))
     fused_x = eps
@@ -220,9 +218,7 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     dtau = 1.0 / steps
     alpha_acc = np.zeros((b, h_max, n))
     for s in range(steps):
-        chunks = np.broadcast_to(fused_x[:, None], (b, n, h_max, cfg.d_a))
-        out, fused, _, alpha = _fused_forward(params, cfg, horizons, ctx, None,
-                                              T.constant(chunks.astype(dtype)),
+        out, fused, _, alpha = _fused_forward(params, cfg, ctx, None, fused_x.astype(dtype),
                                               np.full(b, s * dtau))
         alpha_acc += alpha.data
         fused_x = fused_x + dtau * fused.data.astype(np.float64)
@@ -231,8 +227,7 @@ def flow_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor, rn
     return fused_x, own_x, alpha_acc / steps
 
 
-def head_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
-               grid: BinGrid | None):
+def head_infer(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None):
     """One-step heads: fused and per-horizon actions from one forward.
 
     Regression reads the actions directly; classification takes the
@@ -240,7 +235,7 @@ def head_infer(params, cfg: ModelConfig, horizons: HorizonSet, ctx: T.Tensor,
     stream's own.
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a), alpha (B,H,N))
     """
-    out, fused, _, alpha = _fused_forward(params, cfg, horizons, ctx, grid)
+    out, fused, _, alpha = _fused_forward(params, cfg, ctx, grid)
     fused, per_h = fused.data, out.data
     if cfg.head == "classification":
         fused = dequantize(fused.argmax(axis=-1) + 1, grid)

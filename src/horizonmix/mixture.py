@@ -12,14 +12,17 @@ predictions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeMismatchError
 from .rng import make_rng, truncated_normal
+
+if TYPE_CHECKING:
+    from .policy import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,10 @@ def validity_grid(horizons: HorizonSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def init_gate_params(seed: int, d_model: int, dtype=np.float32) -> dict[str, T.Tensor]:
+def init_gate_params(seed: int, cfg: ModelConfig, dtype=np.float32) -> dict[str, T.Tensor]:
     rng = make_rng(seed, "gate", "w")
     return {
-        "gate.w": T.param(truncated_normal(rng, (d_model, 1), std=0.02, dtype=dtype)),
+        "gate.w": T.param(truncated_normal(rng, (cfg.d_model, 1), std=0.02, dtype=dtype)),
         "gate.b": T.param(np.zeros(1, dtype=dtype)),
     }
 
@@ -176,12 +179,3 @@ def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor
     total = T.add(T.add(l_mix, T.mul(l_ind, lambda_ind)), T.mul(l_bal, lambda_bal))
     return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total)
 
-
-def write_gate_stats_csv(path, mean_alpha: np.ndarray, horizons: HorizonSet) -> None:
-    """Per-(step, horizon) mean gate weight; inactive pairs written as 0."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "horizon", "mean_weight"])
-        for k in range(horizons.max_horizon):
-            for i, h in enumerate(horizons.horizons):
-                writer.writerow([k + 1, h, f"{mean_alpha[k, i]:.8f}"])

@@ -10,7 +10,7 @@ an rng for the noise) and reads the one-step heads directly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,9 @@ class Policy:
     def init(cls, cfg: ModelConfig, seed: int | None, dtype=np.float32,
              norm: Normalization | None = None, grid: hd.BinGrid | None = None) -> "Policy":
         params: dict[str, T.Tensor] = {}
-        params.update(init_encoder_params(seed, cfg.obs_dim, cfg.n_tasks,
-                                          cfg.context_tokens, cfg.d_model,
-                                          cfg.encoder_hidden, dtype=dtype))
-        params.update(tr.init_transformer_params(seed, cfg, dtype=dtype))
-        params.update(init_gate_params(seed, cfg.d_model, dtype=dtype))
-        params.update(hd.init_head_params(seed, cfg.head, cfg.d_model, cfg.d_a,
-                                          cfg.bins, dtype=dtype))
+        for init in (init_encoder_params, tr.init_transformer_params, init_gate_params,
+                     hd.init_head_params):
+            params.update(init(seed, cfg, dtype))
         if cfg.head == "classification" and grid is None:
             grid = hd.BinGrid(lo=(-1.0,) * cfg.d_a, hi=(1.0,) * cfg.d_a, bins=cfg.bins)
         return cls(cfg, params, norm or Normalization.identity(cfg.obs_dim, cfg.d_a), grid)
@@ -124,15 +120,11 @@ class Policy:
     def detached(self) -> "Policy":
         """Same weights without gradient tracking; forwards build no tape."""
         frozen = {k: T.Tensor(v.data) for k, v in self.params.items()}
-        clone = Policy.__new__(Policy)
-        clone.cfg, clone.params, clone.norm = self.cfg, frozen, self.norm
-        clone.grid, clone.horizons = self.grid, self.horizons
-        return clone
+        return Policy(self.cfg, frozen, self.norm, self.grid)
 
     def encode_context(self, obs: np.ndarray, task_ids: np.ndarray) -> T.Tensor:
         normed = self.norm.normalize_obs(np.asarray(obs, dtype=np.float64))
-        return encode(self.params, normed.astype(self.dtype), task_ids,
-                      self.cfg.context_tokens, self.cfg.d_model)
+        return encode(self.params, self.cfg, normed.astype(self.dtype), task_ids)
 
     # -- training ----------------------------------------------------------
     def loss(self, obs, task_ids, chunks, valid_rows, rng,
@@ -142,8 +134,8 @@ class Policy:
         ctx = self.encode_context(obs, task_ids)
         target = self.norm.normalize_actions(np.asarray(chunks, dtype=np.float64))
         valid_rows = np.asarray(valid_rows, dtype=bool)
-        l_mix, per_h, alpha = hd.head_loss(self.params, self.cfg, self.horizons, ctx,
-                                           target, valid_rows, rng, self.grid)
+        l_mix, per_h, alpha = hd.head_loss(self.params, self.cfg, ctx, target, valid_rows,
+                                           rng, self.grid)
         l_bal = balance_loss(alpha, self.horizons)
         return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), alpha
 
@@ -157,11 +149,10 @@ class Policy:
         if self.cfg.head == "flow":
             if rng is None:
                 raise ConfigError("flow inference requires an rng for the noise draw")
-            fused, per_h, alpha = hd.flow_infer(self.params, self.cfg, self.horizons, ctx,
-                                                rng, need_per_horizon=need_per_horizon)
+            fused, per_h, alpha = hd.flow_infer(self.params, self.cfg, ctx, rng,
+                                                need_per_horizon=need_per_horizon)
         else:
-            fused, per_h, alpha = hd.head_infer(self.params, self.cfg, self.horizons, ctx,
-                                                self.grid)
+            fused, per_h, alpha = hd.head_infer(self.params, self.cfg, ctx, self.grid)
         fused = self.norm.denormalize_actions(fused)
         if per_h is not None:
             per_h = self.norm.denormalize_actions(per_h)

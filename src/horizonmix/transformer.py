@@ -1,10 +1,10 @@
 """Shared full-attention action transformer over multiple horizon streams.
 
-One forward pass processes N horizon streams per example. Each stream sees
-the same context tokens, an optional flow-time token, and its own h action
-positions. Streams share weights but never see each other's action rows, so
-the result at every valid position is the one of running each truncated
-stream alone.
+One forward pass runs the N horizon streams of ``cfg.horizon_set()`` per
+example. Each stream sees the same context tokens, an optional flow-time
+token, and its own h action positions. Streams share weights but never see
+each other's action rows, so the result at every valid position is the one
+of running each truncated stream alone.
 
 All streams of an example run in one sequence, a shared prefix plus
 lanes::
@@ -14,20 +14,22 @@ lanes::
 
 Context rows see only context, and the time row sees context and itself,
 so the prefix is the same for every stream and is encoded once. A lane's
-rows see the prefix and their own stream in the lane, never another lane.
-``lane_layout`` sorts the streams by horizon and puts the k-th longest in a
-lane with the k-th shortest. A stride-built set pairs to equal lengths,
+rows see the prefix and their own stream in the lane, never another lane;
+a pad row sees only itself. ``lane_layout`` puts the k-th longest stream in
+a lane with the k-th shortest. A stride-built set pairs to equal lengths,
 h + (H + stride - h): at the defaults (C=8, H=30, stride 3) that is a
 prefix of 8 + 1 rows and 5 lanes of 33 rows, 174 rows in all and no pad
-rows. ``lane_masks`` keeps the streams apart by stream index, whatever
-their horizons, and ``tensor.attention`` runs that layout as one node.
+rows. ``lane_masks`` keeps the streams apart by stream index, and
+``tensor.attention`` runs that layout as one node.
 
-One forward, ``forward_multi_horizon``, serves every head. The flow head
-fills the action slots with its noisy chunk and adds the time row; the
-one-step heads fill them with a learnable query and have no time row.
-It returns only hidden states, unpacked to (B, N, H, d_model) and exactly 0
-past each stream's horizon; which (step, horizon) pairs are valid is
-``mixture.validity_grid``.
+One forward, ``forward_multi_horizon``, serves every head and reads its
+shapes from ``ModelConfig`` alone. The flow head passes one (B, H, d_a)
+noisy chunk per example: the slot of (stream i, step k) reads chunk row k,
+so stream i reads the chunk's first h_i rows, and the time row is added.
+The one-step heads fill the slots with a learnable query and have no time
+row. The forward returns only hidden states, unpacked to (B, N, H, d_model)
+and exactly 0 past each stream's horizon; which (step, horizon) pairs are
+valid is ``mixture.validity_grid``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import ConfigError
 from .rng import make_rng, truncated_normal
 
 if TYPE_CHECKING:
+    from .mixture import HorizonSet
     from .policy import ModelConfig
 
 INIT_STD = 0.02
@@ -86,31 +89,28 @@ def init_transformer_params(seed: int, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
-def lane_layout(horizons, max_horizon: int):
+def lane_layout(horizons: HorizonSet):
     """Pack horizon streams into lanes of action slots.
 
-    Streams sorted by horizon pair outside-in: the k-th longest shares a
-    lane with the k-th shortest; with N odd the median stream has a lane of
-    its own.
+    The streams, sorted by horizon, pair outside-in: the k-th longest shares
+    a lane with the k-th shortest; with N odd the median stream has a lane
+    of its own.
 
     returns (stream, step, source):
       stream, step: (lanes, La) stream index and 0-based chunk step of each
                     action slot, -1 at pad slots
-      source:       (N, max_horizon) flat slot (lane * La + slot) holding each
+      source:       (N, H) flat slot (lane * La + slot) holding each
                     (stream, step), -1 past the stream's horizon
     """
-    hs = [int(h) for h in horizons]
-    if max(hs) > max_horizon:
-        raise ConfigError(f"horizon {max(hs)} exceeds max horizon {max_horizon}")
+    hs = horizons.horizons
     n = len(hs)
-    order = sorted(range(n), key=hs.__getitem__)
-    lanes = [(order[n - 1 - j], order[j]) for j in range(n // 2)]
+    lanes = [(n - 1 - j, j) for j in range(n // 2)]
     if n % 2:
-        lanes.append((order[n // 2],))
+        lanes.append((n // 2,))
     width = max(sum(hs[i] for i in lane) for lane in lanes)
     stream = np.full((len(lanes), width), -1)
     step = np.full((len(lanes), width), -1)
-    source = np.full((len(hs), max_horizon), -1)
+    source = np.full((n, horizons.max_horizon), -1)
     for j, lane in enumerate(lanes):
         at = 0
         for i in lane:
@@ -173,29 +173,28 @@ def _block(params, i: int, x: T.Tensor, masks, heads: int) -> T.Tensor:
     return T.add(x, ffn)
 
 
-def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor, horizons,
-                          chunks: T.Tensor | None = None, tau: np.ndarray | None = None):
-    """Hidden states of one stream per horizon over a shared context.
+def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor,
+                          chunk: np.ndarray | None = None, tau: np.ndarray | None = None):
+    """Hidden states of the streams of ``cfg.horizon_set()`` over a shared context.
 
-    ctx:      (B, C, d_model)
-    horizons: the horizon of each stream, N in all
-    chunks:   (B, N, H, d_a) constant noisy chunks of the flow head, padded
-              to H (padding content is irrelevant), read at flow times tau
-              (B,) through the time row; None feeds the one-step heads'
-              learnable query and no time row
+    ctx:   (B, C, d_model)
+    chunk: (B, H, d_a) noisy chunk of the flow head, read by every stream at
+           flow times tau (B,) through the time row; stream i reads its
+           first h_i rows. None feeds the one-step heads' learnable query
+           and no time row
     returns hidden states (B, N, H, d_model) at the action positions,
     exactly 0 past each stream's horizon
     """
-    stream, step, source = lane_layout(horizons, cfg.max_horizon)
-    masks = lane_masks(stream, ctx.shape[1], with_time=chunks is not None, dtype=ctx.dtype)
+    stream, step, source = lane_layout(cfg.horizon_set())
+    masks = lane_masks(stream, ctx.shape[1], with_time=chunk is not None, dtype=ctx.dtype)
     n_pre = masks[0].shape[0]
-    pos = T.take_rows(params["action_pos"], np.maximum(step, 0).reshape(-1))
+    slot_step = np.maximum(step, 0).reshape(-1)  # pad slots read step 0; no row sees them
+    pos = T.take_rows(params["action_pos"], slot_step)
     b = ctx.shape[0]
-    if chunks is None:
+    if chunk is None:
         parts = [ctx, T.broadcast_to(T.add(params["query"], pos), (b,) + pos.shape)]
     else:
-        packed = np.where((stream >= 0)[..., None], chunks.data[:, stream, step], 0.0)
-        tokens = T.add(T.linear(T.constant(packed.reshape(b, pos.shape[0], -1)),
+        tokens = T.add(T.linear(T.constant(chunk[:, slot_step]),
                                 params["action_lift.w"], params["action_lift.b"]), pos)
         feats = T.constant(sinusoidal_features(tau, cfg.d_model).astype(ctx.data.dtype))
         time_row = T.linear(feats, params["time_lift.w"], params["time_lift.b"])

@@ -267,7 +267,7 @@ def _build_cases():
         # the per-lane oracle: (B, lanes, heads, L, hd) against a
         # (1, lanes, 1, L, L) full lane mask with a pad row, as in oracles.run
         rng = _case_rng("attention_lane_mask")
-        stream, _, _ = tr.lane_layout((1, 2, 3), 3)
+        stream, _, _ = tr.lane_layout(horizon_set_from_list((1, 2, 3)))
         mask = oracles.full_lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)[None]
         length = mask.shape[-1]
         q, k, v = (_randn(rng, 2, stream.shape[0], 2, length, 3) for _ in range(3))
@@ -277,10 +277,10 @@ def _build_cases():
     @case("attention_prefix_lanes")
     def _():
         # flat (B, P + lanes W, d) rows with a time row, pad rows and lanes of
-        # unequal horizons: (1, 2, 3, 5, 5) packs into lanes (5, 1), (5, 2) and
+        # unequal horizons: (1, 2, 3, 4, 6) packs into lanes (6, 1), (4, 2) and
         # (3,) of width 7
         rng = _case_rng("attention_prefix_lanes")
-        stream, _, _ = tr.lane_layout((1, 2, 3, 5, 5), 5)
+        stream, _, _ = tr.lane_layout(horizon_set_from_list((1, 2, 3, 4, 6)))
         masks = tr.lane_masks(stream, n_context=2, with_time=True, dtype=np.float64)
         rows = masks[0].shape[0] + stream.size
         q, k, v = (_randn(rng, 2, rows, 4) for _ in range(3))

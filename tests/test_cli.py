@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,26 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--episodes-per-task"), ("eval", "--trials"),
+        ("dyninfer-sweep", "--trials"), ("gate-stats", "--samples"),
+        ("gate-stats", "--batch"), ("gate-stats", "--episodes")])
+    def test_count_below_one_is_2_and_writes_nothing(self, root, command, flag):
+        source = ["--config", "run.cfg"] if command == "train" else ["--checkpoint", "nope.bin"]
+        with pytest.raises(SystemExit) as err:
+            main([command, *source, flag, "0"])
+        assert err.value.code == 2
+        assert [p.name for p in root.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_trace_with_fixed_executor_is_2_before_the_file(self, root, command):
+        # the checkpoint is never opened: a missing one would exit 3
+        trace = root / "trace.jsonl"
+        trace.write_text('{"earlier": true}\n')
+        assert main([command, "--checkpoint", "nope.bin", "--executor", "fixed",
+                     "--trace", str(trace)]) == 2
+        assert trace.read_text() == '{"earlier": true}\n'
 
 
 class TestTrainEval:
@@ -189,6 +210,9 @@ class TestSweeps:
         assert main(["gate-stats", "--checkpoint", str(ckpt),
                      "--samples", "32", "--episodes", "1",
                      "--out", "gate.csv"]) == 0
+        lines = (root / "gate.csv").read_text().splitlines()
+        assert lines[0] == "step,horizon,mean_weight"
+        assert re.fullmatch(r"1,3,[01]\.\d{8}", lines[1])
         rows = list(csv.DictReader((root / "gate.csv").open()))
         assert len(rows) == 12  # (step, horizon) pairs for H=6, N=2
         by_step = {}

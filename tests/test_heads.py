@@ -1,5 +1,7 @@
 """Flow, regression, and classification heads against direct oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,8 +84,8 @@ class TestFlowLoss:
     def _raw_losses(policy, obs, task_ids, chunks, valid, seed):
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        return hd.head_loss(policy.params, policy.cfg, policy.horizons, ctx, target,
-                            valid, make_rng(seed, "d"), None)
+        return hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
+                            make_rng(seed, "d"), None)
 
     def test_loss_components_match_direct_recomputation(self):
         policy = make_policy("flow", seed=2)
@@ -112,11 +114,8 @@ class TestFlowLoss:
     def _hidden(policy, obs, task_ids, chunks, tau, eps):
         ctx = policy.encode_context(obs, task_ids)
         x = (1 - tau)[:, None, None] * eps + tau[:, None, None] * chunks
-        n = len(policy.horizons)
-        stacked = np.broadcast_to(x[:, None], (x.shape[0], n) + x.shape[1:]).copy()
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
-                                          policy.horizons.horizons, T.constant(stacked), tau)
-        return [hidden.data[:, i] for i in range(n)]
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx, x, tau)
+        return [hidden.data[:, i] for i in range(len(policy.horizons))]
 
 
 class TestFlowInfer:
@@ -157,26 +156,24 @@ class TestFlowInfer:
     def test_per_horizon_predictions_follow_the_fused_trajectory(self, stride):
         policy = make_policy("flow", stride=stride)
         params, cfg, horizons = policy.params, policy.cfg, policy.horizons
-        b, n, h_max = 2, len(horizons), cfg.max_horizon
+        b, h_max = 2, cfg.max_horizon
         obs, task_ids, _, _ = make_batch(20, b=b)
         ctx = policy.encode_context(obs, task_ids)
-        fused, per_h, alpha = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"))
+        fused, per_h, alpha = hd.flow_infer(params, cfg, ctx, make_rng(21, "n"))
 
         eps = make_rng(21, "n").standard_normal((b, h_max, cfg.d_a))
         dtau = 1.0 / cfg.ode_steps
         x, own, alpha_sum = eps.copy(), [eps.copy() for _ in horizons], 0.0
         for s in range(cfg.ode_steps):
             tau = np.full(b, s * dtau)
-            chunks = np.broadcast_to(x[:, None], (b, n, h_max, cfg.d_a)).copy()
-            hidden = tr.forward_multi_horizon(params, cfg, ctx, horizons.horizons,
-                                              T.constant(chunks), tau)
+            hidden = tr.forward_multi_horizon(params, cfg, ctx, x, tau)
             out = T.linear(hidden, params["head.w"], params["head.b"])
             a = gate(params, hidden, horizons, cfg.fusion)
             for i, h in enumerate(horizons):
-                alone = tr.forward_multi_horizon(params, cfg, ctx, [h],
-                                                 T.constant(x[:, None]), tau)
+                alone_cfg = replace(cfg, max_horizon=h, stride=h)  # stream i alone
+                alone = tr.forward_multi_horizon(params, alone_cfg, ctx, x[:, :h], tau)
                 v = T.linear(alone, params["head.w"], params["head.b"]).data[:, 0]
-                own[i] = own[i] + dtau * v
+                own[i][:, :h] = own[i][:, :h] + dtau * v
             x = x + dtau * fuse(out, a).data
             alpha_sum = alpha_sum + a.data
         np.testing.assert_allclose(fused, x, atol=1e-12, rtol=0)
@@ -184,7 +181,7 @@ class TestFlowInfer:
         for i, h in enumerate(horizons):
             np.testing.assert_allclose(per_h[:, i, :h], own[i][:, :h], atol=1e-12, rtol=0)
 
-        alone, none, alpha_alone = hd.flow_infer(params, cfg, horizons, ctx, make_rng(21, "n"),
+        alone, none, alpha_alone = hd.flow_infer(params, cfg, ctx, make_rng(21, "n"),
                                                  need_per_horizon=False)
         assert none is None
         np.testing.assert_array_equal(alone, fused)
@@ -202,7 +199,7 @@ class TestFlowInfer:
             return forward(params, cfg, ctx, *args, **kwargs)
 
         monkeypatch.setattr(tr, "forward_multi_horizon", recording)
-        hd.flow_infer(policy.params, policy.cfg, policy.horizons, ctx, make_rng(23, "n"))
+        hd.flow_infer(policy.params, policy.cfg, ctx, make_rng(23, "n"))
         assert rows == [3] * policy.cfg.ode_steps
 
     def test_zero_steps_rejected(self):
@@ -283,11 +280,10 @@ class TestClassificationLoss:
         valid[:, -1] = False
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, policy.horizons,
-                                           ctx, target, valid, None, policy.grid)
+        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
+                                           None, policy.grid)
 
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
-                                          policy.horizons.horizons)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx)
         raw = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         logits = raw.reshape(3, len(policy.horizons), 6, 2, CFG.bins)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -312,8 +308,7 @@ class TestClassificationLoss:
         rng = make_rng(seed, "probs")
         obs = rng.standard_normal((2, CFG.obs_dim))
         ctx = policy.encode_context(obs, np.array([0, 1]))
-        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg, policy.horizons,
-                                           ctx, policy.grid)
+        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg, ctx, policy.grid)
         fused = fused.data
         assert (fused >= 0).all()
         np.testing.assert_allclose(fused.sum(axis=-1), 1.0, atol=1e-6)
@@ -347,10 +342,9 @@ class TestRegressionLoss:
         obs, task_ids, chunks, valid = make_batch(30)
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, policy.horizons,
-                                           ctx, target, valid, None, None)
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx,
-                                          policy.horizons.horizons)
+        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
+                                           None, None)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx)
         preds = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         fused = np.einsum("bnkd,bkn->bkd", preds, alpha.data)
         np.testing.assert_allclose(l_mix.item(), np.abs(fused - target).sum() / 3,

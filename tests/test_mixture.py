@@ -9,6 +9,7 @@ from horizonmix import tensor as T
 from horizonmix.errors import ConfigError, ShapeMismatchError
 from horizonmix.mixture import (HorizonSet, balance_loss, build_horizon_set, fuse, gate,
                                 init_gate_params, moh_objective, validity_grid)
+from horizonmix.policy import ModelConfig
 from horizonmix.rng import make_rng
 
 from horizons import horizon_set_from_list
@@ -74,7 +75,7 @@ class TestTruncate:
 def random_gate(seed, b=4, hs=None, d_model=16):
     """(alpha, horizon set, gate params, hidden states) of a random gate."""
     hs = hs or build_horizon_set(30, 3)
-    params = init_gate_params(seed, d_model, dtype=np.float64)
+    params = init_gate_params(seed, ModelConfig(d_model=d_model), dtype=np.float64)
     hidden = T.constant(make_rng(seed, "hidden").standard_normal((b, len(hs), hs.max_horizon, d_model)))
     return gate(params, hidden, hs, "gated"), hs, params, hidden
 
@@ -82,7 +83,7 @@ def random_gate(seed, b=4, hs=None, d_model=16):
 class TestGate:
     def test_equal_logits_step7_give_one_eighth(self):
         hs = build_horizon_set(30, 3)
-        params = init_gate_params(0, 8, dtype=np.float64)
+        params = init_gate_params(0, ModelConfig(d_model=8), dtype=np.float64)
         params["gate.w"].data[:] = 0.0  # all logits equal the bias
         hidden = T.constant(make_rng(3, "h").standard_normal((1, 10, 30, 8)))
         alpha = gate(params, hidden, hs, "gated").data
@@ -92,7 +93,7 @@ class TestGate:
 
     def test_single_horizon_alpha_all_ones(self):
         hs = build_horizon_set(30, 30)
-        params = init_gate_params(1, 8, dtype=np.float64)
+        params = init_gate_params(1, ModelConfig(d_model=8), dtype=np.float64)
         hidden = T.constant(make_rng(4, "h").standard_normal((2, 1, 30, 8)))
         alpha = gate(params, hidden, hs, "gated")
         np.testing.assert_array_equal(alpha.data, np.ones((2, 30, 1)))
@@ -116,7 +117,7 @@ class TestGate:
 
     def test_shape_mismatch_rejected(self):
         hs = build_horizon_set(30, 3)
-        params = init_gate_params(2, 8, dtype=np.float64)
+        params = init_gate_params(2, ModelConfig(d_model=8), dtype=np.float64)
         hidden = T.constant(np.zeros((1, 9, 30, 8)))
         with pytest.raises(ShapeMismatchError):
             gate(params, hidden, hs, "gated")

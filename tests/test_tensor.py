@@ -12,6 +12,7 @@ from horizonmix.rng import make_rng
 
 import oracles
 from gradcheck import GRADCHECK_CASES, build_case, grad_check, run_case
+from horizons import horizon_set_from_list
 
 
 class TestMatmul:
@@ -200,7 +201,7 @@ def _lane_shapes():
 
     Horizons (1, 2, 3, 5) pack into lanes (5, 1) and (3, 2) of width 6, so
     the second lane ends in a pad row that sees only itself."""
-    stream, _, _ = tr.lane_layout((1, 2, 3, 5), 5)
+    stream, _, _ = tr.lane_layout(horizon_set_from_list((1, 2, 3, 5)))
     mask = oracles.full_lane_masks(stream, n_context=3, with_time=True, dtype=np.float64)[None]
     assert (stream == -1).any()
     return (2, stream.shape[0], 2, mask.shape[-1], 4), mask
@@ -330,9 +331,9 @@ class TestLinear:
 
 
 def _prefix_lane_layout(with_time=True, n_context=3):
-    """Lanes of horizons (1, 2, 3, 5, 5): (5, 1), (5, 2) and (3,), width 7,
-    so two lanes end in pad rows and no lane holds equal horizons."""
-    stream, _, _ = tr.lane_layout((1, 2, 3, 5, 5), 5)
+    """Lanes of horizons (1, 2, 3, 4, 6): (6, 1), (4, 2) and (3,), width 7,
+    so two lanes end in pad rows."""
+    stream, _, _ = tr.lane_layout(horizon_set_from_list((1, 2, 3, 4, 6)))
     assert (stream == -1).any()
     return stream, tr.lane_masks(stream, n_context, with_time, dtype=np.float64)
 

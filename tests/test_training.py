@@ -463,7 +463,6 @@ def single_horizon_loss(policy: Policy, cfg: TrainConfig):
         raise ConfigError("the single-horizon baseline supports the flow head")
     if len(policy.horizons) != 1:
         raise ConfigError("baseline loss requires HorizonSet {H}")
-    h = policy.horizons.max_horizon
 
     def fn(obs, task_ids, chunks, valid, rng):
         ctx = policy.encode_context(obs, task_ids)
@@ -475,8 +474,7 @@ def single_horizon_loss(policy: Policy, cfg: TrainConfig):
         eps = rng.standard_normal(target.shape)
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
         u = flow_target(eps, target)
-        inputs = T.constant(x[:, None].astype(dtype))
-        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx, [h], inputs, tau)
+        hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx, x.astype(dtype), tau)
         v = T.linear(hidden, policy.params["head.w"], policy.params["head.b"])
         err = T.sub(T.reshape(v, u.shape), T.constant(u.astype(dtype)))
         weight = np.asarray(valid, dtype=bool).astype(dtype)

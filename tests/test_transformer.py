@@ -17,9 +17,9 @@ from horizonmix.rng import make_rng
 import oracles
 from horizons import horizon_set_from_list
 
-def small_cfg(max_horizon=30):
+def small_cfg(max_horizon=30, stride=None):
     return ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, max_horizon=max_horizon,
-                       stride=max_horizon)
+                       stride=stride or max_horizon)
 
 
 CFG = small_cfg()
@@ -135,34 +135,32 @@ class TestMasks:
             build_stream_masks([3, 31], 4, 30, with_time=True)
 
 
-# (max horizon, stream horizons): odd N, pad rows, equal horizons sharing a lane
+# (max horizon, stride): odd N with a pad lane, and the default even-N set
 LANE_SETS = {
-    "stride_12_4": (12, [4, 8, 12]),
-    "irregular": (30, [1, 2, 7, 30]),
-    "doubled_12_4": (12, [4, 8, 12] * 2),
+    "stride_12_4": (12, 4),
+    "stride_15_3": (15, 3),
+    "stride_30_3": (30, 3),
 }
 
 
-horizon_lists = st.lists(st.integers(1, 12), min_size=1, max_size=9)
+horizon_lists = st.lists(st.integers(1, 12), min_size=1, max_size=9,
+                         unique=True).map(sorted)
 
 
 class TestLanes:
     def test_stride_set_fills_lanes_without_pad(self):
-        hs = build_horizon_set(30, 3).horizons
-        stream, _, _ = tr.lane_layout(hs, 30)
+        stream, _, _ = tr.lane_layout(build_horizon_set(30, 3))
         assert stream.shape == (5, 33)
-        assert (stream >= 0).all()
-        stream, _, _ = tr.lane_layout(list(hs) * 2, 30)
-        assert stream.shape == (10, 33)
         assert (stream >= 0).all()
 
     @settings(max_examples=60, deadline=None)
     @given(horizon_lists)
     def test_every_valid_pair_has_exactly_one_slot(self, hs):
-        stream, step, source = tr.lane_layout(hs, 12)
+        stream, step, source = tr.lane_layout(horizon_set_from_list(hs))
         assert (stream >= 0).sum() == sum(hs)
+        assert source.shape == (len(hs), hs[-1])
         for i, h in enumerate(hs):
-            for k in range(12):
+            for k in range(hs[-1]):
                 slots = np.flatnonzero((stream == i) & (step == k))
                 if k < h:
                     assert slots.tolist() == [source[i, k]]
@@ -172,15 +170,15 @@ class TestLanes:
     @settings(max_examples=60, deadline=None)
     @given(horizon_lists)
     def test_sorted_streams_pair_outside_in(self, hs):
-        stream, _, _ = tr.lane_layout(hs, 12)
-        order = np.argsort(hs, kind="stable")
-        expect = [{order[j], order[-1 - j]} for j in range((len(hs) + 1) // 2)]
+        stream, _, _ = tr.lane_layout(horizon_set_from_list(hs))
+        n = len(hs)
+        expect = [{j, n - 1 - j} for j in range((n + 1) // 2)]
         assert [set(np.unique(lane[lane >= 0])) for lane in stream] == expect
         assert stream.shape[1] == max(sum(hs[i] for i in lane) for lane in expect)
 
     @pytest.mark.parametrize("with_time", [True, False])
     def test_mask_visibility(self, with_time):
-        stream, _, _ = tr.lane_layout([1, 2, 7, 30], 30)
+        stream, _, _ = tr.lane_layout(horizon_set_from_list([1, 2, 7, 30]))
         c = 3
         a0 = c + int(with_time)
         prefix, lane = (m == 0.0 for m in tr.lane_masks(stream, c, with_time, dtype=np.float64))
@@ -205,8 +203,7 @@ class TestLanes:
         # C=8 context rows, the flow time row, and the stride-3 set in 5 lanes of 33
         cfg = ModelConfig()
         with_time = head == "flow"
-        hs = build_horizon_set(30, 3).horizons
-        stream, _, _ = tr.lane_layout(hs, 30)
+        stream, _, _ = tr.lane_layout(cfg.horizon_set())
         prefix, lane = tr.lane_masks(stream, 8, with_time)
         p = 9 if with_time else 8
         assert prefix.shape == (p, p) and lane.shape == (5, 33, p + 33)
@@ -220,79 +217,81 @@ class TestLanes:
         monkeypatch.setattr(T, "attention", recording)
         rng = make_rng(14, "default-layout")
         ctx = T.constant(rng.standard_normal((1, 8, 64)))
-        chunks = tau = None
+        chunk = tau = None
         if with_time:
-            chunks, tau = T.constant(rng.standard_normal((1, 10, 30, 2))), rng.random(1)
-        tr.forward_multi_horizon(make_model(cfg), cfg, ctx, hs, chunks, tau)
+            chunk, tau = rng.standard_normal((1, 30, 2)), rng.random(1)
+        tr.forward_multi_horizon(make_model(cfg), cfg, ctx, chunk, tau)
         assert rows == [174 if with_time else 173] * cfg.layers
 
     @pytest.mark.parametrize("with_time", [True, False])
     def test_invalid_outputs_exactly_zero(self, with_time):
-        params = make_model()
-        hs = [1, 2, 7, 30, 7]
+        cfg = small_cfg(15, 3)  # 5 streams: the median one has a lane with pad rows
+        params = make_model(cfg)
         rng = make_rng(12, "invalid-zero")
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
-        chunks = tau = None
+        chunk = tau = None
         if with_time:
-            chunks = T.constant(rng.standard_normal((2, len(hs), 30, 2)))
-            tau = rng.random(2)
-        hidden = tr.forward_multi_horizon(params, CFG, ctx, hs, chunks, tau).data
-        past = np.arange(30)[None, :] >= np.asarray(hs)[:, None]
+            chunk, tau = rng.standard_normal((2, 15, 2)), rng.random(2)
+        hidden = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau).data
+        past = ~validity_grid(cfg.horizon_set()).T
         assert (hidden[:, past] == 0.0).all()
         assert (hidden[:, ~past] != 0.0).any(axis=-1).all()
 
-    def test_horizon_beyond_max_rejected(self):
-        with pytest.raises(ConfigError):
-            tr.lane_layout([3, 31], 30)
+
+def stacked(chunk, n):
+    """The padded oracle's (B, N, H, d_a) input: the one chunk in every stream."""
+    return T.constant(np.broadcast_to(chunk[:, None], (chunk.shape[0], n) + chunk.shape[1:]))
 
 
 class TestMaskEquivalence:
     def test_padded_matches_truncated_64bit(self):
-        params = make_model()
-        hs = build_horizon_set(30, 3)
+        cfg = small_cfg(30, 3)
+        params = make_model(cfg)
+        hs = cfg.horizon_set()
         rng = make_rng(2, "mask-equiv")
         for trial in range(5):
             ctx = T.constant(rng.standard_normal((2, 4, 32)))
             chunk = rng.standard_normal((2, 30, 2))
             tau = rng.random(2)
-            chunks = T.constant(np.broadcast_to(chunk[:, None], (2, len(hs), 30, 2)).copy())
-            hidden = tr.forward_multi_horizon(params, CFG, ctx, hs.horizons, chunks, tau)
+            hidden = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau)
             for i, h in enumerate(hs.horizons):
-                ref = truncated_forward(params, CFG, ctx, chunk, tau, h)
+                ref = truncated_forward(params, cfg, ctx, chunk, tau, h)
                 np.testing.assert_allclose(hidden.data[:, i, :h], ref.data[:, 0],
                                            atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("with_time", [True, False])
     @pytest.mark.parametrize("name", sorted(LANE_SETS))
     def test_packed_matches_padded_oracle_64bit(self, name, with_time):
-        h_max, hs = LANE_SETS[name]
-        cfg = small_cfg(h_max)
+        cfg = small_cfg(*LANE_SETS[name])
+        hs = cfg.horizon_set().horizons
         params = make_model(cfg)
         rng = make_rng(13, "packed-vs-padded", name)
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
-        chunks = tau = None
+        chunk = tau = stacked_chunk = None
         if with_time:
-            chunks = T.constant(rng.standard_normal((2, len(hs), h_max, 2)))
+            chunk = rng.standard_normal((2, cfg.max_horizon, 2))
             tau = rng.random(2)
-        packed = tr.forward_multi_horizon(params, cfg, ctx, hs, chunks, tau).data
-        padded = padded_forward(params, cfg, ctx, hs, chunks, tau).data
+            stacked_chunk = stacked(chunk, len(hs))
+        packed = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau).data
+        padded = padded_forward(params, cfg, ctx, hs, stacked_chunk, tau).data
         for i, h in enumerate(hs):
             np.testing.assert_allclose(packed[:, i, :h], padded[:, i, :h], atol=1e-12, rtol=0)
 
-    def test_padding_content_is_irrelevant(self):
-        cfg = small_cfg(12)
+    def test_rows_past_a_horizon_never_reach_its_stream(self):
+        cfg = small_cfg(15, 3)  # odd N: the median stream's lane ends in pad rows
         params = make_model(cfg)
-        hs = build_horizon_set(12, 4)
-        rng = make_rng(3, "padding")
+        rng = make_rng(3, "one-chunk")
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
-        base = np.broadcast_to(rng.standard_normal((2, 1, 12, 2)), (2, 3, 12, 2)).copy()
-        noisy = base.copy()
-        valid = validity_grid(hs).T
-        noisy[:, ~valid] = 1e3 * rng.standard_normal(noisy[:, ~valid].shape)
+        chunk = rng.standard_normal((2, 15, 2))
         tau = rng.random(2)
-        out_a = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons, T.constant(base), tau)
-        out_b = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons, T.constant(noisy), tau)
-        np.testing.assert_array_equal(out_a.data[:, valid], out_b.data[:, valid])
+        base = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau).data
+        for i, h in enumerate(cfg.horizon_set().horizons):
+            noisy = chunk.copy()
+            noisy[:, h:] = 1e3 * rng.standard_normal(noisy[:, h:].shape)
+            out = tr.forward_multi_horizon(params, cfg, ctx, noisy, tau).data
+            np.testing.assert_array_equal(out[:, i, :h], base[:, i, :h])
+            if h < 15:
+                assert not np.array_equal(out[:, -1], base[:, -1])
 
     def test_single_horizon_set_is_plain_forward(self):
         params = make_model()
@@ -300,21 +299,19 @@ class TestMaskEquivalence:
         ctx = T.constant(rng.standard_normal((2, 4, 32)))
         chunk = rng.standard_normal((2, 30, 2))
         tau = rng.random(2)
-        hidden = tr.forward_multi_horizon(params, CFG, ctx, [30], T.constant(chunk[:, None]),
-                                          tau)
-        assert validity_grid(horizon_set_from_list([30])).all()
+        hidden = tr.forward_multi_horizon(params, CFG, ctx, chunk, tau)
+        assert validity_grid(CFG.horizon_set()).all()
         ref = truncated_forward(params, CFG, ctx, chunk, tau, 30)
         np.testing.assert_allclose(hidden.data[:, 0], ref.data[:, 0], atol=1e-12, rtol=0)
 
 
 class TestRegressionQueries:
     def test_mask_equivalence(self):
-        cfg = small_cfg(12)
+        cfg = small_cfg(12, 4)
         params = make_model(cfg)
-        hs = build_horizon_set(12, 4)
         ctx = make_ctx(2, 4, 32, seed=5)
-        hidden = tr.forward_multi_horizon(params, cfg, ctx, hs.horizons)
-        for i, h in enumerate(hs.horizons):
+        hidden = tr.forward_multi_horizon(params, cfg, ctx)
+        for i, h in enumerate(cfg.horizon_set().horizons):
             masks = build_stream_masks([h], 4, h, with_time=False)
             tokens = T.add(
                 T.broadcast_to(T.reshape(params["query"], (1, 1, 1, 32)), (2, 1, h, 32)),
@@ -329,16 +326,17 @@ class TestRegressionQueries:
         params = make_model(cfg)
         params["action_pos"].data[:] = 0.0
         ctx = make_ctx(1, 4, 32, seed=6)
-        hidden = tr.forward_multi_horizon(params, cfg, ctx, [6])
+        hidden = tr.forward_multi_horizon(params, cfg, ctx)
         first = hidden.data[:, 0, 0]
         for k in range(1, 6):
             np.testing.assert_allclose(hidden.data[:, 0, k], first, atol=1e-12)
 
     def test_deterministic(self):
-        params = make_model()
+        cfg = small_cfg(30, 10)
+        params = make_model(cfg)
         ctx = make_ctx(2, 4, 32, seed=7)
-        a = tr.forward_multi_horizon(params, CFG, ctx, [10, 20, 30])
-        b = tr.forward_multi_horizon(params, CFG, ctx, [10, 20, 30])
+        a = tr.forward_multi_horizon(params, cfg, ctx)
+        b = tr.forward_multi_horizon(params, cfg, ctx)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -348,54 +346,56 @@ class TestNonCausality:
         params = make_model(cfg)
         ctx = make_ctx(1, 4, 32, seed=8)
         rng = make_rng(9, "perm")
-        chunk = rng.standard_normal((1, 1, 8, 2))
+        chunk = rng.standard_normal((1, 8, 2))
         tau = np.array([0.3])
-        out_a = tr.forward_multi_horizon(params, cfg, ctx, [8], T.constant(chunk), tau)
+        out_a = tr.forward_multi_horizon(params, cfg, ctx, chunk, tau)
 
         swapped = chunk.copy()
-        swapped[:, :, [2, 5]] = swapped[:, :, [5, 2]]
+        swapped[:, [2, 5]] = swapped[:, [5, 2]]
         pos = params["action_pos"].data
         pos[[2, 5]] = pos[[5, 2]]
-        out_b = tr.forward_multi_horizon(params, cfg, ctx, [8], T.constant(swapped), tau)
+        out_b = tr.forward_multi_horizon(params, cfg, ctx, swapped, tau)
         pos[[2, 5]] = pos[[5, 2]]  # restore
 
         np.testing.assert_allclose(out_b.data[0, 0, [5, 2]], out_a.data[0, 0, [2, 5]],
                                    atol=1e-10)
 
 
+ENC_CFG = ModelConfig(obs_dim=5, n_tasks=3, context_tokens=4, d_model=8, encoder_hidden=16)
+
+
 class TestEncoder:
     def test_zero_weights_leave_positional_embeddings(self):
-        params = init_encoder_params(0, obs_dim=5, n_tasks=3, n_tokens=4, d_model=8,
-                                     hidden=16, dtype=np.float64)
+        params = init_encoder_params(0, ENC_CFG, dtype=np.float64)
         for name in ("encoder.w1", "encoder.w2", "encoder.task"):
             params[name].data[:] = 0.0
-        out = encode(params, np.zeros((2, 5)), np.array([0, 2]), 4, 8)
+        out = encode(params, ENC_CFG, np.zeros((2, 5)), np.array([0, 2]))
         np.testing.assert_allclose(out.data, np.broadcast_to(params["encoder.pos"].data, (2, 4, 8)),
                                    atol=1e-15)
 
     def test_identical_observations_identical_contexts(self):
-        params = init_encoder_params(1, 5, 3, 4, 8, 16, dtype=np.float64)
+        params = init_encoder_params(1, ENC_CFG, dtype=np.float64)
         obs = make_rng(10, "obs").standard_normal((1, 5))
-        a = encode(params, obs, np.array([1]), 4, 8)
-        b = encode(params, obs, np.array([1]), 4, 8)
+        a = encode(params, ENC_CFG, obs, np.array([1]))
+        b = encode(params, ENC_CFG, obs, np.array([1]))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_nondegenerate_jacobian(self):
-        params = init_encoder_params(2, 5, 3, 4, 8, 16, dtype=np.float64)
+        params = init_encoder_params(2, ENC_CFG, dtype=np.float64)
         obs = make_rng(11, "obs2").standard_normal((1, 5))
-        base = encode(params, obs, np.array([0]), 4, 8).data
+        base = encode(params, ENC_CFG, obs, np.array([0])).data
         for j in range(5):
             bumped = obs.copy()
             bumped[0, j] += 1e-3
-            out = encode(params, bumped, np.array([0]), 4, 8).data
+            out = encode(params, ENC_CFG, bumped, np.array([0])).data
             assert np.abs(out - base).max() > 0
 
     def test_dimension_mismatch_rejected(self):
-        params = init_encoder_params(3, 5, 3, 4, 8, 16)
+        params = init_encoder_params(3, ENC_CFG)
         with pytest.raises(ConfigError):
-            encode(params, np.zeros((2, 7)), np.array([0, 0]), 4, 8)
+            encode(params, ENC_CFG, np.zeros((2, 7)), np.array([0, 0]))
 
     def test_unknown_task_rejected(self):
-        params = init_encoder_params(4, 5, 3, 4, 8, 16)
+        params = init_encoder_params(4, ENC_CFG)
         with pytest.raises(ConfigError):
-            encode(params, np.zeros((1, 5)), np.array([3]), 4, 8)
+            encode(params, ENC_CFG, np.zeros((1, 5)), np.array([3]))
