@@ -170,13 +170,14 @@ def cmd_sweep_horizons(args) -> int:
     cfg = load_config(args.config and _resolve(args.config), args.set or ())
     runs = [(f"moh-d{d}", d) for d in _number_list("--strides", args.strides, int)]
     runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
-    # every run's config is checked before the dataset or any training
+    # every run's config and the executor are checked before the dataset
+    # or any training
     runs = [(label, replace(cfg, model=replace(cfg.model, stride=d))) for label, d in runs]
+    executor = FixedPrefixExecutor(args.prefix)
     dataset = _load_or_generate_dataset(args, cfg)
     out_dir = _resolve(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = make_suite(seed=args.suite_seed)
-    executor = FixedPrefixExecutor(args.prefix)
     table = []
     for label, run_cfg in runs:
         policy, _ = _train_once(run_cfg, dataset, out_dir / label)

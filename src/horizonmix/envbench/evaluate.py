@@ -13,7 +13,7 @@ The reduction groups trials by family and averages by trial index.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,6 +130,10 @@ def evaluate(policy, tasks: list[TaskSpec], trials: int, executor,
     if max_id >= policy.cfg.n_tasks:
         raise ConfigError(
             f"task id {max_id} out of range for policy with {policy.cfg.n_tasks} tasks")
+    if not executor.needs_per_horizon:
+        # the rows name the prefix that runs, which the policy's chunk caps
+        executor = replace(executor, prefix=min(executor.prefix,
+                                                policy.horizons.max_horizon))
     by_family: dict[str, list[EpisodeRecord]] = {}
     for task in tasks:
         for trial in range(trials):

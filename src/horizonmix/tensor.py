@@ -19,14 +19,21 @@ parent an array (or a disjoint view of one) that no other tensor holds. So
 `_accumulate` may keep the first gradient by reference and add later ones in
 place; a rule may also overwrite its own incoming gradient.
 
+No rule writes into a tensor's `.data`: rules overwrite only their own
+incoming gradient, and the optimizer updates parameters only after
+`backward`. So a node may keep its input's `.data` by reference and
+rebuild what its backward needs from it, instead of saving a copy.
+
 The transformer runs in fused primitives, one tape node each, with a
 closed-form backward and in-place temporaries at the tensor's width. Each
 keeps only what its backward reads:
 
 - `linear`: one GEMM on the 2-d view of x with the bias added in place;
   it keeps that view;
-- `gelu`: x and tanh(c (x + 0.044715 x³)); it works in cache-sized blocks;
-- `layer_norm`: x̂ = (x - mean) rstd and rstd = (var + eps)^-½;
+- `gelu`: only x; it works in cache-sized blocks, and its backward
+  recomputes tanh(c (x + 0.044715 x³)) block by block;
+- `layer_norm`: x and the per-row mean and rstd = (var + eps)^-½; its
+  backward rebuilds x̂ = (x - mean) rstd;
 - `attention` (head split, scale, additive masks, stable softmax, `@ v`
   and head merge over a shared prefix plus lanes): the probabilities p,
   besides the output and its inputs;
@@ -389,19 +396,29 @@ def _blocks(size: int):
     return (slice(i, i + _BLOCK) for i in range(0, size, _BLOCK))
 
 
+def _gelu_tanh(xs: np.ndarray, ts: np.ndarray) -> None:
+    """ts = tanh(c (x + 0.044715 x³)) for one block, in the same op order
+    in the forward and the backward, so both see the same bits."""
+    np.multiply(xs, xs, out=ts)
+    ts *= xs
+    ts *= 0.044715
+    ts += xs
+    ts *= _GELU_C
+    np.tanh(ts, out=ts)
+
+
 def gelu(a: Tensor):
-    """tanh-approximation GELU 0.5 x (1 + tanh(c (x + 0.044715 x³))), c = sqrt(2/pi)."""
+    """tanh-approximation GELU 0.5 x (1 + tanh(c (x + 0.044715 x³))), c = sqrt(2/pi).
+
+    Keeps only x: tanh lives in a block-sized scratch, and the backward
+    recomputes it block by block."""
     x = a.data.reshape(-1)
-    t = np.empty_like(x)
+    t = np.empty(min(_BLOCK, x.size), dtype=x.dtype)
     out_data = np.empty_like(x)
     for s in _blocks(x.size):
-        xs, ts, outs = x[s], t[s], out_data[s]
-        np.multiply(xs, xs, out=ts)
-        ts *= xs
-        ts *= 0.044715
-        ts += xs
-        ts *= _GELU_C
-        np.tanh(ts, out=ts)
+        xs, outs = x[s], out_data[s]
+        ts = t[:xs.size]
+        _gelu_tanh(xs, ts)
         np.add(ts, 1.0, out=outs)
         outs *= xs
         outs *= 0.5
@@ -409,12 +426,15 @@ def gelu(a: Tensor):
     def bwd(g):
         # g is this rule's own array, so it becomes the gradient in place:
         # g *= 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 * 0.044715 x²)
+        x = a.data.reshape(-1)
         g = g.reshape(-1)
-        d = np.empty(min(_BLOCK, x.size), dtype=x.dtype)
-        u = np.empty_like(d)
+        t = np.empty(min(_BLOCK, x.size), dtype=x.dtype)
+        d = np.empty_like(t)
+        u = np.empty_like(t)
         for s in _blocks(x.size):
-            xs, ts = x[s], t[s]
-            ds, us = d[:xs.size], u[:xs.size]
+            xs = x[s]
+            ts, ds, us = t[:xs.size], d[:xs.size], u[:xs.size]
+            _gelu_tanh(xs, ts)
             np.multiply(xs, xs, out=ds)
             ds *= 0.134145
             ds += 1.0
@@ -513,20 +533,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """x̂ gamma + beta over the last axis, x̂ = (x - mean) rstd, rstd = (var + eps)^-½.
 
     dx = rstd (dx̂ - mean(dx̂) - x̂ mean(dx̂ x̂)) with dx̂ = g gamma.
+
+    Keeps x.data and the per-row mean and rstd; the backward rebuilds x̂
+    with the forward's own ops, so it reads the forward's bits.
     """
     _check_same_width(x, gamma)
     _check_same_width(x, beta)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = (np.square(xhat).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat *= rstd
-    out_data = xhat * gamma.data
-    out_data += beta.data
-    if out_data.shape != x.shape:
+    if np.broadcast(x.data, gamma.data, beta.data).shape != x.shape:
         raise ShapeMismatchError(f"gamma {gamma.shape} and beta {beta.shape} widen x {x.shape}")
+    mean = x.data.mean(axis=-1, keepdims=True)
+    out_data = x.data - mean
+    rstd = (np.square(out_data).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    out_data *= rstd
+    out_data *= gamma.data
+    out_data += beta.data
     n = x.shape[-1]
 
     def bwd(g):
         # g is this rule's own array, so it becomes dx in place
+        xhat = x.data - mean
+        xhat *= rstd
         if beta.requires_grad:
             gb = _unbroadcast(g, beta.shape)
             beta._accumulate(gb.copy() if gb is g else gb)

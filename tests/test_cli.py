@@ -193,6 +193,13 @@ class TestSweeps:
         assert not (root / "data").exists()
         assert not (root / "runs" / "sweep" / "moh-d3").exists()
 
+    def test_bad_prefix_is_2_before_any_run(self, root):
+        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", "3",
+                     "--prefix", "0", "--trials", "1", "--episodes-per-task", "2",
+                     "--out", "runs/sweep"]) == 2
+        assert not (root / "data").exists()
+        assert not (root / "runs" / "sweep").exists()
+
     @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0"])
     def test_bad_ratio_is_2_before_any_run(self, root, ratios):
         # the checkpoint is never opened: a missing one would exit 3

@@ -384,6 +384,13 @@ class TestEvaluate:
                         constants=NOISELESS)
         assert rows[0]["mean_prefix"] == 4.0
 
+    def test_fixed_prefix_rows_name_the_prefix_run(self):
+        # a max-horizon-6 policy runs 6 of the 50 steps asked for
+        rows = evaluate(small_policy(), SUITE[:1], trials=1,
+                        executor=FixedPrefixExecutor(50), seed=0)
+        assert [r["executor"] for r in rows] == ["fixed-6"]
+        assert rows[0]["mean_prefix"] == 6.0
+
     def test_consensus_prefix_with_agreeing_streams(self):
         # Identical per-horizon chunks never disagree, so the prefix extends
         # until fewer than min_active horizons remain: 18 for {3,...,30}.

@@ -265,6 +265,27 @@ class TestFusedOps:
         else:
             np.testing.assert_array_equal(T.gelu(*params).data, gelu_composite(*params).data)
 
+    @pytest.mark.parametrize("op", ["layer_norm", "gelu"])
+    def test_backward_keeps_no_copy_of_its_input(self, op):
+        # the rule rebuilds x̂ or tanh from x.data; any other array of x's
+        # size it held would be one more activation per call
+        fused, _, params = _lane_inputs(op, np.float32)
+        x = params[0].data
+        held = [cell.cell_contents for cell in fused(*params)._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        arrays += [t.data for t in held if isinstance(t, T.Tensor)]
+        assert all(a is x for a in arrays if a.size >= x.size)
+
+    @pytest.mark.parametrize("wide", ["gamma", "beta"])
+    def test_layer_norm_rejects_an_affine_that_widens_x(self, wide):
+        x = T.param(np.arange(12.0).reshape(3, 4))
+        before = x.data.copy()
+        affine = {"gamma": T.param(np.ones(4)), "beta": T.param(np.zeros(4))}
+        affine[wide] = T.param(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeMismatchError, match="widen x"):
+            T.layer_norm(x, affine["gamma"], affine["beta"])
+        np.testing.assert_array_equal(x.data, before)
+
     def test_attention_mask_may_widen_the_batch(self):
         rng = make_rng(12, "fused-widen")
         q, k, v = (T.param(rng.standard_normal((4, 3))) for _ in range(3))
