@@ -12,13 +12,20 @@ Layout::
 Save -> load -> save is byte-identical: array order, meta, and offsets all
 round-trip through the header, and the JSON is dumped with sorted keys and
 fixed separators.
+
+A policy checkpoint holds the arrays ``policy_arrays`` lists: ``param.<name>``
+per parameter, ``norm.<field>`` per ``Normalization`` statistic and, for the
+classification head, ``grid.lo`` and ``grid.hi``. Its meta keys are
+``train`` (the ``TrainConfig`` with its model), ``iteration`` and
+``rng_state`` (None or the training generators' states). ``load_policy``
+checks the stored arrays against that same list for the stored config.
 """
 
 import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,24 +133,26 @@ def _jsonable(obj):
     return obj
 
 
-def save_policy(path, policy: Policy, train: TrainConfig, iteration: int,
-                rng_state: dict | None = None) -> None:
+def policy_arrays(policy: Policy) -> dict[str, np.ndarray]:
+    """Every array of a policy checkpoint, by name, in file order."""
     arrays = {f"param.{name}": policy.params[name].data
               for name in sorted(policy.params)}
-    arrays["norm.obs_mean"] = policy.norm.obs_mean
-    arrays["norm.obs_std"] = policy.norm.obs_std
-    arrays["norm.act_mean"] = policy.norm.act_mean
-    arrays["norm.act_std"] = policy.norm.act_std
+    for f in fields(Normalization):
+        arrays[f"norm.{f.name}"] = getattr(policy.norm, f.name)
     if policy.grid is not None:
         arrays["grid.lo"] = np.asarray(policy.grid.lo, dtype=np.float64)
         arrays["grid.hi"] = np.asarray(policy.grid.hi, dtype=np.float64)
+    return arrays
+
+
+def save_policy(path, policy: Policy, train: TrainConfig, iteration: int,
+                rng_state: dict | None = None) -> None:
     meta = {
         "train": _jsonable(asdict(train)),
         "iteration": int(iteration),
         "rng_state": _jsonable(rng_state) if rng_state is not None else None,
-        "has_grid": policy.grid is not None,
     }
-    save_arrays(path, arrays, meta)
+    save_arrays(path, policy_arrays(policy), meta)
 
 
 def load_policy(path):
@@ -151,10 +160,9 @@ def load_policy(path):
 
     Raises CheckpointFormatError when a well-formed container is not a
     policy checkpoint: meta lacks "train", the config holds a key or a
-    value the config classes do not take, a norm.* or grid.* array is
-    missing, an array does not hold floats, or the param.* arrays are not
-    the names and shapes ``Policy.init`` makes for the stored config, at
-    one float width.
+    value the config classes do not take, an array does not hold floats,
+    the arrays are not the names and shapes ``policy_arrays`` lists for
+    the stored config, or the param.* arrays differ in float width.
     """
     arrays, meta = load_arrays(path)
     try:
@@ -172,25 +180,21 @@ def _policy_from(path, arrays, meta):
     train_dict = dict(meta["train"])
     model = ModelConfig(**train_dict.pop("model"))
     train = TrainConfig(model=model, **train_dict)
-    norm = Normalization(obs_mean=arrays["norm.obs_mean"],
-                         obs_std=arrays["norm.obs_std"],
-                         act_mean=arrays["norm.act_mean"],
-                         act_std=arrays["norm.act_std"])
-    grid = None
-    if meta.get("has_grid"):
-        grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
-                       hi=tuple(arrays["grid.hi"].tolist()),
-                       bins=model.bins)
-    params = {name[len("param."):]: T.param(arr)
-              for name, arr in arrays.items() if name.startswith("param.")}
-    layout = Policy.init(model, seed=None, grid=grid).params  # zeros, nothing drawn
-    expected = {k: p.shape for k, p in layout.items()}
-    stored = {k: p.shape for k, p in params.items()}
-    widths = sorted({p.dtype.name for p in params.values()})
+    layout = policy_arrays(Policy.init(model, seed=None))  # zeros, nothing drawn
+    expected = {k: a.shape for k, a in layout.items()}
+    stored = {k: a.shape for k, a in arrays.items()}
+    widths = sorted({a.dtype.name for k, a in arrays.items() if k.startswith("param.")})
     if stored != expected or len(widths) > 1:
         differ = sorted(k for k in expected.keys() | stored.keys()
                         if stored.get(k) != expected.get(k))
         raise CheckpointFormatError(
-            f"{path}: parameters do not match the stored config (names or shapes "
-            f"differ at {differ}, float widths {widths})")
+            f"{path}: not a policy checkpoint: arrays do not match the stored config "
+            f"(names or shapes differ at {differ}, parameter float widths {widths})")
+    params = {k[len("param."):]: T.param(a) for k, a in arrays.items()
+              if k.startswith("param.")}
+    norm = Normalization(**{f.name: arrays[f"norm.{f.name}"] for f in fields(Normalization)})
+    grid = None
+    if "grid.lo" in arrays:
+        grid = BinGrid(lo=tuple(arrays["grid.lo"].tolist()),
+                       hi=tuple(arrays["grid.hi"].tolist()), bins=model.bins)
     return Policy(model, params, norm, grid), train, meta

@@ -23,7 +23,7 @@ from .envbench.env import EnvConstants, make_suite
 from .envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                 evaluate, run_episode, write_success_csv)
 from .envbench.expert import ExpertGains
-from .errors import ConfigError, HorizonMixError
+from .errors import ConfigError
 from .rng import make_rng
 from .training import prepare_policy, train
 
@@ -161,14 +161,21 @@ def _family_success(rows) -> dict:
 
 def _number_list(flag: str, text: str, kind: type) -> list:
     try:
-        return [kind(s) for s in text.split(",") if s]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from exc
+        values = [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}")
+    return values
 
 
 def cmd_sweep_horizons(args) -> int:
     cfg = load_config(args.config and _resolve(args.config), args.set or ())
-    runs = [(f"moh-d{d}", d) for d in _number_list("--strides", args.strides, int)]
+    strides = _number_list("--strides", args.strides, int)
+    if len(set(strides)) < len(strides) or cfg.max_horizon in strides:
+        raise ConfigError(f"--strides {args.strides!r} repeats a stride or names "
+                          f"{cfg.max_horizon}, the baseline run's max_horizon")
+    runs = [(f"moh-d{d}", d) for d in strides]
     runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
     # every run's config and the executor are checked before the dataset
     # or any training
@@ -247,14 +254,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_executor_flags(p, default="fixed"):
-    p.add_argument("--executor", choices=["fixed", "consensus"],
-                   default=default)
+def _add_executor_flags(p):
+    p.add_argument("--executor", choices=["fixed", "consensus"], default="fixed")
     p.add_argument("--prefix", type=int, default=5,
                    help="fixed executor: steps executed per chunk")
     p.add_argument("--ratio", type=float, default=1.1)
-    p.add_argument("--min-steps", type=int, default=5)
-    p.add_argument("--min-active", type=int, default=5)
     p.add_argument("--trace", default=None,
                    help="consensus executor: JSON-lines trace output")
 
@@ -265,74 +269,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-horizon action-chunking policies on point-mass "
                     "control tasks")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, one parent parser per group
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--config", default=None, help="flat key=value file")
+    data.add_argument("--set", action="append", metavar="KEY=VALUE",
+                      help="config override, e.g. model.stride=5")
+    data.add_argument("--data", default="data/default",
+                      help="dataset directory (generated if missing)")
+    data.add_argument("--episodes-per-task", type=positive_int,
+                      default=DEFAULT_EPISODES_PER_TASK)
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument("--checkpoint", required=True)
+    suite_seed = argparse.ArgumentParser(add_help=False)
+    suite_seed.add_argument("--suite-seed", type=int, default=0)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
+    consensus = argparse.ArgumentParser(add_help=False)
+    consensus.add_argument("--min-steps", type=int, default=5)
+    consensus.add_argument("--min-active", type=int, default=5)
 
-    p = sub.add_parser("train", help="train a policy")
-    p.add_argument("--config", default=None, help="flat key=value file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="config override, e.g. model.stride=5")
-    p.add_argument("--data", default="data/default",
-                   help="dataset directory (generated if missing)")
+    p = sub.add_parser("train", parents=[data, suite_seed], help="train a policy")
     p.add_argument("--out", default="runs/train")
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--episodes-per-task", type=positive_int,
-                   default=DEFAULT_EPISODES_PER_TASK)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the task suite")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("eval", parents=[checkpoint, suite_seed, trials, seed, consensus],
+                       help="evaluate a checkpoint on the task suite")
     p.add_argument("--out", default=None, help="success table CSV")
     _add_executor_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("rollout", help="run and dump a single episode")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("rollout", parents=[checkpoint, seed, suite_seed, consensus],
+                       help="run and dump a single episode")
     p.add_argument("--task-id", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite-seed", type=int, default=0)
     p.add_argument("--out", default=None, help="full trajectory JSON")
     _add_executor_flags(p)
     p.set_defaults(fn=cmd_rollout)
 
-    p = sub.add_parser("sweep-horizons",
+    p = sub.add_parser("sweep-horizons", parents=[data, suite_seed, trials, seed],
                        help="train at several strides plus the baseline")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--strides", default="10,5,3,2,1")
-    p.add_argument("--data", default="data/default")
     p.add_argument("--out", default="runs/sweep")
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--episodes-per-task", type=positive_int,
-                   default=DEFAULT_EPISODES_PER_TASK)
-    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefix", type=int, default=5)
     p.set_defaults(fn=cmd_sweep_horizons)
 
-    p = sub.add_parser("gate-stats",
+    p = sub.add_parser("gate-stats", parents=[checkpoint, suite_seed, seed],
                        help="mean gate weight per (step, horizon)")
-    p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default="gate_stats.csv")
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--episodes", type=positive_int, default=2)
     p.add_argument("--samples", type=positive_int, default=256)
     p.add_argument("--batch", type=positive_int, default=64)
     p.set_defaults(fn=cmd_gate_stats)
 
-    p = sub.add_parser("dyninfer-sweep",
+    p = sub.add_parser("dyninfer-sweep", parents=[checkpoint, suite_seed, trials, seed,
+                                                  consensus],
                        help="consensus executor across scaling ratios")
-    p.add_argument("--checkpoint", required=True)
     p.add_argument("--ratios", default="1.0,1.1,1.3,2.0")
     p.add_argument("--out", default="dyninfer_sweep.csv")
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-steps", type=int, default=5)
-    p.add_argument("--min-active", type=int, default=5)
     p.set_defaults(fn=cmd_dyninfer_sweep)
     return parser
 
@@ -345,9 +340,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HorizonMixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -83,27 +83,19 @@ def _coerce(name: str, value: str, kind: type):
 
 
 def apply_items(base: TrainConfig, items: dict[str, str]) -> TrainConfig:
-    model_fields = {f.name: type(f.default) for f in fields(ModelConfig)}
-    train_fields = {f.name: type(f.default) for f in fields(TrainConfig)
-                    if f.name != "model"}
-    model_updates: dict[str, object] = {}
-    train_updates: dict[str, object] = {}
+    kinds = {"model": {f.name: type(f.default) for f in fields(ModelConfig)},
+             "train": {f.name: type(f.default) for f in fields(TrainConfig)
+                       if f.name != "model"}}
+    updates: dict[str, dict[str, object]] = {"model": {}, "train": {}}
     for key, value in items.items():
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in model_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            model_updates[name] = _coerce(key, value, model_fields[name])
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            train_updates[name] = _coerce(key, value, train_fields[name])
-        else:
+        section, dot, name = key.partition(".")
+        if not dot or section not in kinds:
             raise ConfigError(f"unknown config key {key!r} "
                               "(expected a 'model.' or 'train.' prefix)")
-    model = replace(base.model, **model_updates) if model_updates else base.model
-    return replace(base, model=model, **train_updates)
+        if name not in kinds[section]:
+            raise ConfigError(f"unknown config key {key!r}")
+        updates[section][name] = _coerce(key, value, kinds[section][name])
+    return replace(base, model=replace(base.model, **updates["model"]), **updates["train"])
 
 
 def load_config(path=None, overrides=()) -> TrainConfig:

@@ -48,12 +48,11 @@ def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
 
 
 def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
-                     max_horizon: int, seed: int = 0,
-                     gains: ExpertGains = ExpertGains(),
-                     constants: EnvConstants = EnvConstants()) -> Dataset:
+                     max_horizon: int, seed: int = 0) -> Dataset:
     """Run the expert and window every successful episode.
 
-    Failed or empty episodes are skipped and counted in the manifest.
+    Failed or empty episodes are skipped and counted in the manifest, which
+    also records the env and expert constants the episodes ran with.
     Output is a pure function of the arguments, so regeneration with the
     same seed is bit-identical.
     """
@@ -62,8 +61,7 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
     n_episodes = 0
     for task in tasks:
         for ep in range(episodes_per_task):
-            obs, actions, success, _steps = run_expert_episode(
-                task, seed, ep, gains, constants)
+            obs, actions, success, _steps = run_expert_episode(task, seed, ep)
             if not success or len(actions) == 0:
                 skipped += 1
                 continue
@@ -86,8 +84,8 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
         "skipped_episodes": skipped,
         "n_windows": int(sum(len(o) for o in all_obs)),
         "families": families,
-        "env_constants": asdict(constants),
-        "expert_gains": asdict(gains),
+        "env_constants": asdict(EnvConstants()),
+        "expert_gains": asdict(ExpertGains()),
     }
     return Dataset(observations=np.concatenate(all_obs),
                    task_ids=np.concatenate(all_ids),

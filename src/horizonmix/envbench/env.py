@@ -132,7 +132,10 @@ class PointMassEnv:
         return obs
 
     def step(self, action: np.ndarray):
-        """Advance one step; returns (obs, done, info)."""
+        """Advance one step; returns (obs, done).
+
+        How the episode ended is on the env: ``success``, ``collided`` and
+        ``steps``."""
         if self.done:
             raise ConfigError("episode already finished; call reset()")
         c = self.constants
@@ -146,9 +149,7 @@ class PointMassEnv:
                for ob in self.task.obstacles):
             self.collided = True
             self.done = True
-            return self.observe(), self.done, {"success": False,
-                                               "steps": self.steps,
-                                               "collision": True}
+            return self.observe(), self.done
         wps = self.task.waypoints
         while (self.next_idx < len(wps)
                and np.linalg.norm(self.pos - wps[self.next_idx])
@@ -159,9 +160,7 @@ class PointMassEnv:
             self.done = True
         elif self.steps >= self.task.max_steps:
             self.done = True
-        return self.observe(), self.done, {"success": self.success,
-                                           "steps": self.steps,
-                                           "collision": False}
+        return self.observe(), self.done
 
 
 def _point_seg_dist(pt: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -277,22 +276,19 @@ def _sample_chain_task(task_id: int, rng: np.random.Generator,
                       "too little room between obstacles")
 
 
-def make_suite(n_precision: int = 8, n_chain: int = 8, seed: int = 0,
-               constants: EnvConstants = EnvConstants(),
-               precision_budget: int = 18,
-               chain_budget: int = 34) -> list[TaskSpec]:
+def make_suite(n_precision: int = 8, n_chain: int = 8,
+               seed: int = 0) -> list[TaskSpec]:
     """Build the fixed task suite; layouts depend only on ``seed``.
 
     Task ids are assigned densely from 0 so they can index an embedding
-    table directly.
+    table directly.  Precision tasks get 18 steps, chains 34.
     """
+    constants = EnvConstants()
     tasks = []
     for i in range(n_precision):
         rng = make_rng(seed, "task", "precision", str(i))
-        tasks.append(_sample_precision_task(len(tasks), rng, constants,
-                                            precision_budget))
+        tasks.append(_sample_precision_task(len(tasks), rng, constants, 18))
     for i in range(n_chain):
         rng = make_rng(seed, "task", "chain", str(i))
-        tasks.append(_sample_chain_task(len(tasks), rng, constants,
-                                        chain_budget))
+        tasks.append(_sample_chain_task(len(tasks), rng, constants, 34))
     return tasks

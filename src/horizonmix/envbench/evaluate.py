@@ -98,7 +98,7 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
         selected.append(k)
         count = 0
         for j in range(k):
-            obs, done, _info = env.step(fused[0, j])
+            obs, done = env.step(fused[0, j])
             obs_log.append(obs)
             act_log.append(np.asarray(fused[0, j], dtype=np.float64))
             count += 1

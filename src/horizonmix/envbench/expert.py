@@ -107,5 +107,5 @@ def run_expert_episode(task: TaskSpec, seed: int, episode: int,
                           mode=mode, next_mode=nxt)
         obs_log.append(obs)
         act_log.append(a)
-        obs, _done, _info = env.step(a)
+        obs, _done = env.step(a)
     return (np.asarray(obs_log), np.asarray(act_log), env.success, env.steps)

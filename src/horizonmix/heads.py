@@ -105,7 +105,7 @@ def dequantize(indices: np.ndarray, grid: BinGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fused_forward(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None,
+def _fused_forward(params, cfg: ModelConfig, ctx: T.Tensor,
                    chunk: np.ndarray | None = None, tau: np.ndarray | None = None):
     """One forward, one gate and one fuse over the streams of
     ``cfg.horizon_set()``.
@@ -114,8 +114,8 @@ def _fused_forward(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None
     reads, at flow times (B,); None for the one-step heads.
     Streams are fused in the head's output space: velocities or actions
     (B, N, H, d_a) for flow and regression, bin probabilities
-    (B, N, H, d_a, bins) for classification, whose log-probabilities are
-    returned as well.
+    (B, N, H, d_a, ``cfg.bins``) for classification, whose log-probabilities
+    are returned as well.
     returns (per-stream outputs, fused (B, H, ...), log-probabilities or
     None, gate weights alpha (B, H, N))
     """
@@ -124,12 +124,10 @@ def _fused_forward(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None
     alpha = gate(params, hidden, cfg.horizon_set(), cfg.fusion)
     if cfg.head != "classification":
         return out, fuse(out, alpha), None, alpha
-    b, n, h_max = out.shape[:3]
-    logits = T.reshape(out, (b, n, h_max, cfg.d_a, grid.bins))
+    logits = T.reshape(out, out.shape[:3] + (cfg.d_a, cfg.bins))
     logp = T.log_softmax(logits, axis=-1)
     probs = T.texp(logp)
-    fused = fuse(T.reshape(probs, (b, n, h_max, cfg.d_a * grid.bins)), alpha)
-    return probs, T.reshape(fused, (b, h_max, cfg.d_a, grid.bins)), logp, alpha
+    return probs, fuse(probs, alpha), logp, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def head_loss(params, cfg: ModelConfig, ctx: T.Tensor, target: np.ndarray,
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
         chunk = x.astype(dtype)
         target = flow_target(eps, target)
-    out, fused, logp, alpha = _fused_forward(params, cfg, ctx, grid, chunk, tau)
+    out, fused, logp, alpha = _fused_forward(params, cfg, ctx, chunk, tau)
 
     # per-row losses: (B, N, H) per stream and (B, H) fused
     if head == "classification":
@@ -218,7 +216,7 @@ def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: b
     dtau = 1.0 / steps
     alpha_acc = np.zeros((b, h_max, n))
     for s in range(steps):
-        out, fused, _, alpha = _fused_forward(params, cfg, ctx, None, fused_x.astype(dtype),
+        out, fused, _, alpha = _fused_forward(params, cfg, ctx, fused_x.astype(dtype),
                                               np.full(b, s * dtau))
         alpha_acc += alpha.data
         fused_x = fused_x + dtau * fused.data.astype(np.float64)
@@ -235,7 +233,7 @@ def head_infer(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None):
     stream's own.
     returns (fused (B,H,d_a), per_horizon (B,N,H,d_a), alpha (B,H,N))
     """
-    out, fused, _, alpha = _fused_forward(params, cfg, ctx, grid)
+    out, fused, _, alpha = _fused_forward(params, cfg, ctx)
     fused, per_h = fused.data, out.data
     if cfg.head == "classification":
         fused = dequantize(fused.argmax(axis=-1) + 1, grid)

@@ -100,17 +100,19 @@ def gate(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str) -> T.Tenso
 def fuse(per_horizon: T.Tensor, alpha: T.Tensor) -> T.Tensor:
     """alpha-weighted per-step sum of per-horizon predictions.
 
-    per_horizon: (B, N, H, d_a), rows beyond each stream's horizon carry
-    weight exactly 0 and never influence the result.
+    per_horizon: (B, N, H, ...) with any trailing shape, such as (d_a,)
+    actions or (d_a, bins) bin probabilities; rows beyond each stream's
+    horizon carry weight exactly 0 and never influence the result.
     alpha:       (B, H, N) gate weights
-    returns (B, H, d_a)
+    returns (B, H, ...)
     """
     b, n, h_max = per_horizon.shape[:3]
     if alpha.shape != (b, h_max, n):
         raise ShapeMismatchError(
             f"gate weights {alpha.shape} do not match predictions {per_horizon.shape}"
         )
-    w = T.reshape(T.transpose(alpha, (0, 2, 1)), (b, n, h_max, 1))
+    w = T.reshape(T.transpose(alpha, (0, 2, 1)),
+                  (b, n, h_max) + (1,) * (per_horizon.ndim - 3))
     return T.tsum(T.mul(per_horizon, w), axis=1)
 
 

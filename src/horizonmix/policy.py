@@ -46,8 +46,9 @@ class ModelConfig:
             raise ConfigError(f"unknown head type {self.head!r}")
         if self.fusion not in ("gated", "uniform"):
             raise ConfigError(f"unknown fusion mode {self.fusion!r}")
-        if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon) < 1:
-            raise ConfigError("transformer dimensions must be positive")
+        if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon,
+               self.context_tokens, self.encoder_hidden, self.bins) < 1:
+            raise ConfigError("model sizes must be positive")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.head == "flow" and self.d_model % 2 != 0:

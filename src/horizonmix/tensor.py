@@ -111,13 +111,11 @@ class Tensor:
             self.grad += g
 
 
-def param(data, dtype=None) -> Tensor:
+def param(data) -> Tensor:
     """Leaf tensor that participates in gradients.
 
-    dtype=None keeps a float input's width and lifts everything else to
-    float64."""
-    arr = np.asarray(data) if dtype is None else np.asarray(data, dtype=dtype)
-    return Tensor(arr, requires_grad=True)
+    It keeps a float input's width and lifts everything else to float64."""
+    return Tensor(data, requires_grad=True)
 
 
 def constant(data, dtype=None) -> Tensor:

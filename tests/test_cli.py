@@ -50,7 +50,9 @@ class TestExitCodes:
         assert main(["train", "--config", "run.cfg",
                      "--set", "model.stride=0"]) == 2
 
-    @pytest.mark.parametrize("override", ["model.heads=3", "model.ode_steps=0"])
+    @pytest.mark.parametrize("override", ["model.heads=3", "model.ode_steps=0",
+                                          "model.bins=0", "model.context_tokens=0",
+                                          "model.encoder_hidden=0"])
     def test_bad_model_config_is_2_before_any_dataset(self, root, override):
         assert main(["train", "--config", "run.cfg", "--set", override]) == 2
         assert not (root / "data").exists()
@@ -174,18 +176,18 @@ class TestSweeps:
 
     def test_sweep_horizons_rows(self, root):
         assert main(["sweep-horizons", "--config", "run.cfg",
-                     "--strides", "3,6", "--trials", "1",
+                     "--strides", "3", "--trials", "1",
                      "--episodes-per-task", "2",
                      "--out", "runs/sweep"]) == 0
         rows = list(csv.DictReader(
             (root / "runs" / "sweep" / "horizon_sweep.csv").open()))
-        assert [r["label"] for r in rows] == ["moh-d3", "moh-d6",
-                                              "baseline-h6"]
-        assert [int(r["n_horizons"]) for r in rows] == [2, 1, 1]
+        assert [r["label"] for r in rows] == ["moh-d3", "baseline-h6"]
+        assert [int(r["n_horizons"]) for r in rows] == [2, 1]
         for r in rows:
             assert 0.0 <= float(r["mixed_avg"]) <= 1.0
 
-    @pytest.mark.parametrize("strides", ["3,x", "3,4"])
+    # a repeated stride, or max_horizon 6, would train one config twice
+    @pytest.mark.parametrize("strides", ["3,x", "3,4", "3,3", "3,6"])
     def test_bad_stride_is_2_before_any_run(self, root, strides):
         assert main(["sweep-horizons", "--config", "run.cfg", "--strides", strides,
                      "--trials", "1", "--episodes-per-task", "2",
@@ -200,7 +202,7 @@ class TestSweeps:
         assert not (root / "data").exists()
         assert not (root / "runs" / "sweep").exists()
 
-    @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0"])
+    @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0", ","])
     def test_bad_ratio_is_2_before_any_run(self, root, ratios):
         # the checkpoint is never opened: a missing one would exit 3
         assert main(["dyninfer-sweep", "--checkpoint", "nope.bin",

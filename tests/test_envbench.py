@@ -150,7 +150,7 @@ class TestEnv:
             env = PointMassEnv(task, make_rng(5, "replay"))
             traj = [env.observe()]
             for _ in range(10):
-                obs, _, _ = env.step(np.array([0.1, 0.0]))
+                obs, _ = env.step(np.array([0.1, 0.0]))
                 traj.append(obs)
             runs.append(np.asarray(traj))
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -185,11 +185,9 @@ class TestEnv:
                         obstacles=((0.5, 0.0, 0.1),))
         env = PointMassEnv(task, make_rng(0, "t"),
                            EnvConstants(obs_noise=0.0, start_jitter=0.0))
-        info = {}
         while not env.done:
-            _obs, _done, info = env.step(np.array([0.2, 0.0]))
+            env.step(np.array([0.2, 0.0]))
         assert env.collided and not env.success
-        assert info["collision"]
         assert env.steps < task.max_steps
 
     def test_collision_checks_swept_segment(self):

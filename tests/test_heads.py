@@ -308,7 +308,7 @@ class TestClassificationLoss:
         rng = make_rng(seed, "probs")
         obs = rng.standard_normal((2, CFG.obs_dim))
         ctx = policy.encode_context(obs, np.array([0, 1]))
-        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg, ctx, policy.grid)
+        _, fused, _, _ = hd._fused_forward(policy.params, policy.cfg, ctx)
         fused = fused.data
         assert (fused >= 0).all()
         np.testing.assert_allclose(fused.sum(axis=-1), 1.0, atol=1e-6)

@@ -291,6 +291,22 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointFormatError, match="do not match the stored config"):
             load_policy(path)
 
+    @pytest.mark.parametrize("name", ["norm.obs_mean", "norm.obs_std", "norm.act_mean",
+                                      "norm.act_std", "grid.lo", "grid.hi"])
+    @pytest.mark.parametrize("edit", ["missing", "shape"])
+    def test_norm_and_grid_must_match_config(self, tmp_path, dataset, name, edit):
+        cfg = small_cfg(model=replace(SMALL_MODEL, head="classification"))
+        path = tmp_path / "p.bin"
+        save_policy(path, prepare_policy(cfg, dataset), cfg, iteration=0)
+        arrays, meta = load_arrays(path)
+        if edit == "missing":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][:1]
+        save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointFormatError, match="do not match the stored config"):
+            load_policy(path)
+
     def test_policy_roundtrip_preserves_predictions(self, tmp_path, dataset):
         cfg = small_cfg()
         policy = prepare_policy(cfg, dataset)
