@@ -226,9 +226,11 @@ def cmd_gate_stats(args) -> int:
 
 
 def cmd_dyninfer_sweep(args) -> int:
+    ratios = _number_list("--ratios", args.ratios, float)
+    if len(set(ratios)) < len(ratios):
+        raise ConfigError(f"--ratios {args.ratios!r} repeats a ratio")
     configs = [ConsensusConfig(ratio=ratio, min_steps=args.min_steps,
-                               min_active=args.min_active)
-               for ratio in _number_list("--ratios", args.ratios, float)]
+                               min_active=args.min_active) for ratio in ratios]
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
     policy = policy.detached()
     suite = make_suite(seed=args.suite_seed)

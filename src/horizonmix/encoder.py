@@ -1,9 +1,10 @@
 """Observation encoder: lifts a low-dimensional observation and a task id to
 a fixed-length sequence of context tokens.
 
-An MLP maps the observation vector to C tokens; learned positional
-embeddings distinguish the token slots and a learned task embedding is added
-to every token. Pure function of (parameters, observation, task id).
+An MLP, one ``tensor.mlp`` node, maps the observation vector to C tokens;
+learned positional embeddings distinguish the token slots and a learned task
+embedding is added to every token. Pure function of (parameters,
+observation, task id).
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ def encode(params: dict[str, T.Tensor], cfg: ModelConfig, obs: np.ndarray,
             f"{params['encoder.task'].shape[0]}"
         )
     x = T.constant(obs.astype(params["encoder.w1"].dtype))
-    h = T.gelu(T.linear(x, params["encoder.w1"], params["encoder.b1"]))
-    tokens = T.reshape(T.linear(h, params["encoder.w2"], params["encoder.b2"]),
+    tokens = T.reshape(T.mlp(x, *(params[f"encoder.{n}"] for n in ("w1", "b1", "w2", "b2"))),
                        (obs.shape[0], cfg.context_tokens, cfg.d_model))
     task = T.reshape(T.take_rows(params["encoder.task"], task_ids),
                      (obs.shape[0], 1, cfg.d_model))

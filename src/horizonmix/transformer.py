@@ -20,7 +20,8 @@ a lane with the k-th shortest. A stride-built set pairs to equal lengths,
 h + (H + stride - h): at the defaults (C=8, H=30, stride 3) that is a
 prefix of 8 + 1 rows and 5 lanes of 33 rows, 174 rows in all and no pad
 rows. ``lane_masks`` keeps the streams apart by stream index, and
-``tensor.attention`` runs that layout as one node.
+``tensor.attention`` runs that layout as one node. Each block's
+feed-forward is one ``tensor.mlp`` node, which keeps only its input.
 
 One forward, ``forward_multi_horizon``, serves every head and reads its
 shapes from ``ModelConfig`` alone. The flow head passes one (B, H, d_a)
@@ -168,8 +169,7 @@ def _block(params, i: int, x: T.Tensor, masks, heads: int) -> T.Tensor:
     att = T.attention(q, k, v, heads, *masks)
     x = T.add(x, T.linear(att, params[f"blocks.{i}.attn.wo"], params[f"blocks.{i}.attn.wo_b"]))
     pre2 = T.layer_norm(x, params[f"blocks.{i}.ln2.g"], params[f"blocks.{i}.ln2.b"])
-    ffn = T.linear(T.gelu(T.linear(pre2, params[f"blocks.{i}.ffn.w1"], params[f"blocks.{i}.ffn.b1"])),
-                   params[f"blocks.{i}.ffn.w2"], params[f"blocks.{i}.ffn.b2"])
+    ffn = T.mlp(pre2, *(params[f"blocks.{i}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")))
     return T.add(x, ffn)
 
 

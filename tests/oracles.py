@@ -3,6 +3,8 @@
 - `matmul`, the general tape node that `tensor.linear` was built from;
 - `index`, basic slicing as a tape node, which the per-lane oracles use to
   cut lanes out of flat rows;
+- `gelu`, the tanh-approximation GELU as one blocked node, and `mlp_chain`,
+  the linear / gelu / linear chain that `tensor.mlp` fused;
 - `attention`, the one-node attention over (..., L, hd) per-lane sequences
   under a full additive mask, with its head split and merge;
 - `full_lane_masks`, the (lanes, 1, L, L) masks of lanes that each carry
@@ -51,6 +53,65 @@ def linear_composite(x, w, b=None):
     """`tensor.linear` as the reshape / matmul / reshape / add chain it replaced."""
     out = T.reshape(matmul(T.reshape(x, (-1, x.shape[-1])), w), x.shape[:-1] + (w.shape[-1],))
     return out if b is None else T.add(out, b)
+
+
+# GELU runs its elementwise chain block by block, so that the temporaries of
+# one block stay in cache instead of streaming every pass through memory.
+GELU_BLOCK = 1 << 16
+
+
+def _blocks(size: int):
+    return (slice(i, i + GELU_BLOCK) for i in range(0, size, GELU_BLOCK))
+
+
+def gelu(a):
+    """tanh-approximation GELU 0.5 x (1 + tanh(c (x + 0.044715 x³))), c = sqrt(2/pi).
+
+    Keeps only x: tanh lives in a block-sized scratch, and the backward
+    recomputes it block by block."""
+    x = a.data.reshape(-1)
+    t = np.empty(min(GELU_BLOCK, x.size), dtype=x.dtype)
+    out_data = np.empty_like(x)
+    for s in _blocks(x.size):
+        xs, outs = x[s], out_data[s]
+        ts = t[:xs.size]
+        T._gelu_tanh(xs, ts)
+        np.add(ts, 1.0, out=outs)
+        outs *= xs
+        outs *= 0.5
+
+    def bwd(g):
+        # g is this rule's own array, so it becomes the gradient in place:
+        # g *= 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 * 0.044715 x²)
+        x = a.data.reshape(-1)
+        g = g.reshape(-1)
+        t = np.empty(min(GELU_BLOCK, x.size), dtype=x.dtype)
+        d = np.empty_like(t)
+        u = np.empty_like(t)
+        for s in _blocks(x.size):
+            xs = x[s]
+            ts, ds, us = t[:xs.size], d[:xs.size], u[:xs.size]
+            T._gelu_tanh(xs, ts)
+            np.multiply(xs, xs, out=ds)
+            ds *= 0.134145
+            ds += 1.0
+            ds *= T._GELU_C
+            ds *= xs
+            np.multiply(ts, ts, out=us)
+            np.subtract(1.0, us, out=us)
+            ds *= us
+            ds += ts
+            ds += 1.0
+            ds *= 0.5
+            g[s] *= ds
+        a._accumulate(g.reshape(a.shape))
+
+    return T._make(out_data.reshape(a.shape), (a,), bwd)
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    """`tensor.mlp` as the linear / gelu / linear chain it replaced."""
+    return T.linear(gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def attention(q, k, v, additive_mask=None):
@@ -131,8 +192,7 @@ def _block(params, i: int, x, mask: np.ndarray, heads: int):
     att = merge_heads(attention(q, k, v, mask))
     x = T.add(x, T.linear(att, params[f"blocks.{i}.attn.wo"], params[f"blocks.{i}.attn.wo_b"]))
     pre2 = T.layer_norm(x, params[f"blocks.{i}.ln2.g"], params[f"blocks.{i}.ln2.b"])
-    ffn = T.linear(T.gelu(T.linear(pre2, params[f"blocks.{i}.ffn.w1"], params[f"blocks.{i}.ffn.b1"])),
-                   params[f"blocks.{i}.ffn.w2"], params[f"blocks.{i}.ffn.b2"])
+    ffn = mlp_chain(pre2, *(params[f"blocks.{i}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")))
     return T.add(x, ffn)
 
 

@@ -202,7 +202,8 @@ class TestSweeps:
         assert not (root / "data").exists()
         assert not (root / "runs" / "sweep").exists()
 
-    @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0", ","])
+    # a repeated ratio would evaluate one config twice
+    @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0", ",", "1.1,1.1", "1.1,1.10"])
     def test_bad_ratio_is_2_before_any_run(self, root, ratios):
         # the checkpoint is never opened: a missing one would exit 3
         assert main(["dyninfer-sweep", "--checkpoint", "nope.bin",

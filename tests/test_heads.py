@@ -391,6 +391,15 @@ class TestPolicyInterface:
         assert per_h.shape == (3, 3, 6, 2)
         assert alpha.shape == (3, 6, 3)
 
+    def test_default_flow_loss_tape_has_189_nodes(self):
+        # leaves included; each MLP (4 FFNs and the encoder) is one node, so a
+        # split of a fused node shows here. The count does not depend on B.
+        cfg = ModelConfig(head="flow")
+        policy = Policy.init(cfg, seed=0)
+        obs, task_ids, chunks, valid = make_batch(37, b=2, cfg=cfg)
+        out, _ = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
+        assert len(T.linearize(out.total)) == 189
+
     @pytest.mark.parametrize("head", hd.HEAD_TYPES)
     def test_predict_deterministic(self, head):
         policy = make_policy(head).detached()

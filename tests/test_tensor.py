@@ -1,5 +1,7 @@
 """Autodiff core: pinned example values, error paths, and gradient sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,7 +239,7 @@ def _lane_inputs(op, dtype=np.float64):
         fused, composite = T.layer_norm, layer_norm_composite
     else:
         inputs = [2.0 * rng.standard_normal((b, lanes, length, 32))]
-        fused, composite = T.gelu, gelu_composite
+        fused, composite = oracles.gelu, gelu_composite
     return fused, composite, [T.param(a.astype(dtype)) for a in inputs]
 
 
@@ -258,12 +260,13 @@ class TestFusedOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_blocks_cover_a_ragged_tail(self, dtype):
         # more than two blocks, the last one partial
-        x = make_rng(13, "gelu-blocks").standard_normal((5, T._BLOCK // 2 + 7)) * 3.0
+        x = make_rng(13, "gelu-blocks").standard_normal((5, oracles.GELU_BLOCK // 2 + 7)) * 3.0
         params = [T.param(x.astype(dtype))]
         if dtype == np.float64:
-            _fused_vs_composite(T.gelu, gelu_composite, params, 13)
+            _fused_vs_composite(oracles.gelu, gelu_composite, params, 13)
         else:
-            np.testing.assert_array_equal(T.gelu(*params).data, gelu_composite(*params).data)
+            np.testing.assert_array_equal(oracles.gelu(*params).data,
+                                          gelu_composite(*params).data)
 
     @pytest.mark.parametrize("op", ["layer_norm", "gelu"])
     def test_backward_keeps_no_copy_of_its_input(self, op):
@@ -309,6 +312,99 @@ class TestFusedOps:
     def test_one_tape_node(self, op):
         fused, _, params = _lane_inputs(op)
         assert len(T.linearize(fused(*params))) == len(params) + 1
+
+
+def _mlp_inputs(shape, hidden, dtype=np.float64, seed=0):
+    """[x, w1, b1, w2, b2] of an MLP from shape[-1] through `hidden` back to
+    shape[-1], with weights at a scale that keeps the GELU in its curve."""
+    rng = make_rng(seed, "mlp", shape, hidden)
+    d = shape[-1]
+    arrays = [2.0 * rng.standard_normal(shape), rng.standard_normal((d, hidden)) / np.sqrt(d),
+              rng.standard_normal(hidden), rng.standard_normal((hidden, d)) / np.sqrt(hidden),
+              rng.standard_normal(d)]
+    return [T.param(a.astype(dtype)) for a in arrays]
+
+
+def _mlp_shapes():
+    """(x shape, hidden): lane shapes, and rows that walk three row blocks of
+    T._BLOCK hidden elements, the last one partial."""
+    shape, _ = _lane_shapes()
+    b, lanes, _, length, _ = shape
+    return [((b, lanes, length, 16), 32), ((2 * T._BLOCK // 256 + 101, 16), 256)]
+
+
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,hidden", _mlp_shapes())
+    def test_forward_bit_identical_to_chain(self, shape, hidden, dtype):
+        params = _mlp_inputs(shape, hidden, dtype)
+        np.testing.assert_array_equal(T.mlp(*params).data, oracles.mlp_chain(*params).data)
+
+    @pytest.mark.parametrize("shape,hidden", _mlp_shapes())
+    def test_gradients_equal_chain(self, shape, hidden):
+        # the weight and bias gradients sum block by block, so they agree
+        # with the chain's one GEMM to rounding, relative to their scale
+        params = _mlp_inputs(shape, hidden)
+        w = make_rng(1, "mlp-projection").standard_normal(shape)
+        grads = []
+        for op in (T.mlp, oracles.mlp_chain):
+            T.zero_grads(params)
+            T.backward(T.tsum(T.mul(op(*params), w)))
+            grads.append([p.grad for p in params])
+        for gf, gc in zip(*grads):
+            np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12 * np.abs(gc).max())
+
+    def test_input_gradient_bit_identical_to_chain(self):
+        # dx takes one GEMM per block, as the chain's per row; only the
+        # weight and bias gradients sum in another order
+        params = _mlp_inputs(*_mlp_shapes()[1], np.float32)
+        g = make_rng(2, "mlp-g").standard_normal(params[0].shape).astype(np.float32)
+        grads = []
+        for op in (T.mlp, oracles.mlp_chain):
+            T.zero_grads(params)
+            T.backward(T.tsum(T.mul(op(*params), g)))
+            grads.append((params[0].grad, params[4].grad))
+        for gf, gc in zip(*grads):
+            np.testing.assert_array_equal(gf, gc)
+
+    def test_backward_keeps_no_hidden_array(self):
+        # only x and views of it: an array of rows x d_ff would be the hidden
+        # activation the node exists to drop
+        shape, hidden = _mlp_shapes()[1]
+        params = _mlp_inputs(shape, hidden, np.float32)
+        rows = math.prod(shape[:-1])
+        held = [cell.cell_contents for cell in T.mlp(*params)._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        arrays += [t.data for t in held if isinstance(t, T.Tensor)]
+        assert arrays and all(a.size < rows * hidden for a in arrays)
+
+    def test_one_tape_node(self):
+        params = _mlp_inputs(*_mlp_shapes()[0])
+        assert len(T.linearize(T.mlp(*params))) == 6
+
+    def test_constant_input_gets_no_gradient(self):
+        # the encoder feeds observations as a constant
+        params = _mlp_inputs(*_mlp_shapes()[0])
+        x = T.constant(params[0].data)
+        T.backward(T.tsum(T.mlp(x, *params[1:])))
+        assert x.grad is None and all(p.grad is not None for p in params[1:])
+
+    @pytest.mark.parametrize("case", ["inner", "hidden", "bias"])
+    def test_shape_mismatch_rejected(self, case):
+        x, w1, b1, w2, b2 = _mlp_inputs((2, 3, 4), 5)
+        if case == "inner":
+            x = T.constant(np.zeros((2, 3, 5)))
+        elif case == "hidden":
+            w2 = T.constant(np.zeros((6, 4)))
+        else:
+            b1 = T.constant(np.zeros((1, 5)))
+        with pytest.raises(ShapeMismatchError):
+            T.mlp(x, w1, b1, w2, b2)
+
+    def test_mixed_width_rejected(self):
+        x, w1, b1, w2, b2 = _mlp_inputs((2, 3, 4), 5)
+        with pytest.raises(ShapeMismatchError, match="mixed float widths"):
+            T.mlp(x, w1, b1, T.constant(w2.data.astype(np.float32)), b2)
 
 
 class TestLinear:
@@ -520,7 +616,7 @@ class TestGraphMechanics:
 
     def test_train_width_preserved(self):
         x = T.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = T.gelu(T.linear(x, x))
+        out = oracles.gelu(T.linear(x, x))
         assert out.data.dtype == np.float32
         T.backward(T.tsum(out))
         assert x.grad.dtype == np.float32
