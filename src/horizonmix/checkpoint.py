@@ -19,6 +19,10 @@ classification head, ``grid.lo`` and ``grid.hi``. Its meta keys are
 ``train`` (the ``TrainConfig`` with its model), ``iteration`` and
 ``rng_state`` (None or the training generators' states). ``load_policy``
 checks the stored arrays against that same list for the stored config.
+
+A dataset's ``data.bin`` is the same container: ``envbench.dataset`` writes
+its arrays and its manifest as meta, and its ``provenance`` builds the
+manifest entries that decide whether a stored dataset is stale.
 """
 
 import json

@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +18,10 @@ import numpy as np
 from .checkpoint import load_policy, save_policy
 from .config import TrainConfig, load_config
 from .consensus import ConsensusConfig
-from .envbench.dataset import generate_dataset, load_dataset, save_dataset
-from .envbench.env import EnvConstants, make_suite
+from .envbench.dataset import generate_dataset, load_dataset, provenance, save_dataset
+from .envbench.env import make_suite
 from .envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                 evaluate, run_episode, write_success_csv)
-from .envbench.expert import ExpertGains
 from .errors import ConfigError
 from .rng import make_rng
 from .training import prepare_policy, train
@@ -47,18 +46,14 @@ def _load_or_generate_dataset(args, cfg: TrainConfig):
     A dataset generated with other settings, or by a version with other env
     or expert constants, is refused rather than trained on silently."""
     data_dir = _resolve(args.data)
-    if not (data_dir / "data.npz").exists():
+    try:
+        dataset = load_dataset(data_dir)
+    except FileNotFoundError:
         print(f"dataset not found; generating at {data_dir}")
-        suite = make_suite(seed=args.suite_seed)
-        dataset = generate_dataset(suite, args.episodes_per_task,
+        dataset = generate_dataset(make_suite(seed=args.suite_seed), args.episodes_per_task,
                                    cfg.max_horizon, seed=args.suite_seed)
         save_dataset(dataset, data_dir)
-    dataset = load_dataset(data_dir)
-    expected = {"seed": args.suite_seed,
-                "episodes_per_task": args.episodes_per_task,
-                "max_horizon": cfg.max_horizon,
-                "env_constants": asdict(EnvConstants()),
-                "expert_gains": asdict(ExpertGains())}
+    expected = provenance(args.suite_seed, args.episodes_per_task, cfg.max_horizon)
     for key, value in expected.items():
         found = dataset.manifest.get(key)
         if found != value:
@@ -90,8 +85,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _executor_from_args(args):
-    """The executor the flags ask for; a ``--trace`` file starts empty."""
+def _load_policy(args, consensus: bool):
+    """The detached policy under ``--checkpoint``. With ``consensus``,
+    ``--min-steps`` must fit its chunk; this is checked before any episode."""
+    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
+    h_max = policy.horizons.max_horizon
+    if consensus and args.min_steps > h_max:
+        raise ConfigError(f"--min-steps {args.min_steps} exceeds the checkpoint's "
+                          f"horizon {h_max}")
+    return policy.detached()
+
+
+def _policy_and_executor(args):
+    """The checkpoint's policy and the executor the flags ask for. The flags are
+    checked before the checkpoint opens, and both before ``--trace`` is emptied."""
     trace_path = args.trace and str(_resolve(args.trace))
     if args.executor == "fixed":
         if trace_path:
@@ -101,17 +108,16 @@ def _executor_from_args(args):
         config = ConsensusConfig(ratio=args.ratio, min_steps=args.min_steps,
                                  min_active=args.min_active)
         executor = ConsensusExecutor(config, trace_path=trace_path)
+    policy = _load_policy(args, consensus=executor.needs_per_horizon)
     if trace_path:
         Path(trace_path).write_text("")  # never holds a line of an earlier run
-    return executor
+    return policy, executor
 
 
 def cmd_eval(args) -> int:
-    executor = _executor_from_args(args)
-    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
+    policy, executor = _policy_and_executor(args)
     suite = make_suite(seed=args.suite_seed)
-    rows = evaluate(policy.detached(), suite, args.trials, executor,
-                    seed=args.seed)
+    rows = evaluate(policy, suite, args.trials, executor, seed=args.seed)
     for row in rows:
         print(f"{row['family']:>16}  {row['executor']:>14}  "
               f"success {row['success_rate']:.3f}  "
@@ -124,14 +130,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    executor = _executor_from_args(args)
-    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
+    policy, executor = _policy_and_executor(args)
     suite = make_suite(seed=args.suite_seed)
     by_id = {t.task_id: t for t in suite}
     if args.task_id not in by_id:
         raise ConfigError(f"task id {args.task_id} not in the suite")
-    rec = run_episode(policy.detached(), by_id[args.task_id], args.seed,
-                      args.trial, executor)
+    rec = run_episode(policy, by_id[args.task_id], args.seed, args.trial, executor)
     summary = {
         "task_id": rec.task_id,
         "family": rec.family,
@@ -199,10 +203,9 @@ def cmd_sweep_horizons(args) -> int:
 
 
 def cmd_gate_stats(args) -> int:
-    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
+    policy = _load_policy(args, consensus=False)
     if len(policy.horizons) < 2:
         raise ConfigError("gate stats need a multi-horizon checkpoint")
-    policy = policy.detached()
     suite = make_suite(seed=args.suite_seed)
     dataset = generate_dataset(suite, args.episodes, policy.cfg.max_horizon,
                                seed=args.seed)
@@ -231,8 +234,7 @@ def cmd_dyninfer_sweep(args) -> int:
         raise ConfigError(f"--ratios {args.ratios!r} repeats a ratio")
     configs = [ConsensusConfig(ratio=ratio, min_steps=args.min_steps,
                                min_active=args.min_active) for ratio in ratios]
-    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
-    policy = policy.detached()
+    policy = _load_policy(args, consensus=True)
     suite = make_suite(seed=args.suite_seed)
     table = []
     for consensus in configs:

@@ -49,11 +49,11 @@ def encode(params: dict[str, T.Tensor], cfg: ModelConfig, obs: np.ndarray,
             f"dim {params['encoder.w1'].shape[0]}"
         )
     task_ids = np.asarray(task_ids, dtype=np.int64)
-    if task_ids.max(initial=0) >= params["encoder.task"].shape[0]:
+    n_tasks = params["encoder.task"].shape[0]
+    lo, hi = task_ids.min(initial=0), task_ids.max(initial=0)
+    if lo < 0 or hi >= n_tasks:
         raise ConfigError(
-            f"task id {task_ids.max()} outside embedding table of size "
-            f"{params['encoder.task'].shape[0]}"
-        )
+            f"task id {lo if lo < 0 else hi} outside embedding table of size {n_tasks}")
     x = T.constant(obs.astype(params["encoder.w1"].dtype))
     tokens = T.reshape(T.mlp(x, *(params[f"encoder.{n}"] for n in ("w1", "b1", "w2", "b2"))),
                        (obs.shape[0], cfg.context_tokens, cfg.d_model))

@@ -4,19 +4,23 @@ Every episode of length L yields L windows, one per start step.  Windows that
 run past the episode end repeat the last action (padded targets stay
 dynamically plausible: the expert has converged by then) and mark those rows
 invalid so losses skip them.
+
+A dataset directory holds one checkpoint container, ``data.bin``: the ``ARRAYS``
+with the manifest as meta.  ``provenance`` builds the entries that decide staleness.
 """
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from ..checkpoint import load_arrays, save_arrays
+from ..errors import CheckpointFormatError
 from .env import EnvConstants, TaskSpec
 from .expert import ExpertGains, run_expert_episode
 
-DATA_FILE = "data.npz"
-MANIFEST_FILE = "manifest.json"
+DATA_FILE = "data.bin"
+ARRAYS = ("observations", "task_ids", "chunks", "valid")
 
 
 @dataclass
@@ -45,6 +49,12 @@ def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
         chunks[t, n:] = actions[t + n - 1]
         valid[t, :n] = 1.0
     return chunks, valid
+
+
+def provenance(seed: int, episodes_per_task: int, max_horizon: int) -> dict:
+    """The manifest entries that decide whether a stored dataset is stale."""
+    return {"seed": seed, "episodes_per_task": episodes_per_task, "max_horizon": max_horizon,
+            "env_constants": asdict(EnvConstants()), "expert_gains": asdict(ExpertGains())}
 
 
 def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
@@ -76,16 +86,12 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
         raise ValueError("no successful expert episodes; check task budgets")
     families = sorted({t.family for t in tasks})
     manifest = {
-        "seed": seed,
-        "episodes_per_task": episodes_per_task,
-        "max_horizon": max_horizon,
+        **provenance(seed, episodes_per_task, max_horizon),
         "n_tasks": len(tasks),
         "n_episodes": n_episodes,
         "skipped_episodes": skipped,
         "n_windows": int(sum(len(o) for o in all_obs)),
         "families": families,
-        "env_constants": asdict(EnvConstants()),
-        "expert_gains": asdict(ExpertGains()),
     }
     return Dataset(observations=np.concatenate(all_obs),
                    task_ids=np.concatenate(all_ids),
@@ -95,26 +101,26 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``data.npz`` plus ``manifest.json`` under directory ``path``."""
+    """Write ``data.bin`` under directory ``path``."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    np.savez(root / DATA_FILE,
-             observations=dataset.observations,
-             task_ids=dataset.task_ids,
-             chunks=dataset.chunks,
-             valid=dataset.valid)
-    with open(root / MANIFEST_FILE, "w") as fh:
-        json.dump(dataset.manifest, fh, indent=2, sort_keys=True)
+    save_arrays(root / DATA_FILE, {name: getattr(dataset, name) for name in ARRAYS},
+                dataset.manifest)
 
 
 def load_dataset(path) -> Dataset:
-    root = Path(path)
-    with np.load(root / DATA_FILE) as arrays:
-        data = {name: arrays[name] for name in arrays.files}
-    with open(root / MANIFEST_FILE) as fh:
-        manifest = json.load(fh)
-    return Dataset(observations=data["observations"],
-                   task_ids=data["task_ids"],
-                   chunks=data["chunks"],
-                   valid=data["valid"],
-                   manifest=manifest)
+    """The dataset under directory ``path``; FileNotFoundError if it has none.
+
+    CheckpointFormatError unless ``data.bin`` holds exactly the ``ARRAYS``,
+    one row per window, with ``chunks`` (M, H, d_a), ``valid`` (M, H),
+    integer ``task_ids`` and a dict as its manifest."""
+    file = Path(path) / DATA_FILE
+    arrays, manifest = load_arrays(file)
+    obs, ids, chunks, valid = (arrays.get(name, np.empty(0)) for name in ARRAYS)
+    if (set(arrays) != set(ARRAYS) or not isinstance(manifest, dict) or obs.ndim != 2
+            or chunks.ndim != 3 or len(chunks) != len(obs) or ids.shape != (len(obs),)
+            or valid.shape != chunks.shape[:2] or ids.dtype.kind not in "iu"):
+        shapes = {name: (a.dtype.str, a.shape) for name, a in arrays.items()}
+        raise CheckpointFormatError(f"{file}: not a dataset (arrays {shapes}, "
+                                    f"manifest a {type(manifest).__name__})")
+    return Dataset(**arrays, manifest=manifest)

@@ -90,9 +90,9 @@ def prepare_policy(cfg: TrainConfig, dataset) -> Policy:
             f"model horizon {model.max_horizon}")
     if dataset.chunks.shape[2] != model.d_a:
         raise ConfigError("dataset action dim does not match the model")
-    max_id = int(dataset.task_ids.max())
-    if max_id >= model.n_tasks:
-        raise ConfigError(f"task id {max_id} out of range "
+    lo, hi = int(dataset.task_ids.min()), int(dataset.task_ids.max())
+    if lo < 0 or hi >= model.n_tasks:
+        raise ConfigError(f"task id {lo if lo < 0 else hi} out of range "
                           f"({model.n_tasks} tasks configured)")
     real = dataset.valid.astype(bool)
     norm = Normalization.from_data(dataset.observations.astype(np.float64),

@@ -4,10 +4,14 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
-from horizonmix.checkpoint import load_policy
+from horizonmix import cli
+from horizonmix.checkpoint import load_arrays, load_policy, save_arrays
 from horizonmix.cli import main
+from horizonmix.envbench.dataset import generate_dataset, load_dataset
+from horizonmix.envbench.env import make_suite
 
 CFG = """
 model.layers = 1
@@ -93,31 +97,95 @@ class TestTrainEval:
         assert ckpt.exists()
         metrics = (root / "runs" / "train" / "metrics.jsonl").read_text()
         assert len(metrics.splitlines()) == 4
-        assert (root / "data" / "default" / "data.npz").exists()
-        assert (root / "data" / "default" / "manifest.json").exists()
+        assert [p.name for p in (root / "data" / "default").iterdir()] == ["data.bin"]
         _, cfg, meta = load_policy(ckpt)
         assert cfg.iterations == 4 and meta["iteration"] == 4
 
     def test_train_reuses_dataset(self, root):
         run_train(root)
-        manifest_path = root / "data" / "default" / "manifest.json"
-        stamp = manifest_path.stat().st_mtime_ns
+        data_path = root / "data" / "default" / "data.bin"
+        stamp = data_path.stat().st_mtime_ns
         run_train(root)  # second run must load, not regenerate
-        assert manifest_path.stat().st_mtime_ns == stamp
+        assert data_path.stat().st_mtime_ns == stamp
 
     def test_stale_dataset_rejected(self, root, capsys):
         run_train(root)
-        manifest_path = root / "data" / "default" / "manifest.json"
-        fresh = json.loads(manifest_path.read_text())
+        data_path = root / "data" / "default" / "data.bin"
+        arrays, fresh = load_arrays(data_path)
         stale = [("seed", 5), ("episodes_per_task", 3), ("max_horizon", 12),
                  ("env_constants", {**fresh["env_constants"], "detour_bulge": 0.13}),
                  ("expert_gains", {**fresh["expert_gains"], "bulge": 0.15})]
         for key, value in stale:
-            manifest_path.write_text(json.dumps({**fresh, key: value}))
+            save_arrays(data_path, arrays, {**fresh, key: value})
             capsys.readouterr()
             assert main(["train", "--config", "run.cfg", "--out", "runs/stale",
                          "--episodes-per-task", "2"]) == 2
             assert key in capsys.readouterr().err
+
+    def test_old_format_directory_regenerates(self, root):
+        # a directory written before datasets moved into data.bin
+        old = root / "data" / "default"
+        old.mkdir(parents=True)
+        ds = generate_dataset(make_suite(seed=0), 2, 6, seed=0)
+        np.savez(old / "data.npz", observations=ds.observations, task_ids=ds.task_ids,
+                 chunks=ds.chunks, valid=ds.valid)
+        (old / "manifest.json").write_text(json.dumps(ds.manifest))
+        run_train(root)
+        assert sorted(p.name for p in old.iterdir()) == ["data.bin", "data.npz",
+                                                         "manifest.json"]
+        back = load_dataset(old)
+        with np.load(old / "data.npz") as npz:
+            for name in npz.files:
+                np.testing.assert_array_equal(getattr(back, name), npz[name])
+                assert getattr(back, name).dtype == npz[name].dtype
+        assert back.manifest == json.loads((old / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: {k: v for k, v in a.items() if k != "valid"},
+        lambda a: {**a, "chunks": a["chunks"][:10]},
+        lambda a: {**a, "valid": a["valid"][:, :3]},
+    ], ids=["missing-valid", "chunks-rows", "valid-columns"])
+    def test_malformed_dataset_is_3_before_training(self, root, capsys, edit):
+        run_train(root)
+        data_path = root / "data" / "default" / "data.bin"
+        arrays, manifest = load_arrays(data_path)
+        save_arrays(data_path, edit(arrays), manifest)
+        capsys.readouterr()
+        assert main(["train", "--config", "run.cfg", "--out", "runs/bad",
+                     "--episodes-per-task", "2"]) == 3
+        assert f"error: {data_path}: not a dataset" in capsys.readouterr().err
+        assert not (root / "runs" / "bad" / "metrics.jsonl").exists()
+
+    def test_negative_task_ids_are_2_before_training(self, root, capsys):
+        # numpy would wrap them around to other tasks' embeddings
+        run_train(root)
+        data_path = root / "data" / "default" / "data.bin"
+        arrays, manifest = load_arrays(data_path)
+        save_arrays(data_path, {**arrays, "task_ids": arrays["task_ids"] - 5}, manifest)
+        capsys.readouterr()
+        assert main(["train", "--config", "run.cfg", "--out", "runs/neg",
+                     "--episodes-per-task", "2"]) == 2
+        assert "task id -5 out of range" in capsys.readouterr().err
+        assert not (root / "runs" / "neg" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ["--executor", "consensus", "--trace", "t.jsonl"]),
+        ("rollout", ["--executor", "consensus", "--trace", "t.jsonl"]),
+        ("dyninfer-sweep", ["--out", "dyn.csv"])])
+    def test_min_steps_above_horizon_is_2_before_any_episode(self, root, monkeypatch,
+                                                             command, extra):
+        ckpt = run_train(root)
+        trace = root / "t.jsonl"
+        trace.write_text('{"earlier": true}\n')
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr(cli, "evaluate", no_episode)
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        assert main([command, "--checkpoint", str(ckpt), "--min-steps", "40",
+                     *extra]) == 2
+        assert trace.read_text() == '{"earlier": true}\n'
+        assert not (root / "dyn.csv").exists()
 
     def test_eval_fixed_writes_csv(self, root):
         ckpt = run_train(root)

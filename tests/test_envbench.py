@@ -12,13 +12,14 @@ from horizonmix.envbench.env import (EnvConstants, OBS_DIM, PointMassEnv,
                                      TaskSpec, make_suite)
 from horizonmix.envbench.expert import (ExpertGains, expert_action,
                                         run_expert_episode)
+from horizonmix.checkpoint import load_arrays, save_arrays
 from horizonmix.envbench.dataset import (generate_dataset, load_dataset,
                                          save_dataset, windows_from_episode)
 from horizonmix.envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                           evaluate, run_episode,
                                           write_success_csv)
 from horizonmix.consensus import ConsensusConfig
-from horizonmix.errors import ConfigError
+from horizonmix.errors import CheckpointFormatError, ConfigError
 from horizonmix.mixture import build_horizon_set, validity_grid
 from horizonmix.policy import ModelConfig, Policy
 from horizonmix.rng import make_rng
@@ -288,6 +289,25 @@ class TestExpert:
         np.testing.assert_allclose(env.vel, v_des, atol=1e-12)
 
 
+def _stored_dataset(root):
+    save_dataset(generate_dataset(SUITE[:1], episodes_per_task=2, max_horizon=6,
+                                  seed=1), root)
+    return root / "data.bin"
+
+
+# edits of a stored dataset's arrays that load_dataset must refuse
+MALFORMED = {
+    "missing-valid": lambda a: {k: v for k, v in a.items() if k != "valid"},
+    "extra-array": lambda a: {**a, "extra": np.zeros(len(a["chunks"]))},
+    "chunks-rows": lambda a: {**a, "chunks": a["chunks"][:10]},
+    "observations-rows": lambda a: {**a, "observations": a["observations"][:10]},
+    "task-ids-rows": lambda a: {**a, "task_ids": a["task_ids"][:10]},
+    "valid-columns": lambda a: {**a, "valid": a["valid"][:, :3]},
+    "chunks-2d": lambda a: {**a, "chunks": a["chunks"][:, :, 0]},
+    "float-task-ids": lambda a: {**a, "task_ids": a["task_ids"].astype(np.float64)},
+}
+
+
 class TestDataset:
 
     def test_window_count_and_padding_flags(self):
@@ -339,6 +359,28 @@ class TestDataset:
         np.testing.assert_array_equal(ds.task_ids, back.task_ids)
         assert ds.manifest == back.manifest
         assert ds.observations.dtype == np.float32
+        first = (tmp_path / "demo" / "data.bin").read_bytes()
+        save_dataset(back, tmp_path / "demo")
+        assert (tmp_path / "demo" / "data.bin").read_bytes() == first
+
+    def test_missing_dataset_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_arrays_are_typed_error(self, tmp_path, edit):
+        path = _stored_dataset(tmp_path)
+        arrays, manifest = load_arrays(path)
+        save_arrays(path, edit(arrays), manifest)
+        with pytest.raises(CheckpointFormatError, match="data.bin: not a dataset"):
+            load_dataset(tmp_path)
+
+    def test_manifest_not_a_dict_is_typed_error(self, tmp_path):
+        path = _stored_dataset(tmp_path)
+        arrays, manifest = load_arrays(path)
+        save_arrays(path, arrays, [manifest])
+        with pytest.raises(CheckpointFormatError, match="data.bin: not a dataset"):
+            load_dataset(tmp_path)
 
 
 NOISELESS = EnvConstants(obs_noise=0.0)

@@ -399,3 +399,9 @@ class TestEncoder:
         params = init_encoder_params(4, ENC_CFG)
         with pytest.raises(ConfigError):
             encode(params, ENC_CFG, np.zeros((1, 5)), np.array([3]))
+
+    def test_negative_task_rejected(self):
+        # numpy would wrap -1 around to the last task's embedding
+        params = init_encoder_params(4, ENC_CFG)
+        with pytest.raises(ConfigError, match="task id -1"):
+            encode(params, ENC_CFG, np.zeros((2, 5)), np.array([0, -1]))
