@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_policy, save_policy
+from .checkpoint import load_policy
 from .config import TrainConfig, load_config
 from .consensus import ConsensusConfig
 from .envbench.dataset import generate_dataset, load_dataset, provenance, save_dataset
@@ -66,11 +66,8 @@ def _load_or_generate_dataset(args, cfg: TrainConfig):
 def _train_once(cfg: TrainConfig, dataset, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = prepare_policy(cfg, dataset)
-    policy, metrics = train(policy, dataset, cfg,
-                            metrics_path=out_dir / "metrics.jsonl",
-                            checkpoint_dir=out_dir)
-    save_policy(out_dir / "checkpoint.bin", policy, cfg, cfg.iterations)
-    return policy, metrics
+    return train(policy, dataset, cfg, metrics_path=out_dir / "metrics.jsonl",
+                 checkpoint_dir=out_dir)
 
 
 def cmd_train(args) -> int:
@@ -213,12 +210,12 @@ def cmd_gate_stats(args) -> int:
     pick = make_rng(args.seed, "gate-stats").choice(len(dataset), size=n,
                                                     replace=False)
     total = np.zeros((policy.cfg.max_horizon, len(policy.horizons)))
+    # one generator: the noise follows the sample order, whatever --batch is
+    rng = make_rng(args.seed, "gate-stats", "noise")
     for start in range(0, n, args.batch):
         idx = pick[start:start + args.batch]
-        rng = make_rng(args.seed, "gate-stats", "noise", str(start))
         _fused, _per, alpha = policy.predict(dataset.observations[idx],
-                                             dataset.task_ids[idx], rng=rng,
-                                             need_per_horizon=False)
+                                             dataset.task_ids[idx], rng=rng)
         total += alpha.sum(axis=0)
     mean = total / n  # inactive (step, horizon) pairs have weight 0
     write_success_csv([{"step": k + 1, "horizon": h, "mean_weight": f"{mean[k, i]:.8f}"}

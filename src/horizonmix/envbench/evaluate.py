@@ -82,13 +82,12 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
     act_log = []
     executed_lengths = []
     selected = []
-    predictions = 0
     while not env.done:
+        prediction = len(selected)
         rng = make_rng(seed, "eval-noise", str(task.task_id), str(trial),
-                       str(predictions))
-        fused, per_h, alpha = policy.predict(
-            obs[None], np.array([task.task_id]), rng=rng,
-            need_per_horizon=executor.needs_per_horizon)
+                       str(prediction))
+        fused, per_h, alpha = policy.predict(obs[None], np.array([task.task_id]),
+                                             rng=rng)
         if executor.needs_per_horizon:
             trace = consensus_prefix(fused[0], per_h[0], alpha[0], horizons,
                                      executor.config)
@@ -96,19 +95,16 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
         else:
             k = min(executor.prefix, horizons.max_horizon)
         selected.append(k)
-        count = 0
-        for j in range(k):
+        for j in range(k):  # k >= 1 under both executors
             obs, done = env.step(fused[0, j])
             obs_log.append(obs)
             act_log.append(np.asarray(fused[0, j], dtype=np.float64))
-            count += 1
             if done:
                 break
-        executed_lengths.append(count)
+        executed_lengths.append(j + 1)
         if executor.needs_per_horizon and executor.trace_path is not None:
             append_trace(executor.trace_path, trace, task_id=task.task_id,
-                         trial=trial, prediction=predictions, executed=count)
-        predictions += 1
+                         trial=trial, prediction=prediction, executed=j + 1)
     return EpisodeRecord(task_id=task.task_id, family=task.family,
                          observations=np.asarray(obs_log),
                          actions=np.asarray(act_log),

@@ -193,7 +193,7 @@ def head_loss(params, cfg: ModelConfig, ctx: T.Tensor, target: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: bool = True):
+def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng):
     """Euler integration of the learned field from noise to an action chunk,
     in ``cfg.ode_steps`` steps.
 
@@ -203,7 +203,7 @@ def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: b
     per-horizon prediction is its velocity integrated along that path from
     the same noise, ``eps + sum_s dtau * v_i(x_s)``.
 
-    returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
+    returns (fused (B,H,d_a), per_horizon (B,N,H,d_a), alpha (B,H,N))
     """
     steps = cfg.ode_steps
     b = ctx.shape[0]
@@ -212,7 +212,7 @@ def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: b
     dtype = ctx.data.dtype
     eps = rng.standard_normal((b, h_max, cfg.d_a))
     fused_x = eps
-    own_x = np.repeat(eps[:, None], n, axis=1) if need_per_horizon else None
+    own_x = np.repeat(eps[:, None], n, axis=1)
     dtau = 1.0 / steps
     alpha_acc = np.zeros((b, h_max, n))
     for s in range(steps):
@@ -220,8 +220,7 @@ def flow_infer(params, cfg: ModelConfig, ctx: T.Tensor, rng, need_per_horizon: b
                                               np.full(b, s * dtau))
         alpha_acc += alpha.data
         fused_x = fused_x + dtau * fused.data.astype(np.float64)
-        if need_per_horizon:
-            own_x = own_x + dtau * out.data.astype(np.float64)
+        own_x = own_x + dtau * out.data.astype(np.float64)
     return fused_x, own_x, alpha_acc / steps
 
 

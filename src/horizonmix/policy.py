@@ -144,17 +144,15 @@ class Policy:
     def predict(self, obs, task_ids, rng=None, need_per_horizon: bool = True):
         """Env-scale fused chunk, per-horizon chunks, and gate weights.
 
+        Every head computes the per-horizon chunks; ``need_per_horizon=False`` drops them.
         returns (fused (B,H,d_a), per_horizon (B,N,H,d_a) or None, alpha (B,H,N))
         """
         ctx = self.encode_context(obs, task_ids)
         if self.cfg.head == "flow":
             if rng is None:
                 raise ConfigError("flow inference requires an rng for the noise draw")
-            fused, per_h, alpha = hd.flow_infer(self.params, self.cfg, ctx, rng,
-                                                need_per_horizon=need_per_horizon)
+            fused, per_h, alpha = hd.flow_infer(self.params, self.cfg, ctx, rng)
         else:
             fused, per_h, alpha = hd.head_infer(self.params, self.cfg, ctx, self.grid)
-        fused = self.norm.denormalize_actions(fused)
-        if per_h is not None:
-            per_h = self.norm.denormalize_actions(per_h)
-        return fused, per_h, alpha
+        per_h = self.norm.denormalize_actions(per_h) if need_per_horizon else None
+        return self.norm.denormalize_actions(fused), per_h, alpha

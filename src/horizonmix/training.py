@@ -118,16 +118,23 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
           checkpoint_dir=None, loss_fn=None):
     """Run the loop; returns (policy, metrics list).
 
-    Writes one JSON line per iteration when ``metrics_path`` is given and a
-    checkpoint every ``cfg.checkpoint_every`` iterations under
-    ``checkpoint_dir``.  A non-finite loss or gradient norm aborts with the
-    iteration index, before the weights are updated.
+    Writes one JSON line per iteration when ``metrics_path`` is given and,
+    under ``checkpoint_dir``, ``checkpoint_<iteration>.bin`` every
+    ``cfg.checkpoint_every`` iterations (0: never) and ``checkpoint.bin``
+    after the last, each with the generators' states.  A non-finite loss or
+    gradient norm aborts with the iteration index, before the weights move.
     """
     if loss_fn is None:
         loss_fn = default_loss(policy, cfg)
     rng_batch = make_rng(cfg.seed, "train", "batches")
     rng_draws = make_rng(cfg.seed, "train", "draws")
     opt = AdamW(policy.params, cfg)
+
+    def save(name, iteration):
+        save_policy(Path(checkpoint_dir) / name, policy, cfg, iteration,
+                    {"batches": rng_batch.bit_generator.state,
+                     "draws": rng_draws.bit_generator.state})
+
     metrics = []
     out = open(metrics_path, "w") if metrics_path is not None else None
     try:
@@ -158,10 +165,9 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
             if (checkpoint_dir is not None and cfg.checkpoint_every > 0
                     and (it + 1) % cfg.checkpoint_every == 0
                     and (it + 1) < cfg.iterations):
-                stem = Path(checkpoint_dir) / f"checkpoint_{it + 1:06d}.bin"
-                save_policy(stem, policy, cfg, it + 1,
-                            {"batches": rng_batch.bit_generator.state,
-                             "draws": rng_draws.bit_generator.state})
+                save(f"checkpoint_{it + 1:06d}.bin", it + 1)
+        if checkpoint_dir is not None:
+            save("checkpoint.bin", cfg.iterations)
     finally:
         if out is not None:
             out.close()

@@ -301,6 +301,15 @@ class TestSweeps:
         for weights in by_step.values():
             assert sum(weights) == pytest.approx(1.0, abs=1e-4)
 
+    def test_gate_stats_table_does_not_depend_on_batch(self, root):
+        ckpt = run_train(root)
+        tables = []
+        for batch in ("3", "8", "32"):
+            assert main(["gate-stats", "--checkpoint", str(ckpt), "--samples", "32",
+                         "--episodes", "1", "--batch", batch, "--out", "gate.csv"]) == 0
+            tables.append((root / "gate.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_dyninfer_sweep_csv(self, root):
         ckpt = run_train(root)
         assert main(["dyninfer-sweep", "--checkpoint", str(ckpt),

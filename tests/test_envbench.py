@@ -45,7 +45,7 @@ class ExpertOracle:
         self.cfg = SimpleNamespace(obs_dim=OBS_DIM, d_a=2,
                                    n_tasks=max(self.tasks) + 1)
 
-    def predict(self, obs, task_ids, rng=None, need_per_horizon=False):
+    def predict(self, obs, task_ids, rng=None, need_per_horizon=True):
         c = self.constants
         batch = obs.shape[0]
         h_max = self.horizons.max_horizon

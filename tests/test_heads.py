@@ -181,12 +181,6 @@ class TestFlowInfer:
         for i, h in enumerate(horizons):
             np.testing.assert_allclose(per_h[:, i, :h], own[i][:, :h], atol=1e-12, rtol=0)
 
-        alone, none, alpha_alone = hd.flow_infer(params, cfg, ctx, make_rng(21, "n"),
-                                                 need_per_horizon=False)
-        assert none is None
-        np.testing.assert_array_equal(alone, fused)
-        np.testing.assert_array_equal(alpha_alone, alpha)
-
     def test_every_euler_step_forwards_the_b_context_rows(self, monkeypatch):
         policy = make_policy("flow")
         obs, task_ids, _, _ = make_batch(22, b=3)
@@ -390,6 +384,18 @@ class TestPolicyInterface:
         assert fused.shape == (3, 6, 2)
         assert per_h.shape == (3, 3, 6, 2)
         assert alpha.shape == (3, 6, 3)
+
+    @pytest.mark.parametrize("head", hd.HEAD_TYPES)
+    def test_per_horizon_flag_only_drops_the_streams(self, head):
+        policy = make_policy(head).detached()
+        obs, task_ids, _, _ = make_batch(39, b=2)
+        fused, per_h, alpha = policy.predict(obs, task_ids, rng=make_rng(40, "n"))
+        alone, none, alpha_alone = policy.predict(obs, task_ids, rng=make_rng(40, "n"),
+                                                  need_per_horizon=False)
+        assert per_h.shape == (2, 3, 6, 2)
+        assert none is None
+        np.testing.assert_array_equal(alone, fused)
+        np.testing.assert_array_equal(alpha_alone, alpha)
 
     def test_default_flow_loss_tape_has_189_nodes(self):
         # leaves included; each MLP (4 FFNs and the encoder) is one node, so a

@@ -445,6 +445,23 @@ class TestTrainLoop:
         assert meta["iteration"] == 2
         assert meta["rng_state"]["batches"]["bit_generator"] == "Philox"
 
+    def test_last_iteration_written_with_generator_states(self, dataset, tmp_path):
+        cfg = small_cfg(iterations=3, checkpoint_every=0)
+        policy = prepare_policy(cfg, dataset)
+        train(policy, dataset, cfg, checkpoint_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+        loaded, _, meta = load_policy(tmp_path / "checkpoint.bin")
+        assert meta["iteration"] == 3
+        for name, p in policy.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+        batches = make_rng(cfg.seed, "train", "batches")
+        for _ in range(cfg.iterations):
+            batches.integers(0, len(dataset), size=cfg.batch_size)
+        stored = np.random.Generator(np.random.Philox())
+        stored.bit_generator.state = meta["rng_state"]["batches"]
+        assert stored.random() == batches.random()
+        assert set(meta["rng_state"]) == {"batches", "draws"}
+
     def test_loss_decreases_below_zero_predictor(self, dataset):
         # Zero-velocity-field baseline: E||u||^2 with u = A - eps estimated
         # by Monte Carlo under the same normalization.
