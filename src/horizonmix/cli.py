@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: train, eval, rollout, sweep-horizons, gate-stats, dyninfer-sweep.
+Commands: train, eval, rollout, sweep-horizons, gate-stats.
 Relative data/output paths resolve under ``$HORIZONMIX_ROOT`` (default: the
 current directory).  Exit codes: 0 success, 2 configuration/usage error,
 3 runtime failure.
@@ -17,11 +17,10 @@ import numpy as np
 
 from .checkpoint import load_policy
 from .config import TrainConfig, load_config
-from .consensus import ConsensusConfig
 from .envbench.dataset import generate_dataset, load_dataset, provenance, save_dataset
 from .envbench.env import make_suite
-from .envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
-                                evaluate, run_episode, write_success_csv)
+from .envbench.evaluate import (evaluate, executor_from_name, run_episode,
+                                write_success_csv)
 from .errors import ConfigError
 from .rng import make_rng
 from .training import prepare_policy, train
@@ -82,44 +81,62 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_policy(args, consensus: bool):
-    """The detached policy under ``--checkpoint``. With ``consensus``,
-    ``--min-steps`` must fit its chunk; this is checked before any episode."""
+def _load_policy(args):
+    """The detached policy under ``--checkpoint``."""
     policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
-    h_max = policy.horizons.max_horizon
-    if consensus and args.min_steps > h_max:
-        raise ConfigError(f"--min-steps {args.min_steps} exceeds the checkpoint's "
-                          f"horizon {h_max}")
     return policy.detached()
 
 
-def _policy_and_executor(args):
-    """The checkpoint's policy and the executor the flags ask for. The flags are
-    checked before the checkpoint opens, and both before ``--trace`` is emptied."""
+def _executors(args) -> list:
+    """The executors ``--executors`` names, in its order, the consensus ones
+    with ``--min-steps`` and ``--min-active``."""
+    executors = [executor_from_name(name, args.min_steps, args.min_active)
+                 for name in args.executors.split(",")]
+    if len(set(executors)) < len(executors):
+        raise ConfigError(f"--executors {args.executors!r} names an executor twice")
+    return executors
+
+
+def _check_min_steps(args, executors, horizon: int) -> None:
+    """A consensus executor's ``--min-steps`` must fit the chunk of ``horizon``."""
+    if any(e.needs_per_horizon for e in executors) and args.min_steps > horizon:
+        raise ConfigError(f"--min-steps {args.min_steps} exceeds the horizon {horizon}")
+
+
+def _policy_and_executors(args, executors):
+    """The checkpoint's policy, and ``executors`` with ``--trace`` given to the
+    consensus one. The flags are checked before the checkpoint opens, and all
+    before ``--trace`` is emptied."""
     trace_path = args.trace and str(_resolve(args.trace))
-    if args.executor == "fixed":
-        if trace_path:
-            raise ConfigError("--trace needs --executor consensus; fixed prefixes write no trace")
-        executor = FixedPrefixExecutor(args.prefix)
-    else:
-        config = ConsensusConfig(ratio=args.ratio, min_steps=args.min_steps,
-                                 min_active=args.min_active)
-        executor = ConsensusExecutor(config, trace_path=trace_path)
-    policy = _load_policy(args, consensus=executor.needs_per_horizon)
+    if trace_path and sum(e.needs_per_horizon for e in executors) != 1:
+        raise ConfigError("--trace needs exactly one consensus executor; "
+                          "fixed prefixes write no trace")
+    policy = _load_policy(args)
+    _check_min_steps(args, executors, policy.horizons.max_horizon)
     if trace_path:
         Path(trace_path).write_text("")  # never holds a line of an earlier run
-    return policy, executor
+        executors = [replace(e, trace_path=trace_path) if e.needs_per_horizon else e
+                     for e in executors]
+    return policy, executors
+
+
+def _evaluate_each(policy, executors, args, label: str = "") -> list[dict]:
+    """``evaluate``'s rows for each executor in turn, printed as they come."""
+    suite = make_suite(seed=args.suite_seed)
+    rows = []
+    for executor in executors:
+        for row in evaluate(policy, suite, args.trials, executor, seed=args.seed):
+            print(f"{label}{row['family']:>16}  {row['executor']:>14}  "
+                  f"success {row['success_rate']:.3f}  "
+                  f"steps {row['mean_steps']:.1f}  "
+                  f"prefix {row['mean_prefix']:.2f}")
+            rows.append(row)
+    return rows
 
 
 def cmd_eval(args) -> int:
-    policy, executor = _policy_and_executor(args)
-    suite = make_suite(seed=args.suite_seed)
-    rows = evaluate(policy, suite, args.trials, executor, seed=args.seed)
-    for row in rows:
-        print(f"{row['family']:>16}  {row['executor']:>14}  "
-              f"success {row['success_rate']:.3f}  "
-              f"steps {row['mean_steps']:.1f}  "
-              f"prefix {row['mean_prefix']:.2f}")
+    policy, executors = _policy_and_executors(args, _executors(args))
+    rows = _evaluate_each(policy, executors, args)
     if args.out:
         write_success_csv(rows, _resolve(args.out))
         print(f"wrote {_resolve(args.out)}")
@@ -127,7 +144,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    policy, executor = _policy_and_executor(args)
+    executors = _executors(args)
+    if len(executors) != 1:
+        raise ConfigError(f"rollout runs one executor, --executors names {len(executors)}")
+    policy, (executor,) = _policy_and_executors(args, executors)
     suite = make_suite(seed=args.suite_seed)
     by_id = {t.task_id: t for t in suite}
     if args.task_id not in by_id:
@@ -152,55 +172,40 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _family_success(rows) -> dict:
-    """Success rate of each family and their mean, the mixed success."""
-    rate = {r["family"]: r["success_rate"] for r in rows}
-    precision, chain = rate["precision-reach"], rate["waypoint-chain"]
-    return {"precision_success": precision, "chain_success": chain,
-            "mixed_avg": 0.5 * (precision + chain)}
-
-
-def _number_list(flag: str, text: str, kind: type) -> list:
-    try:
-        values = [kind(s) for s in text.split(",") if s]
-    except ValueError:
-        values = []
-    if not values:
-        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}")
-    return values
-
-
 def cmd_sweep_horizons(args) -> int:
     cfg = load_config(args.config and _resolve(args.config), args.set or ())
-    strides = _number_list("--strides", args.strides, int)
-    if len(set(strides)) < len(strides) or cfg.max_horizon in strides:
-        raise ConfigError(f"--strides {args.strides!r} repeats a stride or names "
-                          f"{cfg.max_horizon}, the baseline run's max_horizon")
+    try:
+        strides = [int(s) for s in args.strides.split(",") if s]
+    except ValueError:
+        strides = []
+    if (not strides or len(set(strides)) < len(strides)
+            or cfg.max_horizon in strides):
+        raise ConfigError(f"--strides {args.strides!r} must list distinct strides other "
+                          f"than {cfg.max_horizon}, the baseline run's max_horizon")
     runs = [(f"moh-d{d}", d) for d in strides]
     runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
-    # every run's config and the executor are checked before the dataset
-    # or any training
+    # every run's config and the executors are checked before the dataset
+    # or any training; every run keeps cfg's max_horizon
     runs = [(label, replace(cfg, model=replace(cfg.model, stride=d))) for label, d in runs]
-    executor = FixedPrefixExecutor(args.prefix)
+    executors = _executors(args)
+    _check_min_steps(args, executors, cfg.max_horizon)
     dataset = _load_or_generate_dataset(args, cfg)
     out_dir = _resolve(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite = make_suite(seed=args.suite_seed)
     table = []
     for label, run_cfg in runs:
         policy, _ = _train_once(run_cfg, dataset, out_dir / label)
-        rows = evaluate(policy.detached(), suite, args.trials, executor,
-                        seed=args.seed)
-        table.append({"label": label, "stride": run_cfg.model.stride,
-                      "n_horizons": len(policy.horizons), **_family_success(rows)})
-        print(f"{label}: mixed {table[-1]['mixed_avg']:.3f}")
+        run = {"label": label, "stride": run_cfg.model.stride,
+               "n_horizons": len(policy.horizons)}
+        table += [{**run, **row} for row in
+                  _evaluate_each(policy.detached(), executors, args, f"{label}: ")]
     write_success_csv(table, out_dir / "horizon_sweep.csv")
     print(f"wrote {out_dir / 'horizon_sweep.csv'}")
     return 0
 
 
 def cmd_gate_stats(args) -> int:
-    policy = _load_policy(args, consensus=False)
+    policy = _load_policy(args)
     if len(policy.horizons) < 2:
         raise ConfigError("gate stats need a multi-horizon checkpoint")
     suite = make_suite(seed=args.suite_seed)
@@ -225,43 +230,12 @@ def cmd_gate_stats(args) -> int:
     return 0
 
 
-def cmd_dyninfer_sweep(args) -> int:
-    ratios = _number_list("--ratios", args.ratios, float)
-    if len(set(ratios)) < len(ratios):
-        raise ConfigError(f"--ratios {args.ratios!r} repeats a ratio")
-    configs = [ConsensusConfig(ratio=ratio, min_steps=args.min_steps,
-                               min_active=args.min_active) for ratio in ratios]
-    policy = _load_policy(args, consensus=True)
-    suite = make_suite(seed=args.suite_seed)
-    table = []
-    for consensus in configs:
-        rows = evaluate(policy, suite, args.trials, ConsensusExecutor(consensus),
-                        seed=args.seed)
-        table.append({"r": consensus.ratio, **_family_success(rows),
-                      "mean_prefix": float(np.mean([r["mean_prefix"] for r in rows])),
-                      "mean_steps": float(np.mean([r["mean_steps"] for r in rows]))})
-        print(f"r={consensus.ratio:g}: " + "  ".join(
-            f"{key} {value:.3f}" for key, value in list(table[-1].items())[1:]))
-    write_success_csv(table, _resolve(args.out))
-    print(f"wrote {_resolve(args.out)}")
-    return 0
-
-
 def positive_int(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _add_executor_flags(p):
-    p.add_argument("--executor", choices=["fixed", "consensus"], default="fixed")
-    p.add_argument("--prefix", type=int, default=5,
-                   help="fixed executor: steps executed per chunk")
-    p.add_argument("--ratio", type=float, default=1.1)
-    p.add_argument("--trace", default=None,
-                   help="consensus executor: JSON-lines trace output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,33 +261,37 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0)
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    consensus = argparse.ArgumentParser(add_help=False)
-    consensus.add_argument("--min-steps", type=int, default=5)
-    consensus.add_argument("--min-active", type=int, default=5)
+    executors = argparse.ArgumentParser(add_help=False)
+    executors.add_argument("--executors", default="fixed-5",
+                           help="comma list of fixed-<k> and consensus-r<ratio>")
+    executors.add_argument("--min-steps", type=int, default=5)
+    executors.add_argument("--min-active", type=int, default=5)
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", default=None,
+                       help="the consensus executor's JSON-lines trace output")
 
     p = sub.add_parser("train", parents=[data, suite_seed], help="train a policy")
     p.add_argument("--out", default="runs/train")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", parents=[checkpoint, suite_seed, trials, seed, consensus],
+    p = sub.add_parser("eval", parents=[checkpoint, suite_seed, trials, seed, executors,
+                                        trace],
                        help="evaluate a checkpoint on the task suite")
     p.add_argument("--out", default=None, help="success table CSV")
-    _add_executor_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("rollout", parents=[checkpoint, seed, suite_seed, consensus],
+    p = sub.add_parser("rollout", parents=[checkpoint, seed, suite_seed, executors, trace],
                        help="run and dump a single episode")
     p.add_argument("--task-id", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--out", default=None, help="full trajectory JSON")
-    _add_executor_flags(p)
     p.set_defaults(fn=cmd_rollout)
 
-    p = sub.add_parser("sweep-horizons", parents=[data, suite_seed, trials, seed],
+    p = sub.add_parser("sweep-horizons", parents=[data, suite_seed, trials, seed,
+                                                  executors],
                        help="train at several strides plus the baseline")
     p.add_argument("--strides", default="10,5,3,2,1")
     p.add_argument("--out", default="runs/sweep")
-    p.add_argument("--prefix", type=int, default=5)
     p.set_defaults(fn=cmd_sweep_horizons)
 
     p = sub.add_parser("gate-stats", parents=[checkpoint, suite_seed, seed],
@@ -324,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=positive_int, default=64)
     p.set_defaults(fn=cmd_gate_stats)
 
-    p = sub.add_parser("dyninfer-sweep", parents=[checkpoint, suite_seed, trials, seed,
-                                                  consensus],
-                       help="consensus executor across scaling ratios")
-    p.add_argument("--ratios", default="1.0,1.1,1.3,2.0")
-    p.add_argument("--out", default="dyninfer_sweep.csv")
-    p.set_defaults(fn=cmd_dyninfer_sweep)
     return parser
 
 

@@ -48,6 +48,10 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive")
+        if not all(v >= 0 for v in (self.checkpoint_every, self.weight_decay,
+                                    self.lambda_ind, self.lambda_bal)):
+            raise ConfigError("checkpoint_every, weight_decay, lambda_ind and "
+                              "lambda_bal must be >= 0")
 
     @property
     def max_horizon(self) -> int:

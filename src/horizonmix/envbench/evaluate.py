@@ -54,6 +54,23 @@ class ConsensusExecutor:
     needs_per_horizon = True
 
 
+def executor_from_name(name: str, min_steps: int = ConsensusConfig.min_steps,
+                       min_active: int = ConsensusConfig.min_active):
+    """The executor whose ``name`` is ``name``: ``fixed-<k>`` with k >= 1, or
+    ``consensus-r<ratio>`` with ratio > 0 and the given consensus minimums."""
+    kind, _, value = name.partition("-")
+    try:
+        if kind == "fixed":
+            return FixedPrefixExecutor(int(value))
+        if kind == "consensus" and value.startswith("r"):
+            config = ConsensusConfig(ratio=float(value[1:]), min_steps=min_steps,
+                                     min_active=min_active)
+            return ConsensusExecutor(config)
+    except ValueError:
+        pass
+    raise ConfigError(f"executor {name!r} is neither fixed-<k> nor consensus-r<ratio>")
+
+
 @dataclass
 class EpisodeRecord:
     """One rollout: full streams plus per-prediction executed prefix lengths.

@@ -47,7 +47,8 @@ class ModelConfig:
         if self.fusion not in ("gated", "uniform"):
             raise ConfigError(f"unknown fusion mode {self.fusion!r}")
         if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_horizon,
-               self.context_tokens, self.encoder_hidden, self.bins) < 1:
+               self.context_tokens, self.encoder_hidden, self.bins, self.obs_dim,
+               self.n_tasks, self.d_a) < 1:
             raise ConfigError("model sizes must be positive")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")

@@ -1,5 +1,6 @@
 """Command-line entry point tests: exit codes and artifact layout."""
 
+import argparse
 import csv
 import json
 import re
@@ -56,8 +57,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", ["model.heads=3", "model.ode_steps=0",
                                           "model.bins=0", "model.context_tokens=0",
-                                          "model.encoder_hidden=0"])
+                                          "model.encoder_hidden=0", "model.obs_dim=0",
+                                          "model.d_a=0", "model.n_tasks=0"])
     def test_bad_model_config_is_2_before_any_dataset(self, root, override):
+        assert main(["train", "--config", "run.cfg", "--set", override]) == 2
+        assert not (root / "data").exists()
+
+    @pytest.mark.parametrize("override", [
+        "train.checkpoint_every=-5", "train.weight_decay=-0.01",
+        "train.lambda_ind=-1", "train.lambda_bal=-0.001"])
+    def test_negative_train_weight_is_2_before_any_dataset(self, root, override):
         assert main(["train", "--config", "run.cfg", "--set", override]) == 2
         assert not (root / "data").exists()
 
@@ -71,10 +80,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--episodes-per-task"), ("eval", "--trials"),
-        ("dyninfer-sweep", "--trials"), ("gate-stats", "--samples"),
+        ("sweep-horizons", "--trials"), ("gate-stats", "--samples"),
         ("gate-stats", "--batch"), ("gate-stats", "--episodes")])
     def test_count_below_one_is_2_and_writes_nothing(self, root, command, flag):
-        source = ["--config", "run.cfg"] if command == "train" else ["--checkpoint", "nope.bin"]
+        source = (["--config", "run.cfg"] if command in ("train", "sweep-horizons")
+                  else ["--checkpoint", "nope.bin"])
         with pytest.raises(SystemExit) as err:
             main([command, *source, flag, "0"])
         assert err.value.code == 2
@@ -85,9 +95,25 @@ class TestExitCodes:
         # the checkpoint is never opened: a missing one would exit 3
         trace = root / "trace.jsonl"
         trace.write_text('{"earlier": true}\n')
-        assert main([command, "--checkpoint", "nope.bin", "--executor", "fixed",
+        assert main([command, "--checkpoint", "nope.bin", "--executors", "fixed-5",
                      "--trace", str(trace)]) == 2
         assert trace.read_text() == '{"earlier": true}\n'
+
+    def test_trace_with_two_consensus_executors_is_2_before_the_file(self, root):
+        trace = root / "trace.jsonl"
+        trace.write_text('{"earlier": true}\n')
+        assert main(["eval", "--checkpoint", "nope.bin", "--trace", str(trace),
+                     "--executors", "consensus-r1,consensus-r1.1"]) == 2
+        assert trace.read_text() == '{"earlier": true}\n'
+
+    @pytest.mark.parametrize("command, executors", [
+        ("eval", "fixed-0"), ("eval", "fixed-x"), ("eval", "median-3"), ("eval", ""),
+        ("eval", "fixed-5,"), ("eval", "fixed-5,fixed-5"), ("rollout", "consensus-rx"),
+        ("rollout", "fixed-3,consensus-r1.1")])
+    def test_bad_executors_are_2_before_the_checkpoint(self, root, command, executors):
+        # the checkpoint is never opened: a missing one would exit 3
+        assert main([command, "--checkpoint", "nope.bin",
+                     "--executors", executors]) == 2
 
 
 class TestTrainEval:
@@ -169,9 +195,9 @@ class TestTrainEval:
         assert not (root / "runs" / "neg" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("command, extra", [
-        ("eval", ["--executor", "consensus", "--trace", "t.jsonl"]),
-        ("rollout", ["--executor", "consensus", "--trace", "t.jsonl"]),
-        ("dyninfer-sweep", ["--out", "dyn.csv"])])
+        ("eval", ["--executors", "consensus-r1.1", "--trace", "t.jsonl"]),
+        ("rollout", ["--executors", "consensus-r1.1", "--trace", "t.jsonl"]),
+        ("eval", ["--executors", "fixed-3,consensus-r1", "--out", "dyn.csv"])])
     def test_min_steps_above_horizon_is_2_before_any_episode(self, root, monkeypatch,
                                                              command, extra):
         ckpt = run_train(root)
@@ -190,8 +216,8 @@ class TestTrainEval:
     def test_eval_fixed_writes_csv(self, root):
         ckpt = run_train(root)
         out = root / "eval.csv"
-        assert main(["eval", "--checkpoint", str(ckpt), "--executor", "fixed",
-                     "--prefix", "3", "--trials", "2",
+        assert main(["eval", "--checkpoint", str(ckpt), "--executors", "fixed-3",
+                     "--trials", "2",
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["family"] for r in rows] == ["precision-reach",
@@ -201,11 +227,23 @@ class TestTrainEval:
             assert 0.0 <= float(r["success_rate"]) <= 1.0
             assert float(r["mean_prefix"]) == 3.0
 
+    def test_eval_executors_rows_equal_single_runs(self, root):
+        ckpt = run_train(root)
+        args = ["eval", "--checkpoint", str(ckpt), "--trials", "1", "--min-steps", "3"]
+        assert main([*args, "--executors", "fixed-3,consensus-r1", "--out", "both.csv"]) == 0
+        assert main([*args, "--executors", "fixed-3", "--out", "fixed.csv"]) == 0
+        assert main([*args, "--executors", "consensus-r1", "--out", "cons.csv"]) == 0
+        both = (root / "both.csv").read_text().splitlines()
+        fixed = (root / "fixed.csv").read_text().splitlines()
+        cons = (root / "cons.csv").read_text().splitlines()
+        assert both == fixed + cons[1:]
+        assert [line.split(",")[1] for line in both[1:]] == ["fixed-3"] * 2 + ["consensus-r1"] * 2
+
     def test_eval_consensus_trace(self, root):
         ckpt = run_train(root)
         trace = root / "trace.jsonl"
         assert main(["eval", "--checkpoint", str(ckpt),
-                     "--executor", "consensus", "--ratio", "1.1",
+                     "--executors", "consensus-r1.1",
                      "--trials", "1", "--trace", str(trace)]) == 0
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert lines
@@ -218,7 +256,7 @@ class TestTrainEval:
         ckpt = run_train(root)
         trace = root / "trace.jsonl"
         trace.write_text('{"stale": true}\n')
-        args = ["--checkpoint", str(ckpt), "--executor", "consensus",
+        args = ["--checkpoint", str(ckpt), "--executors", "consensus-r1.1",
                 "--trace", str(trace)]
         assert main(["eval", *args, "--trials", "1"]) == 0
         once = trace.read_text()
@@ -245,14 +283,21 @@ class TestSweeps:
     def test_sweep_horizons_rows(self, root):
         assert main(["sweep-horizons", "--config", "run.cfg",
                      "--strides", "3", "--trials", "1",
-                     "--episodes-per-task", "2",
+                     "--episodes-per-task", "2", "--min-steps", "3",
+                     "--executors", "fixed-3,consensus-r1.1",
                      "--out", "runs/sweep"]) == 0
-        rows = list(csv.DictReader(
-            (root / "runs" / "sweep" / "horizon_sweep.csv").open()))
-        assert [r["label"] for r in rows] == ["moh-d3", "baseline-h6"]
-        assert [int(r["n_horizons"]) for r in rows] == [2, 1]
+        with (root / "runs" / "sweep" / "horizon_sweep.csv").open() as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["label", "stride", "n_horizons", "family",
+                                         "executor", "success_rate", "mean_steps",
+                                         "mean_prefix"]
+            rows = list(reader)
+        assert [(r["label"], r["n_horizons"], r["executor"]) for r in rows[::2]] == [
+            ("moh-d3", "2", "fixed-3"), ("moh-d3", "2", "consensus-r1.1"),
+            ("baseline-h6", "1", "fixed-3"), ("baseline-h6", "1", "consensus-r1.1")]
+        assert [r["family"] for r in rows] == ["precision-reach", "waypoint-chain"] * 4
         for r in rows:
-            assert 0.0 <= float(r["mixed_avg"]) <= 1.0
+            assert 0.0 <= float(r["success_rate"]) <= 1.0
 
     # a repeated stride, or max_horizon 6, would train one config twice
     @pytest.mark.parametrize("strides", ["3,x", "3,4", "3,3", "3,6"])
@@ -265,7 +310,15 @@ class TestSweeps:
 
     def test_bad_prefix_is_2_before_any_run(self, root):
         assert main(["sweep-horizons", "--config", "run.cfg", "--strides", "3",
-                     "--prefix", "0", "--trials", "1", "--episodes-per-task", "2",
+                     "--executors", "fixed-0", "--trials", "1", "--episodes-per-task", "2",
+                     "--out", "runs/sweep"]) == 2
+        assert not (root / "data").exists()
+        assert not (root / "runs" / "sweep").exists()
+
+    def test_min_steps_above_max_horizon_is_2_before_any_run(self, root):
+        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", "3",
+                     "--executors", "fixed-3,consensus-r1.1", "--min-steps", "7",
+                     "--trials", "1", "--episodes-per-task", "2",
                      "--out", "runs/sweep"]) == 2
         assert not (root / "data").exists()
         assert not (root / "runs" / "sweep").exists()
@@ -273,9 +326,10 @@ class TestSweeps:
     # a repeated ratio would evaluate one config twice
     @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0", ",", "1.1,1.1", "1.1,1.10"])
     def test_bad_ratio_is_2_before_any_run(self, root, ratios):
+        executors = ",".join(f"consensus-r{r}" for r in ratios.split(","))
         # the checkpoint is never opened: a missing one would exit 3
-        assert main(["dyninfer-sweep", "--checkpoint", "nope.bin",
-                     "--ratios", ratios, "--out", "dyn.csv"]) == 2
+        assert main(["eval", "--checkpoint", "nope.bin",
+                     "--executors", executors, "--out", "dyn.csv"]) == 2
         assert not (root / "dyn.csv").exists()
 
     def test_gate_stats_requires_mixture(self, root):
@@ -310,20 +364,9 @@ class TestSweeps:
             tables.append((root / "gate.csv").read_bytes())
         assert tables[0] == tables[1] == tables[2]
 
-    def test_dyninfer_sweep_csv(self, root):
-        ckpt = run_train(root)
-        assert main(["dyninfer-sweep", "--checkpoint", str(ckpt),
-                     "--ratios", "1.0,2.0", "--trials", "1",
-                     "--out", "dyn.csv"]) == 0
-        with (root / "dyn.csv").open() as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == ["r", "precision_success", "chain_success",
-                                         "mixed_avg", "mean_prefix", "mean_steps"]
-            rows = list(reader)
-        assert [float(r["r"]) for r in rows] == [1.0, 2.0]
-        for r in rows:
-            precision, chain = float(r["precision_success"]), float(r["chain_success"])
-            assert 0.0 <= precision <= 1.0 and 0.0 <= chain <= 1.0
-            assert float(r["mixed_avg"]) == pytest.approx(0.5 * (precision + chain))
-            assert float(r["mean_prefix"]) >= 3.0
-            assert float(r["mean_steps"]) >= 1.0
+
+def test_docstring_lists_every_command():
+    listed = re.search(r"^Commands: (.*)\.$", cli.__doc__, re.MULTILINE).group(1)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert listed.split(", ") == list(subparsers.choices)

@@ -16,7 +16,7 @@ from horizonmix.checkpoint import load_arrays, save_arrays
 from horizonmix.envbench.dataset import (generate_dataset, load_dataset,
                                          save_dataset, windows_from_episode)
 from horizonmix.envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
-                                          evaluate, run_episode,
+                                          evaluate, executor_from_name, run_episode,
                                           write_success_csv)
 from horizonmix.consensus import ConsensusConfig
 from horizonmix.errors import CheckpointFormatError, ConfigError
@@ -519,3 +519,17 @@ class TestEvaluate:
     def test_bad_executor_config_rejected(self):
         with pytest.raises(ConfigError):
             FixedPrefixExecutor(0)
+
+    @pytest.mark.parametrize("executor", [
+        FixedPrefixExecutor(1), FixedPrefixExecutor(30),
+        *(ConsensusExecutor(ConsensusConfig(ratio=r)) for r in (1.0, 1.1, 1.3, 2))],
+        ids=lambda e: e.name)
+    def test_executor_name_round_trip(self, executor):
+        parsed = executor_from_name(executor.name)
+        assert parsed == executor and parsed.name == executor.name
+
+    @pytest.mark.parametrize("name", ["fixed-0", "fixed-x", "fixed-2.5", "consensus-r0",
+                                      "consensus-rx", "consensus-1.1", "median-3", ""])
+    def test_malformed_executor_name_rejected(self, name):
+        with pytest.raises(ConfigError):
+            executor_from_name(name)
