@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Commands: train, eval, rollout, sweep-horizons, gate-stats.
+Commands: train, eval, rollout, gate-stats.
 Relative data/output paths resolve under ``$HORIZONMIX_ROOT`` (default: the
 current directory).  Exit codes: 0 success, 2 configuration/usage error,
 3 runtime failure.
+
+One ``--data`` directory serves every horizon up to its chunk length, and each
+``eval`` row starts with the columns that name its checkpoint, so a horizon or
+stride table is one ``train`` and one ``eval`` per policy, with the CSVs
+concatenated.
 """
 
 import argparse
@@ -40,10 +45,13 @@ def _resolve(path: str) -> Path:
 
 
 def _load_or_generate_dataset(args, cfg: TrainConfig):
-    """The dataset under ``--data``, generated first if it is missing.
+    """The dataset under ``--data``, generated first if it is missing, with
+    its chunks cut to the model's horizon.
 
-    A dataset generated with other settings, or by a version with other env
-    or expert constants, is refused rather than trained on silently."""
+    The first h steps of a window are the h-step dataset's window, so a longer
+    dataset serves; a shorter one is refused. So is one generated with other
+    settings, or by a version with other env or expert constants, rather than
+    trained on silently."""
     data_dir = _resolve(args.data)
     try:
         dataset = load_dataset(data_dir)
@@ -52,28 +60,27 @@ def _load_or_generate_dataset(args, cfg: TrainConfig):
         dataset = generate_dataset(make_suite(seed=args.suite_seed), args.episodes_per_task,
                                    cfg.max_horizon, seed=args.suite_seed)
         save_dataset(dataset, data_dir)
-    expected = provenance(args.suite_seed, args.episodes_per_task, cfg.max_horizon)
+    expected = provenance(args.suite_seed, args.episodes_per_task)
     for key, value in expected.items():
         found = dataset.manifest.get(key)
         if found != value:
             raise ConfigError(
                 f"dataset at {data_dir} has {key} {found!r}, this run "
                 f"generates {value!r}; delete it or pass another --data")
-    return dataset
-
-
-def _train_once(cfg: TrainConfig, dataset, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    policy = prepare_policy(cfg, dataset)
-    return train(policy, dataset, cfg, metrics_path=out_dir / "metrics.jsonl",
-                 checkpoint_dir=out_dir)
+    length, h = dataset.chunks.shape[1], cfg.max_horizon
+    if length < h:
+        raise ConfigError(f"dataset at {data_dir} has {length}-step chunks, shorter than "
+                          f"the model's horizon {h}; pass a --data of at least {h} steps")
+    return replace(dataset, chunks=dataset.chunks[:, :h], valid=dataset.valid[:, :h])
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config and _resolve(args.config), args.set or ())
     dataset = _load_or_generate_dataset(args, cfg)
     out_dir = _resolve(args.out)
-    _policy, metrics = _train_once(cfg, dataset, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _policy, metrics = train(prepare_policy(cfg, dataset), dataset, cfg,
+                             metrics_path=out_dir / "metrics.jsonl", checkpoint_dir=out_dir)
     last = metrics[-1] if metrics else {}
     print(f"trained {cfg.iterations} iterations "
           f"(final total {last.get('total', float('nan')):.4f}); "
@@ -82,9 +89,24 @@ def cmd_train(args) -> int:
 
 
 def _load_policy(args):
-    """The detached policy under ``--checkpoint``."""
-    policy, _train_cfg, _meta = load_policy(_resolve(args.checkpoint))
-    return policy.detached()
+    """The detached policy under ``--checkpoint``, and the columns that name
+    it at the front of each ``eval`` row."""
+    policy, cfg, meta = load_policy(_resolve(args.checkpoint))
+    model = cfg.model
+    columns = {"head": model.head, "fusion": model.fusion,
+               "max_horizon": model.max_horizon, "stride": model.stride,
+               "n_horizons": len(policy.horizons), "seed": cfg.seed,
+               "iteration": meta["iteration"]}
+    return policy.detached(), columns
+
+
+def _refuse_repeats(executors, args, where: str = "") -> None:
+    """Two executors of one name would write rows that nothing tells apart."""
+    names = [e.name for e in executors]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"--executors {args.executors!r} runs "
+                          f"{', '.join(repeated)} twice{where}")
 
 
 def _executors(args) -> list:
@@ -92,51 +114,42 @@ def _executors(args) -> list:
     with ``--min-steps`` and ``--min-active``."""
     executors = [executor_from_name(name, args.min_steps, args.min_active)
                  for name in args.executors.split(",")]
-    if len(set(executors)) < len(executors):
-        raise ConfigError(f"--executors {args.executors!r} names an executor twice")
+    _refuse_repeats(executors, args)
     return executors
 
 
-def _check_min_steps(args, executors, horizon: int) -> None:
-    """A consensus executor's ``--min-steps`` must fit the chunk of ``horizon``."""
-    if any(e.needs_per_horizon for e in executors) and args.min_steps > horizon:
-        raise ConfigError(f"--min-steps {args.min_steps} exceeds the horizon {horizon}")
-
-
 def _policy_and_executors(args, executors):
-    """The checkpoint's policy, and ``executors`` with ``--trace`` given to the
-    consensus one. The flags are checked before the checkpoint opens, and all
-    before ``--trace`` is emptied."""
+    """The checkpoint's policy, its ``eval`` columns, and ``executors`` with
+    each fixed prefix capped at the policy's horizon and ``--trace`` given to
+    the consensus one. The flags are checked before the checkpoint opens, and
+    all before ``--trace`` is emptied."""
     trace_path = args.trace and str(_resolve(args.trace))
     if trace_path and sum(e.needs_per_horizon for e in executors) != 1:
         raise ConfigError("--trace needs exactly one consensus executor; "
                           "fixed prefixes write no trace")
-    policy = _load_policy(args)
-    _check_min_steps(args, executors, policy.horizons.max_horizon)
+    policy, columns = _load_policy(args)
+    horizon = policy.horizons.max_horizon
+    if any(e.needs_per_horizon for e in executors) and args.min_steps > horizon:
+        raise ConfigError(f"--min-steps {args.min_steps} exceeds the horizon {horizon}")
+    executors = [replace(e, trace_path=trace_path) if e.needs_per_horizon
+                 else replace(e, prefix=min(e.prefix, horizon)) for e in executors]
+    _refuse_repeats(executors, args, f" at the checkpoint's horizon {horizon}")
     if trace_path:
         Path(trace_path).write_text("")  # never holds a line of an earlier run
-        executors = [replace(e, trace_path=trace_path) if e.needs_per_horizon else e
-                     for e in executors]
-    return policy, executors
+    return policy, columns, executors
 
 
-def _evaluate_each(policy, executors, args, label: str = "") -> list[dict]:
-    """``evaluate``'s rows for each executor in turn, printed as they come."""
+def cmd_eval(args) -> int:
+    policy, columns, executors = _policy_and_executors(args, _executors(args))
     suite = make_suite(seed=args.suite_seed)
     rows = []
     for executor in executors:
         for row in evaluate(policy, suite, args.trials, executor, seed=args.seed):
-            print(f"{label}{row['family']:>16}  {row['executor']:>14}  "
+            print(f"{row['family']:>16}  {row['executor']:>14}  "
                   f"success {row['success_rate']:.3f}  "
                   f"steps {row['mean_steps']:.1f}  "
                   f"prefix {row['mean_prefix']:.2f}")
-            rows.append(row)
-    return rows
-
-
-def cmd_eval(args) -> int:
-    policy, executors = _policy_and_executors(args, _executors(args))
-    rows = _evaluate_each(policy, executors, args)
+            rows.append({**columns, **row})
     if args.out:
         write_success_csv(rows, _resolve(args.out))
         print(f"wrote {_resolve(args.out)}")
@@ -147,7 +160,7 @@ def cmd_rollout(args) -> int:
     executors = _executors(args)
     if len(executors) != 1:
         raise ConfigError(f"rollout runs one executor, --executors names {len(executors)}")
-    policy, (executor,) = _policy_and_executors(args, executors)
+    policy, _columns, (executor,) = _policy_and_executors(args, executors)
     suite = make_suite(seed=args.suite_seed)
     by_id = {t.task_id: t for t in suite}
     if args.task_id not in by_id:
@@ -172,58 +185,34 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def cmd_sweep_horizons(args) -> int:
-    cfg = load_config(args.config and _resolve(args.config), args.set or ())
-    try:
-        strides = [int(s) for s in args.strides.split(",") if s]
-    except ValueError:
-        strides = []
-    if (not strides or len(set(strides)) < len(strides)
-            or cfg.max_horizon in strides):
-        raise ConfigError(f"--strides {args.strides!r} must list distinct strides other "
-                          f"than {cfg.max_horizon}, the baseline run's max_horizon")
-    runs = [(f"moh-d{d}", d) for d in strides]
-    runs.append((f"baseline-h{cfg.max_horizon}", cfg.max_horizon))
-    # every run's config and the executors are checked before the dataset
-    # or any training; every run keeps cfg's max_horizon
-    runs = [(label, replace(cfg, model=replace(cfg.model, stride=d))) for label, d in runs]
-    executors = _executors(args)
-    _check_min_steps(args, executors, cfg.max_horizon)
-    dataset = _load_or_generate_dataset(args, cfg)
-    out_dir = _resolve(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = []
-    for label, run_cfg in runs:
-        policy, _ = _train_once(run_cfg, dataset, out_dir / label)
-        run = {"label": label, "stride": run_cfg.model.stride,
-               "n_horizons": len(policy.horizons)}
-        table += [{**run, **row} for row in
-                  _evaluate_each(policy.detached(), executors, args, f"{label}: ")]
-    write_success_csv(table, out_dir / "horizon_sweep.csv")
-    print(f"wrote {out_dir / 'horizon_sweep.csv'}")
-    return 0
-
-
 def cmd_gate_stats(args) -> int:
-    policy = _load_policy(args)
+    policy, _columns = _load_policy(args)
     if len(policy.horizons) < 2:
         raise ConfigError("gate stats need a multi-horizon checkpoint")
     suite = make_suite(seed=args.suite_seed)
     dataset = generate_dataset(suite, args.episodes, policy.cfg.max_horizon,
                                seed=args.seed)
+    families = sorted({t.family for t in suite})
+    family_of = np.zeros(max(t.task_id for t in suite) + 1, dtype=np.int64)
+    for t in suite:
+        family_of[t.task_id] = families.index(t.family)
     n = min(args.samples, len(dataset))
     pick = make_rng(args.seed, "gate-stats").choice(len(dataset), size=n,
                                                     replace=False)
-    total = np.zeros((policy.cfg.max_horizon, len(policy.horizons)))
+    family = family_of[dataset.task_ids[pick]]
+    total = np.zeros((len(families), policy.cfg.max_horizon, len(policy.horizons)))
     # one generator: the noise follows the sample order, whatever --batch is
     rng = make_rng(args.seed, "gate-stats", "noise")
     for start in range(0, n, args.batch):
         idx = pick[start:start + args.batch]
         _fused, _per, alpha = policy.predict(dataset.observations[idx],
                                              dataset.task_ids[idx], rng=rng)
-        total += alpha.sum(axis=0)
-    mean = total / n  # inactive (step, horizon) pairs have weight 0
-    write_success_csv([{"step": k + 1, "horizon": h, "mean_weight": f"{mean[k, i]:.8f}"}
+        np.add.at(total, family[start:start + args.batch], alpha)
+    counts = np.bincount(family, minlength=len(families))
+    # each family's mean over its own samples; inactive (step, horizon) pairs have weight 0
+    write_success_csv([{"family": name, "step": k + 1, "horizon": h,
+                        "mean_weight": f"{total[f, k, i] / counts[f]:.8f}"}
+                       for f, name in enumerate(families) if counts[f]
                        for k in range(policy.cfg.max_horizon)
                        for i, h in enumerate(policy.horizons)], _resolve(args.out))
     print(f"wrote {_resolve(args.out)}")
@@ -287,15 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="full trajectory JSON")
     p.set_defaults(fn=cmd_rollout)
 
-    p = sub.add_parser("sweep-horizons", parents=[data, suite_seed, trials, seed,
-                                                  executors],
-                       help="train at several strides plus the baseline")
-    p.add_argument("--strides", default="10,5,3,2,1")
-    p.add_argument("--out", default="runs/sweep")
-    p.set_defaults(fn=cmd_sweep_horizons)
-
     p = sub.add_parser("gate-stats", parents=[checkpoint, suite_seed, seed],
-                       help="mean gate weight per (step, horizon)")
+                       help="mean gate weight per (family, step, horizon)")
     p.add_argument("--out", default="gate_stats.csv")
     p.add_argument("--episodes", type=positive_int, default=2)
     p.add_argument("--samples", type=positive_int, default=256)

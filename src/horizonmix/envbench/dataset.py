@@ -51,9 +51,12 @@ def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
     return chunks, valid
 
 
-def provenance(seed: int, episodes_per_task: int, max_horizon: int) -> dict:
-    """The manifest entries that decide whether a stored dataset is stale."""
-    return {"seed": seed, "episodes_per_task": episodes_per_task, "max_horizon": max_horizon,
+def provenance(seed: int, episodes_per_task: int) -> dict:
+    """The manifest entries that decide whether a stored dataset is stale.
+
+    The chunk length is not one of them: the first h steps of a window are
+    the h-step dataset's window, so any horizon up to it can train on it."""
+    return {"seed": seed, "episodes_per_task": episodes_per_task,
             "env_constants": asdict(EnvConstants()), "expert_gains": asdict(ExpertGains())}
 
 
@@ -86,7 +89,7 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
         raise ValueError("no successful expert episodes; check task budgets")
     families = sorted({t.family for t in tasks})
     manifest = {
-        **provenance(seed, episodes_per_task, max_horizon),
+        **provenance(seed, episodes_per_task),
         "n_tasks": len(tasks),
         "n_episodes": n_episodes,
         "skipped_episodes": skipped,

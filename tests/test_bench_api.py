@@ -6,9 +6,11 @@ Each entry below is the shape of one call in ``bench/workloads.py`` or
 ``bench/spans.py``, bound with ``inspect.signature``, and each attribute
 the benchmark reads is looked up; a change to any of them fails here first.
 
-The AST check at the end keeps ``tensor.py`` free of tape nodes that only
-tests use: every public function that builds a node must be named by
-another module of ``src/``.
+The AST checks at the end keep ``src/`` free of code that only tests use:
+every public function of ``tensor.py`` that builds a tape node must be
+named by another module of ``src/``, and every module but ``cli`` must be
+imported by another module that is not a package ``__init__`` (a re-export
+is not a use).
 """
 
 import ast
@@ -120,3 +122,30 @@ def test_every_tape_node_has_a_src_caller():
     nodes = _tape_nodes()
     assert "attention" in nodes and "linear" in nodes
     assert sorted(set(nodes) - named) == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Dotted names of the ``horizonmix`` modules ``path`` imports, each
+    ``from a import b`` counted as both ``a`` and ``a.b``."""
+    package = ["horizonmix", *path.relative_to(SRC).parent.parts]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join([*base, *filter(None, [node.module])])
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_every_module_has_a_src_importer():
+    modules = {".".join(["horizonmix", *path.relative_to(SRC).with_suffix("").parts]): path
+               for path in SRC.rglob("*.py")}
+    importers = [path for path in modules.values() if path.name != "__init__.py"]
+    orphans = [name for name, path in modules.items()
+               if path.name not in ("__init__.py", "cli.py")
+               and not any(name in _imported_modules(other)
+                           for other in importers if other != path)]
+    assert "horizonmix.envbench.expert" in modules
+    assert orphans == []

@@ -11,7 +11,7 @@ import pytest
 from horizonmix import cli
 from horizonmix.checkpoint import load_arrays, load_policy, save_arrays
 from horizonmix.cli import main
-from horizonmix.envbench.dataset import generate_dataset, load_dataset
+from horizonmix.envbench.dataset import generate_dataset, load_dataset, save_dataset
 from horizonmix.envbench.env import make_suite
 
 CFG = """
@@ -80,10 +80,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--episodes-per-task"), ("eval", "--trials"),
-        ("sweep-horizons", "--trials"), ("gate-stats", "--samples"),
-        ("gate-stats", "--batch"), ("gate-stats", "--episodes")])
+        ("gate-stats", "--samples"), ("gate-stats", "--batch"),
+        ("gate-stats", "--episodes")])
     def test_count_below_one_is_2_and_writes_nothing(self, root, command, flag):
-        source = (["--config", "run.cfg"] if command in ("train", "sweep-horizons")
+        source = (["--config", "run.cfg"] if command == "train"
                   else ["--checkpoint", "nope.bin"])
         with pytest.raises(SystemExit) as err:
             main([command, *source, flag, "0"])
@@ -138,7 +138,7 @@ class TestTrainEval:
         run_train(root)
         data_path = root / "data" / "default" / "data.bin"
         arrays, fresh = load_arrays(data_path)
-        stale = [("seed", 5), ("episodes_per_task", 3), ("max_horizon", 12),
+        stale = [("seed", 5), ("episodes_per_task", 3),
                  ("env_constants", {**fresh["env_constants"], "detour_bulge": 0.13}),
                  ("expert_gains", {**fresh["expert_gains"], "bulge": 0.15})]
         for key, value in stale:
@@ -147,6 +147,27 @@ class TestTrainEval:
             assert main(["train", "--config", "run.cfg", "--out", "runs/stale",
                          "--episodes-per-task", "2"]) == 2
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head", ["flow", "regression", "classification"])
+    def test_longer_dataset_trains_the_same_bytes(self, root, head):
+        # the first 6 steps of a 12-step window are the 6-step window
+        save_dataset(generate_dataset(make_suite(seed=0), 2, 12, seed=0), root / "data" / "long")
+        run = ["train", "--config", "run.cfg", "--episodes-per-task", "2",
+               "--set", f"model.head={head}"]
+        assert main([*run, "--data", "data/long", "--out", "runs/long"]) == 0
+        assert main([*run, "--data", "data/short", "--out", "runs/short"]) == 0
+        assert load_dataset(root / "data" / "short").chunks.shape[1] == 6
+        assert ((root / "runs" / "long" / "checkpoint.bin").read_bytes()
+                == (root / "runs" / "short" / "checkpoint.bin").read_bytes())
+
+    def test_shorter_dataset_is_2_and_writes_nothing(self, root, capsys):
+        run_train(root)  # a 6-step dataset under data/default
+        capsys.readouterr()
+        assert main(["train", "--config", "run.cfg", "--episodes-per-task", "2",
+                     "--set", "model.max_horizon=12", "--out", "runs/h12"]) == 2
+        err = capsys.readouterr().err
+        assert "6-step chunks" in err and "horizon 12" in err
+        assert not (root / "runs" / "h12").exists()
 
     def test_old_format_directory_regenerates(self, root):
         # a directory written before datasets moved into data.bin
@@ -237,7 +258,39 @@ class TestTrainEval:
         fixed = (root / "fixed.csv").read_text().splitlines()
         cons = (root / "cons.csv").read_text().splitlines()
         assert both == fixed + cons[1:]
-        assert [line.split(",")[1] for line in both[1:]] == ["fixed-3"] * 2 + ["consensus-r1"] * 2
+        assert [row["executor"] for row in csv.DictReader(both)] == (
+            ["fixed-3"] * 2 + ["consensus-r1"] * 2)
+
+    def test_eval_rows_name_their_checkpoint(self, root):
+        run_train(root)
+        run_train(root, "--set", "model.stride=6", "--set", "train.seed=1", "--out", "runs/b")
+        lines = []
+        for name in ("train", "b"):
+            out = root / f"{name}.csv"
+            assert main(["eval", "--checkpoint", f"runs/{name}/checkpoint.bin",
+                         "--executors", "fixed-3", "--trials", "1", "--out", str(out)]) == 0
+            lines.append(out.read_text().splitlines())
+        assert lines[0][0] == lines[1][0]
+        assert lines[0][0].split(",")[:8] == ["head", "fusion", "max_horizon", "stride",
+                                               "n_horizons", "seed", "iteration", "family"]
+        rows = list(csv.DictReader(lines[0] + lines[1][1:]))  # the CSVs concatenated
+        assert [(r["head"], r["max_horizon"], r["stride"], r["n_horizons"], r["seed"],
+                 r["iteration"]) for r in rows] == (
+            [("flow", "6", "3", "2", "0", "4")] * 2 + [("flow", "6", "6", "1", "1", "4")] * 2)
+
+    @pytest.mark.parametrize("executors", ["fixed-5,fixed-3", "fixed-3,fixed-9"])
+    def test_executors_equal_at_the_horizon_are_2_before_any_episode(
+            self, root, monkeypatch, capsys, executors):
+        ckpt = run_train(root, "--set", "model.max_horizon=3", "--data", "data/h3")
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr(cli, "evaluate", no_episode)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--executors", executors,
+                     "--out", "dup.csv"]) == 2
+        assert "fixed-3 twice at the checkpoint's horizon 3" in capsys.readouterr().err
+        assert not (root / "dup.csv").exists()
 
     def test_eval_consensus_trace(self, root):
         ckpt = run_train(root)
@@ -280,49 +333,6 @@ class TestTrainEval:
 
 class TestSweeps:
 
-    def test_sweep_horizons_rows(self, root):
-        assert main(["sweep-horizons", "--config", "run.cfg",
-                     "--strides", "3", "--trials", "1",
-                     "--episodes-per-task", "2", "--min-steps", "3",
-                     "--executors", "fixed-3,consensus-r1.1",
-                     "--out", "runs/sweep"]) == 0
-        with (root / "runs" / "sweep" / "horizon_sweep.csv").open() as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == ["label", "stride", "n_horizons", "family",
-                                         "executor", "success_rate", "mean_steps",
-                                         "mean_prefix"]
-            rows = list(reader)
-        assert [(r["label"], r["n_horizons"], r["executor"]) for r in rows[::2]] == [
-            ("moh-d3", "2", "fixed-3"), ("moh-d3", "2", "consensus-r1.1"),
-            ("baseline-h6", "1", "fixed-3"), ("baseline-h6", "1", "consensus-r1.1")]
-        assert [r["family"] for r in rows] == ["precision-reach", "waypoint-chain"] * 4
-        for r in rows:
-            assert 0.0 <= float(r["success_rate"]) <= 1.0
-
-    # a repeated stride, or max_horizon 6, would train one config twice
-    @pytest.mark.parametrize("strides", ["3,x", "3,4", "3,3", "3,6"])
-    def test_bad_stride_is_2_before_any_run(self, root, strides):
-        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", strides,
-                     "--trials", "1", "--episodes-per-task", "2",
-                     "--out", "runs/sweep"]) == 2
-        assert not (root / "data").exists()
-        assert not (root / "runs" / "sweep" / "moh-d3").exists()
-
-    def test_bad_prefix_is_2_before_any_run(self, root):
-        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", "3",
-                     "--executors", "fixed-0", "--trials", "1", "--episodes-per-task", "2",
-                     "--out", "runs/sweep"]) == 2
-        assert not (root / "data").exists()
-        assert not (root / "runs" / "sweep").exists()
-
-    def test_min_steps_above_max_horizon_is_2_before_any_run(self, root):
-        assert main(["sweep-horizons", "--config", "run.cfg", "--strides", "3",
-                     "--executors", "fixed-3,consensus-r1.1", "--min-steps", "7",
-                     "--trials", "1", "--episodes-per-task", "2",
-                     "--out", "runs/sweep"]) == 2
-        assert not (root / "data").exists()
-        assert not (root / "runs" / "sweep").exists()
-
     # a repeated ratio would evaluate one config twice
     @pytest.mark.parametrize("ratios", ["1.0,x", "1.0,0", ",", "1.1,1.1", "1.1,1.10"])
     def test_bad_ratio_is_2_before_any_run(self, root, ratios):
@@ -343,17 +353,26 @@ class TestSweeps:
                      "--samples", "32", "--episodes", "1",
                      "--out", "gate.csv"]) == 0
         lines = (root / "gate.csv").read_text().splitlines()
-        assert lines[0] == "step,horizon,mean_weight"
-        assert re.fullmatch(r"1,3,[01]\.\d{8}", lines[1])
+        assert lines[0] == "family,step,horizon,mean_weight"
+        assert re.fullmatch(r"precision-reach,1,3,[01]\.\d{8}", lines[1])
         rows = list(csv.DictReader((root / "gate.csv").open()))
-        assert len(rows) == 12  # (step, horizon) pairs for H=6, N=2
+        assert len(rows) == 24  # (family, step, horizon) triples for 2 families, H=6, N=2
         by_step = {}
         for row in rows:
-            by_step.setdefault(int(row["step"]), []).append(
+            by_step.setdefault((row["family"], int(row["step"])), []).append(
                 float(row["mean_weight"]))
-        assert sorted(by_step) == list(range(1, 7))
+        assert sorted(by_step) == [(family, step) for family in ("precision-reach",
+                                                                 "waypoint-chain")
+                                   for step in range(1, 7)]
         for weights in by_step.values():
             assert sum(weights) == pytest.approx(1.0, abs=1e-4)
+
+    def test_gate_stats_skips_a_family_without_samples(self, root):
+        ckpt = run_train(root)
+        assert main(["gate-stats", "--checkpoint", str(ckpt), "--samples", "1",
+                     "--episodes", "1", "--out", "gate.csv"]) == 0
+        rows = list(csv.DictReader((root / "gate.csv").open()))
+        assert len(rows) == 12 and len({r["family"] for r in rows}) == 1
 
     def test_gate_stats_table_does_not_depend_on_batch(self, root):
         ckpt = run_train(root)
