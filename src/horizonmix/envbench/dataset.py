@@ -40,15 +40,9 @@ class Dataset:
 def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
                          max_horizon: int):
     """Return (chunks, valid) arrays of shape (L, H, d_a) and (L, H)."""
-    length, d_a = actions.shape
-    chunks = np.empty((length, max_horizon, d_a), dtype=np.float32)
-    valid = np.zeros((length, max_horizon), dtype=np.float32)
-    for t in range(length):
-        n = min(max_horizon, length - t)
-        chunks[t, :n] = actions[t:t + n]
-        chunks[t, n:] = actions[t + n - 1]
-        valid[t, :n] = 1.0
-    return chunks, valid
+    steps = np.arange(len(actions))[:, None] + np.arange(max_horizon)
+    chunks = actions[np.minimum(steps, len(actions) - 1)].astype(np.float32)
+    return chunks, (steps < len(actions)).astype(np.float32)
 
 
 def provenance(seed: int, episodes_per_task: int) -> dict:

@@ -22,8 +22,18 @@ Actions are clipped to [-1, 1] per axis before integration.  Observations are
 ``remaining`` is the fraction of waypoints still unvisited, and Gaussian noise
 is added to the position and velocity entries only.  The true state stays
 noise-free; experts and dataset generation read it through ``state()``.
+
+Exactness rule: suites, demonstrations and episodes are bit-reproducible, so
+every value that reaches a waypoint, observation or action keeps the scalar
+arithmetic it was defined with (a 2-vector's length is ``vector_norm``, which
+is ``np.linalg.norm`` bit for bit).  Only keep-out and collision *decisions*
+are taken on whole arrays, with squared lengths as ``x*x + y*y``.  That sum
+differs from the BLAS dot behind ``np.linalg.norm`` in the last bit, so any
+squared length within a relative ``_TIE`` of its threshold is settled by the
+scalar length instead; every decision then equals the scalar rule's.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +44,11 @@ from ..rng import make_rng
 OBS_DIM = 7
 
 FAMILIES = ("precision-reach", "waypoint-chain")
+
+# Relative band around a squared threshold inside which an array decision
+# defers to the scalar length; rounding moves a 2-vector's squared length by
+# about 1e-16 relative, so nothing outside the band can flip.
+_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,11 @@ class EnvConstants:
     # detour_bulge; the straight line, which is what averaging the two
     # detours gives, runs through it.  Layout sampling keeps every circle
     # at least obstacle_path_gap clear of both nominal detour curves of
-    # every OTHER leg (checked at 21 samples per curve) and away from
-    # foreign waypoints, so only the circle's own leg ever has to steer
-    # around it.  Flown demonstrations cut corners and can pass slightly
-    # closer than the gap (see _chain_layout_ok).
+    # every OTHER leg (checked at 21 samples per curve, all samples of a
+    # layout in one array expression) and away from foreign waypoints, so
+    # only the circle's own leg ever has to steer around it.  Flown
+    # demonstrations cut corners and can pass slightly closer than the gap
+    # (see _chain_layout_ok).
     obstacle_radius: float = 0.02
     detour_bulge: float = 0.15
     obstacle_path_gap: float = 0.04
@@ -102,6 +118,9 @@ class PointMassEnv:
         self.task = task
         self.constants = constants
         self._rng = rng
+        self._waypoints = np.asarray(task.waypoints, dtype=np.float64)
+        circles = np.asarray(task.obstacles, dtype=np.float64).reshape(-1, 3)
+        self._centres, self._radii = circles[:, :2], circles[:, 2]
         self.reset()
 
     def reset(self) -> np.ndarray:
@@ -139,20 +158,19 @@ class PointMassEnv:
         if self.done:
             raise ConfigError("episode already finished; call reset()")
         c = self.constants
-        a = np.clip(np.asarray(action, dtype=np.float64), -c.action_limit,
-                    c.action_limit)
+        a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64),
+                                  -c.action_limit), c.action_limit)
         prev = self.pos
         self.vel = c.damping * (self.vel + a * c.dt)
         self.pos = self.pos + self.vel * c.dt
         self.steps += 1
-        if any(_segment_hits(prev, self.pos, ob)
-               for ob in self.task.obstacles):
+        if self.task.obstacles and self._swept_hit(prev, self.pos):
             self.collided = True
             self.done = True
             return self.observe(), self.done
-        wps = self.task.waypoints
+        wps = self._waypoints
         while (self.next_idx < len(wps)
-               and np.linalg.norm(self.pos - wps[self.next_idx])
+               and vector_norm(self.pos - wps[self.next_idx])
                <= self.task.radius):
             self.next_idx += 1
         if self.next_idx == len(wps):
@@ -162,19 +180,48 @@ class PointMassEnv:
             self.done = True
         return self.observe(), self.done
 
+    def _swept_hit(self, p0: np.ndarray, p1: np.ndarray) -> bool:
+        """Whether the swept segment p0->p1 touches any obstacle circle.
 
-def _point_seg_dist(pt: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    d = b - a
-    denom = float(d @ d)
-    t = 0.0 if denom == 0.0 else float(np.clip((pt - a) @ d / denom,
-                                               0.0, 1.0))
-    return float(np.linalg.norm(a + t * d - pt))
+        A circle is touched when the point of the segment closest to its
+        centre lies within its radius; all circles are tested at once."""
+        d = p1 - p0
+        denom = d.dot(d)
+        rel = self._centres - p0
+        if denom == 0.0:
+            t = np.zeros(len(rel))
+        else:
+            t = np.minimum(np.maximum(rel @ d / denom, 0.0), 1.0)
+        gap = p0 + t[:, None] * d - self._centres
+        sq = (gap * gap).sum(axis=1)
+        r2 = self._radii * self._radii
+        for k in np.nonzero(sq <= r2 * (1.0 + _TIE))[0]:
+            if sq[k] < r2[k] * (1.0 - _TIE):
+                return True
+            t_k = (0.0 if denom == 0.0
+                   else min(max(rel[k].dot(d) / denom, 0.0), 1.0))
+            if vector_norm(p0 + t_k * d - self._centres[k]) <= self._radii[k]:
+                return True
+        return False
 
 
-def _segment_hits(p0: np.ndarray, p1: np.ndarray,
-                  obstacle: tuple[float, float, float]) -> bool:
-    """True when the swept segment p0->p1 touches the obstacle circle."""
-    return _point_seg_dist(np.array(obstacle[:2]), p0, p1) <= obstacle[2]
+def vector_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 2-vector, bit for bit (it is the square
+    root of the BLAS dot), without that function's call overhead."""
+    return math.sqrt(v.dot(v))
+
+
+def _any_closer(gaps: np.ndarray, limit: float) -> bool:
+    """Whether any row of ``gaps`` (..., 2) has ``vector_norm(row) < limit``.
+
+    Decided on squared lengths for all rows at once; rows within ``_TIE`` of
+    the threshold are settled by ``vector_norm``."""
+    sq = gaps[..., 0] * gaps[..., 0] + gaps[..., 1] * gaps[..., 1]
+    lim2 = limit * limit
+    if (sq < lim2 * (1.0 - _TIE)).any():
+        return True
+    return any(vector_norm(g) < limit
+               for g in gaps[np.abs(sq - lim2) <= _TIE * lim2])
 
 
 def _sample_precision_task(task_id: int, rng: np.random.Generator,
@@ -184,24 +231,28 @@ def _sample_precision_task(task_id: int, rng: np.random.Generator,
     angle = rng.uniform(0.0, 2.0 * np.pi)
     dist = rng.uniform(0.28, 0.42)
     target = (start[0] + dist * np.cos(angle), start[1] + dist * np.sin(angle))
-    target = tuple(float(np.clip(t, 0.08, 0.92)) for t in target)
+    target = tuple(float(min(max(t, 0.08), 0.92)) for t in target)
     return TaskSpec(task_id=task_id, family="precision-reach", start=start,
                     waypoints=(target,), radius=constants.precision_radius,
                     max_steps=max_steps)
 
 
-def detour_point(a: np.ndarray, b: np.ndarray, s: float, mode: float,
-                 bulge: float) -> np.ndarray:
+def detour_point(a: np.ndarray, b: np.ndarray, s: float | np.ndarray,
+                 mode: float, bulge: float) -> np.ndarray:
     """Point at progress ``s`` on the bowed curve from ``a`` to ``b``.
 
     The curve is the straight line displaced by ``mode * bulge * sin(pi*s)``
     along the leg's left normal; ``mode`` +1/-1 picks the side.  Experts
     track it and layout sampling keeps foreign obstacles away from it.
+    ``s`` may be an array of progresses; the result then has shape
+    ``s.shape + (2,)``, each row the point at that progress, bit for bit.
     """
     leg = b - a
-    length = float(np.linalg.norm(leg))
+    s = np.asarray(s, dtype=float)[..., None]
+    length = vector_norm(leg)
     if length < 1e-9:
-        return np.asarray(b, dtype=float).copy()
+        return np.broadcast_to(np.asarray(b, dtype=float),
+                               s.shape[:-1] + (2,)).copy()
     normal = np.array([-leg[1], leg[0]]) / length
     return a + s * leg + mode * bulge * np.sin(np.pi * s) * normal
 
@@ -217,26 +268,28 @@ def _chain_layout_ok(pts: list[np.ndarray], centres: list[np.ndarray],
     cuts corners onto the next leg, so its path can come a little closer than
     ``obstacle_path_gap`` (0.0399 from a foreign circle on suite seed 1,
     task 11). Changing the check would move every suite and dataset digest.
+
+    Every (obstacle k, leg j != k, side, sample) point and every (obstacle,
+    foreign waypoint) gap is computed in one array, with the same arithmetic
+    as ``detour_point`` per point, and judged by ``_any_closer``.
     """
     c = constants
-    keepout = c.obstacle_radius + c.obstacle_path_gap
     grid = np.linspace(0.0, 1.0, 21)
-    for k, centre in enumerate(centres):
-        for j in range(len(pts) - 1):
-            if j == k:
-                continue
-            for mode in (1.0, -1.0):
-                if any(np.linalg.norm(
-                        detour_point(pts[j], pts[j + 1], s, mode,
-                                     c.detour_bulge) - centre) < keepout
-                       for s in grid):
-                    return False
-        for j, p in enumerate(pts):
-            if j in (k, k + 1):
-                continue
-            if np.linalg.norm(p - centre) < c.obstacle_waypoint_gap:
-                return False
-    return True
+    legs = len(pts) - 1
+    # curves[j, m]: leg j's detour on side m, at every grid point
+    curves = np.array([[detour_point(pts[j], pts[j + 1], grid, mode,
+                                     c.detour_bulge) for mode in (1.0, -1.0)]
+                       for j in range(legs)]).reshape(legs, 2, len(grid), 2)
+    circles = np.asarray(centres, dtype=float).reshape(-1, 2)
+    k = np.arange(len(circles))[:, None]
+    to_curves = curves[None] - circles[:, None, None, None]
+    to_points = np.asarray(pts)[None] - circles[:, None]
+    j = np.arange(len(pts))
+    return not (
+        _any_closer(to_curves[k != j[:legs]],
+                    c.obstacle_radius + c.obstacle_path_gap)
+        or _any_closer(to_points[(j != k) & (j != k + 1)],
+                       c.obstacle_waypoint_gap))
 
 
 def _sample_chain_task(task_id: int, rng: np.random.Generator,
@@ -249,12 +302,13 @@ def _sample_chain_task(task_id: int, rng: np.random.Generator,
         pts = [start.copy()]
         for _ in range(constants.chain_length):
             for _attempt in range(64):
-                turn = rng.uniform(0.4, 2.2) * rng.choice([-1.0, 1.0])
+                # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
+                turn = rng.uniform(0.4, 2.2) * (-1.0, 1.0)[rng.integers(0, 2)]
                 leg = rng.uniform(0.34, 0.42)
                 cand_heading = heading + turn
                 cand = pts[-1] + leg * np.array([np.cos(cand_heading),
                                                  np.sin(cand_heading)])
-                if np.all(cand > 0.08) and np.all(cand < 0.92):
+                if (cand > 0.08).all() and (cand < 0.92).all():
                     heading = cand_heading
                     pts.append(cand)
                     break

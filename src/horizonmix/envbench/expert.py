@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_rng
-from .env import EnvConstants, PointMassEnv, TaskSpec, detour_point
+from .env import EnvConstants, PointMassEnv, TaskSpec, detour_point, vector_norm
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
                   ) -> np.ndarray:
     wps = np.asarray(task.waypoints)
     i = min(next_idx, len(wps) - 1)
-    d = float(np.linalg.norm(wps[i] - pos))
+    d = vector_norm(wps[i] - pos)
     if task.family == "precision-reach":
         aim = wps[i]
         speed = min(gains.v_cruise, gains.k_slow * d)
@@ -55,9 +55,8 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
         a_pt = np.asarray(task.start if i == 0 else wps[i - 1], dtype=float)
         b_pt = wps[i]
         leg = b_pt - a_pt
-        leg_len = float(np.linalg.norm(leg))
-        s = float(np.clip((pos - a_pt) @ leg / max(leg_len ** 2, 1e-12),
-                          0.0, 1.0))
+        leg_len = vector_norm(leg)
+        s = min(max((pos - a_pt) @ leg / max(leg_len ** 2, 1e-12), 0.0), 1.0)
         s_aim = s + gains.lookahead / max(leg_len, 1e-9)
         if s_aim <= 1.0:
             aim = detour_point(a_pt, b_pt, s_aim, mode,
@@ -65,7 +64,7 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
         elif i + 1 < len(wps):
             # Cap the slide at half the radius so the cut corner still
             # passes inside it even if the tracker settles on the aim point.
-            seg_len = float(np.linalg.norm(wps[i + 1] - b_pt))
+            seg_len = vector_norm(wps[i + 1] - b_pt)
             carry = min((s_aim - 1.0) * leg_len, seg_len, 0.5 * task.radius)
             aim = detour_point(b_pt, wps[i + 1],
                                carry / max(seg_len, 1e-9),
@@ -75,12 +74,13 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
             aim = b_pt
         speed = gains.v_cruise
     offset = aim - pos
-    norm = float(np.linalg.norm(offset))
+    norm = vector_norm(offset)
     # Never step past the aim point; prevents orbiting it at cruise speed.
     speed = min(speed, norm)
     v_des = offset * (speed / norm) if norm > 1e-9 else np.zeros(2)
     a = gains.k_track * (v_des / constants.damping - vel)
-    return np.clip(a, -constants.action_limit, constants.action_limit)
+    return np.minimum(np.maximum(a, -constants.action_limit),
+                      constants.action_limit)
 
 
 def run_expert_episode(task: TaskSpec, seed: int, episode: int,

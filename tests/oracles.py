@@ -11,6 +11,14 @@
   their own copy of the context and time rows;
 - `run`, the transformer pass over (B, N, L, d_model) sequences of that
   layout, which also runs the padded-stream and truncated-stream oracles.
+
+And the scalar geometry the point-mass environment's array decisions replaced:
+
+- `detour_point`, one point of a bowed detour curve per call;
+- `chain_layout_ok`, the keep-out check of a chain layout as loops over
+  obstacles, legs, sides and the 21 grid points, one `np.linalg.norm` each;
+- `point_seg_dist` and `segment_hits`, the swept-segment collision test
+  against one obstacle circle.
 """
 
 from __future__ import annotations
@@ -214,3 +222,47 @@ def run(params, cfg, ctx, action_tokens, time_token, masks: np.ndarray):
     x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     a0 = c + (0 if time_token is None else 1)
     return index(x, np.s_[:, :, a0:])
+
+
+def detour_point(a, b, s, mode, bulge):
+    leg = b - a
+    length = float(np.linalg.norm(leg))
+    if length < 1e-9:
+        return np.asarray(b, dtype=float).copy()
+    normal = np.array([-leg[1], leg[0]]) / length
+    return a + s * leg + mode * bulge * np.sin(np.pi * s) * normal
+
+
+def chain_layout_ok(pts, centres, constants) -> bool:
+    c = constants
+    keepout = c.obstacle_radius + c.obstacle_path_gap
+    grid = np.linspace(0.0, 1.0, 21)
+    for k, centre in enumerate(centres):
+        for j in range(len(pts) - 1):
+            if j == k:
+                continue
+            for mode in (1.0, -1.0):
+                if any(np.linalg.norm(
+                        detour_point(pts[j], pts[j + 1], s, mode,
+                                     c.detour_bulge) - centre) < keepout
+                       for s in grid):
+                    return False
+        for j, p in enumerate(pts):
+            if j in (k, k + 1):
+                continue
+            if np.linalg.norm(p - centre) < c.obstacle_waypoint_gap:
+                return False
+    return True
+
+
+def point_seg_dist(pt, a, b) -> float:
+    d = b - a
+    denom = float(d @ d)
+    t = 0.0 if denom == 0.0 else float(np.clip((pt - a) @ d / denom,
+                                               0.0, 1.0))
+    return float(np.linalg.norm(a + t * d - pt))
+
+
+def segment_hits(p0, p1, obstacle) -> bool:
+    """True when the swept segment p0->p1 touches the obstacle circle."""
+    return point_seg_dist(np.array(obstacle[:2]), p0, p1) <= obstacle[2]

@@ -2,12 +2,14 @@
 
 import copy
 import csv
+import hashlib
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from horizonmix.envbench import env as env_module
 from horizonmix.envbench.env import (EnvConstants, OBS_DIM, PointMassEnv,
                                      TaskSpec, make_suite)
 from horizonmix.envbench.expert import (ExpertGains, expert_action,
@@ -23,6 +25,8 @@ from horizonmix.errors import CheckpointFormatError, ConfigError
 from horizonmix.mixture import build_horizon_set, validity_grid
 from horizonmix.policy import ModelConfig, Policy
 from horizonmix.rng import make_rng
+
+import oracles
 
 SUITE = make_suite(8, 8, seed=0)
 
@@ -81,6 +85,18 @@ def small_policy(**overrides):
                 obs_dim=OBS_DIM, n_tasks=16, d_a=2, bins=8, ode_steps=2)
     base.update(overrides)
     return Policy.init(ModelConfig(**base), seed=0)
+
+
+def _after_fast_step(obstacles):
+    """Noise-free env from (0, 0) after one full-thrust step, which lands at
+    (0.6, 0)."""
+    task = TaskSpec(task_id=0, family="waypoint-chain", start=(0.0, 0.0),
+                    waypoints=((1.0, 0.0),), radius=0.05, max_steps=50,
+                    obstacles=obstacles)
+    env = PointMassEnv(task, make_rng(0, "t"),
+                       EnvConstants(obs_noise=0.0, start_jitter=0.0))
+    env.step(np.array([1.0, 0.0]))
+    return env
 
 
 class TestEnv:
@@ -193,13 +209,99 @@ class TestEnv:
 
     def test_collision_checks_swept_segment(self):
         # A fast step that jumps across the obstacle still counts as a hit.
-        task = TaskSpec(task_id=0, family="waypoint-chain", start=(0.0, 0.0),
-                        waypoints=((1.0, 0.0),), radius=0.05, max_steps=50,
-                        obstacles=((0.35, 0.0, 0.02),))
-        env = PointMassEnv(task, make_rng(0, "t"),
-                           EnvConstants(obs_noise=0.0, start_jitter=0.0))
-        env.step(np.array([1.0, 0.0]))  # lands at 0.6, beyond the obstacle
+        env = _after_fast_step(((0.35, 0.0, 0.02),))
         assert env.collided and env.done
+
+    def test_sweep_finds_the_one_crossed_circle_of_four(self):
+        # Only the last circle is crossed, so a slip in indexing the circles
+        # misses it.
+        env = _after_fast_step(((0.35, 0.3, 0.02), (0.2, -0.3, 0.02),
+                                (0.8, 0.0, 0.02), (0.45, 0.01, 0.02)))
+        assert env.collided and env.done
+
+    def test_step_just_clear_of_every_circle_does_not_collide(self):
+        # Each circle is passed, beside the step or past its end, at just
+        # over its radius.
+        env = _after_fast_step(((0.15, 0.02 + 1e-12, 0.02),
+                                (0.3, -0.03 - 1e-12, 0.03),
+                                (0.45, 0.01 + 1e-9, 0.01),
+                                (0.62 + 1e-12, 0.0, 0.02)))
+        np.testing.assert_array_equal(env.pos, [0.6, 0.0])
+        assert not env.collided and not env.done
+
+    def test_swept_hit_matches_scalar_rule(self):
+        # Random steps against 1-4 random circles.  A quarter of the steps
+        # have zero length and a quarter end exactly on a circle.  In the
+        # zero-length quarter and one more, one circle's radius is its
+        # scalar distance from the step to within 1e-12 or a few ulps.
+        rng = np.random.default_rng(0)
+        c = EnvConstants(obs_noise=0.0, start_jitter=0.0)
+        hits = 0
+        for case in range(10_000):
+            n = int(rng.integers(1, 5))
+            circles = np.column_stack([rng.uniform(0.0, 1.0, (n, 2)),
+                                       rng.uniform(0.01, 0.1, n)])
+            p0 = rng.uniform(0.0, 1.0, 2)
+            p1 = p0 + rng.normal(0.0, 0.3, 2)
+            k = int(rng.integers(n))
+            if case % 4 == 0:
+                p1 = p0.copy()
+            elif case % 4 == 1:
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                p1 = circles[k, :2] + circles[k, 2] * np.array(
+                    [np.cos(angle), np.sin(angle)])
+            if case % 4 in (0, 3):
+                dist = oracles.point_seg_dist(circles[k, :2], p0, p1)
+                ulp = np.spacing(dist)
+                circles[k, 2] = dist + rng.choice(
+                    [-1e-12, 1e-12, 0.0, ulp, -ulp, 3.0 * ulp])
+            obstacles = tuple(tuple(map(float, row)) for row in circles)
+            task = TaskSpec(task_id=0, family="waypoint-chain",
+                            start=(0.5, 0.5), waypoints=((1.0, 0.0),),
+                            radius=0.05, max_steps=5, obstacles=obstacles)
+            env = PointMassEnv(task, make_rng(0, "t"), c)
+            expected = any(oracles.segment_hits(p0, p1, ob)
+                           for ob in obstacles)
+            assert env._swept_hit(p0, p1) == expected, (p0, p1, obstacles)
+            hits += expected
+        assert 2_000 < hits < 8_000
+
+    def test_layout_check_matches_scalar_rule(self):
+        # Two-leg layouts with the first leg's obstacle.  Two thirds of them
+        # place it, to within 1e-12 or a few ulps, at the keep-out distance
+        # from the apex of the second leg's detour or at the waypoint gap
+        # from its end waypoint.  Every tenth second leg is degenerate
+        # (shorter than 1e-9).
+        rng = np.random.default_rng(1)
+        c = EnvConstants()
+        keepout = c.obstacle_radius + c.obstacle_path_gap
+        accepted = 0
+        for case in range(10_000):
+            start, mid = rng.uniform(0.1, 0.9, (2, 2))
+            heading = rng.uniform(0.0, 2.0 * np.pi)
+            unit = np.array([np.cos(heading), np.sin(heading)])
+            end = mid + (1e-10 if case % 10 == 0
+                         else rng.uniform(0.34, 0.42)) * unit
+            centre = 0.5 * (start + mid)
+            offset = rng.choice([-1e-12, 1e-12, 0.0, 1e-17, -1e-17, 3e-17])
+            if case % 3 == 1:
+                mode = rng.choice([1.0, -1.0])
+                apex = oracles.detour_point(mid, end, 0.5, mode, c.detour_bulge)
+                outward = mode * np.array([-unit[1], unit[0]])
+                centre = apex + (keepout + offset) * outward
+            elif case % 3 == 2:
+                centre = end + (c.obstacle_waypoint_gap + offset) * unit
+            pts = [start, mid, end]
+            expected = oracles.chain_layout_ok(pts, [centre], c)
+            assert env_module._chain_layout_ok(pts, [centre], c) == expected
+            accepted += expected
+        assert 2_000 < accepted < 8_000
+
+    def test_suite_equals_the_suite_of_the_scalar_layout_check(self, monkeypatch):
+        suites = [make_suite(seed=s) for s in range(16)]
+        monkeypatch.setattr(env_module, "_chain_layout_ok",
+                            oracles.chain_layout_ok)
+        assert suites == [make_suite(seed=s) for s in range(16)]
 
     def test_detour_side_passes_obstacle(self):
         task = TaskSpec(task_id=0, family="waypoint-chain", start=(0.0, 0.0),
@@ -306,6 +408,33 @@ MALFORMED = {
     "chunks-2d": lambda a: {**a, "chunks": a["chunks"][:, :, 0]},
     "float-task-ids": lambda a: {**a, "task_ids": a["task_ids"].astype(np.float64)},
 }
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# What make_suite and generate_dataset produced before they ran at array
+# speed.  A stored --data directory is reused whenever its provenance
+# matches, which these bits are not part of, so they must not move
+# silently: a change that means to move them updates these constants and
+# says so in CHANGES.md.
+SUITE_DIGESTS = ["7f963d608c25181b", "f08a776c13186465", "72db78b2a96fcc43",
+                 "8e652acd0ef0dee3", "afade2d564a2de4c", "1597ce11280ed971",
+                 "4d3aa16bd9e16bc7", "0105d5bc1bd19911"]
+DATASET_DIGESTS = {"observations": ("<f4", (438, 7), "bee133dea903470b"),
+                   "task_ids": ("<i8", (438,), "5ad8d4bf59cfe7a3"),
+                   "chunks": ("<f4", (438, 30, 2), "32e9c510f107afe0"),
+                   "valid": ("<f4", (438, 30), "f905bf1d05eb2e7b")}
+
+
+def test_suite_and_dataset_bits_are_pinned():
+    assert [_digest(repr(make_suite(seed=s)).encode())
+            for s in range(8)] == SUITE_DIGESTS
+    dataset = generate_dataset(make_suite(seed=0), 2, 30, seed=0)
+    assert {name: (a.dtype.str, a.shape, _digest(a.tobytes()))
+            for name in DATASET_DIGESTS
+            for a in [getattr(dataset, name)]} == DATASET_DIGESTS
 
 
 class TestDataset:
