@@ -30,14 +30,19 @@ keeps only what its backward reads:
 
 - `linear`: one GEMM on the 2-d view of x with the bias added in place;
   it keeps that view;
-- `mlp` (linear, tanh GELU, linear): only x; it walks row blocks through a
-  block-sized scratch, so the (rows, d_ff) hidden array never exists, and
-  its backward recomputes each block's hidden pre-activation and tanh;
+- `mlp` (linear, tanh GELU, linear, and an optional residual added in
+  place): only x; it walks row blocks through a block-sized scratch, so
+  the (rows, d_ff) hidden array never exists, and its backward recomputes
+  each block's hidden pre-activation and tanh. GELU's ½ scales the output
+  in the forward and w2 in the backward, never the hidden elements, and
+  the rule hands its own gradient to the residual;
 - `layer_norm`: x and the per-row mean and rstd = (var + eps)^-½; its
   backward rebuilds x̂ = (x - mean) rstd;
 - `attention` (head split, scale, additive masks, stable softmax, `@ v`
   and head merge over a shared prefix plus lanes): the probabilities p,
-  besides the output and its inputs;
+  besides the output and its inputs. The scale 1/√hd multiplies q, not
+  the scores, and a fully blocked row is found from the softmax's own row
+  max, which assumes |score| ≪ 1e9;
 - `log_softmax`: only its output.
 
 tests/ keeps the unfused code they replaced as their oracles. The forwards
@@ -65,6 +70,8 @@ from .errors import InvalidMaskError, ShapeMismatchError
 # without ever producing NaN via inf - inf in the stabilizing max-subtraction.
 NEG_INF = -1e9
 
+_WIDTHS = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 class Tensor:
     """N-d array plus an optional gradient slot and a backward rule.
@@ -78,7 +85,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
-        if data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        if data.dtype not in _WIDTHS:
             data = data.astype(np.float64)
         self.data = data
         self.grad = None
@@ -191,12 +198,15 @@ def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root; accumulates into leaf .grad slots.
 
     Every non-leaf node's gradient, the root's included, is dropped as its
-    rule runs, together with the tape edge."""
+    rule runs, together with the tape edge, and the sweep lets go of each
+    node once it has run it: an activation the caller does not hold is
+    freed once its own rule and its consumers' rules have run."""
     if root.data.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     order = linearize(root)
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             g, node.grad = node.grad, None
             node._backward(g)
@@ -322,7 +332,7 @@ def gather_rows(a: Tensor, idx: np.ndarray):
     idx = np.asarray(idx)
     hit = idx >= 0
     src = idx[hit]
-    if np.unique(src).size != src.size:
+    if src.size and np.bincount(src).max() > 1:
         raise ShapeMismatchError("gather_rows reads a row more than once")
     out = np.zeros(a.shape[:1] + idx.shape + a.shape[2:], dtype=a.dtype)
     out[:, hit] = a.data[:, src]
@@ -411,9 +421,10 @@ def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1):
     if not valid_counts.all():
         bad = np.argwhere(valid_counts == 0)[0]
         raise InvalidMaskError(f"all-invalid softmax slice at index {tuple(bad)} along axis {axis}")
-    x = logits.data
-    m = np.max(np.where(mask, x, -np.inf), axis=axis, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, x, m) - m), 0.0)
+    # invalid entries read -inf, whose exp is exactly 0
+    e = np.where(mask, logits.data, -np.inf)
+    e -= e.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
@@ -489,17 +500,22 @@ def _gelu_tanh(xs: np.ndarray, ts: np.ndarray) -> None:
 _BLOCK = 1 << 17
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """gelu(x w1 + b1) w2 + b2 over the last axis of x, with the tanh GELU.
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        residual: Tensor | None = None):
+    """gelu(x w1 + b1) w2 + b2 + residual over the last axis of x, with the
+    tanh GELU; the residual, of the output's shape, is optional.
 
     Walks row blocks of the 2-d view of x through block-sized scratch arrays,
-    so the (rows, d_ff) hidden array never exists. Keeps only x: per block
-    the backward recomputes a = x w1 + b1 and t = tanh(c (a + 0.044715 a³))
-    with the forward's ops, then forms dw2 = gelu(a)ᵀ g, da = (g w2ᵀ)
-    gelu'(a), db1, dw1 = xᵀ da and dx = da w1ᵀ; the weight and bias
-    gradients sum over the blocks.
+    so the (rows, d_ff) hidden array never exists. GELU's ½ never touches a
+    hidden element; a power-of-two scale moves without changing a bit. Keeps
+    only x: per block the backward recomputes a = x w1 + b1 and
+    t = tanh(c (a + 0.044715 a³)) with the forward's ops, then forms
+    dw2 = ½ (a (1 + t))ᵀ g, da = (g (½ w2)ᵀ) (gelu'(a) / ½), db1,
+    dw1 = xᵀ da and dx = da w1ᵀ; the weight and bias gradients sum over the
+    blocks. The residual gets the rule's own g once nothing reads it.
     """
-    for p in (w1, b1, w2, b2):
+    parents = (x, w1, b1, w2, b2) + (() if residual is None else (residual,))
+    for p in parents[1:]:
         _check_same_width(x, p)
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2:
         raise ShapeMismatchError(f"mlp needs rank >= 2 x and 2-d weights, got {x.shape}, "
@@ -509,6 +525,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
         raise ShapeMismatchError(f"biases {b1.shape} and {b2.shape} do not match weights "
                                  f"{w1.shape} and {w2.shape}")
+    out_shape = x.shape[:-1] + w2.shape[1:]
+    if residual is not None and residual.shape != out_shape:
+        raise ShapeMismatchError(f"residual {residual.shape} does not match the output {out_shape}")
     x2 = x.data.reshape(-1, x.shape[-1])
     rows, hidden = x2.shape[0], w1.shape[1]
     step = max(1, _BLOCK // hidden)
@@ -533,9 +552,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         ab, tb = hidden_block(s, a, t)
         tb += 1.0
         tb *= ab
-        tb *= 0.5
         np.matmul(tb, w2.data, out=out_data[s])
+    out_data *= 0.5  # GELU's ½, on d_out columns instead of d_ff
     out_data += b2.data
+    if residual is not None:
+        out_data += residual.data.reshape(out_data.shape)
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -544,16 +565,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         grads = {p: np.zeros_like(p.data) for p in (w1, b1, w2) if p.requires_grad}
         dx = np.empty_like(x2) if x.requires_grad else None
         a, t, h, d = scratch(4)
+        half_w2 = 0.5 * w2.data
         for s in blocks:
             ab, tb = hidden_block(s, a, t)
             hb, db = h[:len(ab)], d[:len(ab)]
             if w2 in grads:
                 np.add(tb, 1.0, out=hb)
                 hb *= ab
-                hb *= 0.5
                 grads[w2] += hb.T @ g2[s]
-            # db = 0.5 (1 + t) + 0.5 a (1 - t²) c (1 + 3 * 0.044715 a²), while
-            # a and t are still in cache; then a's scratch takes da
+            # db = (1 + t) + a (1 - t²) c (1 + 3 * 0.044715 a²), gelu'(a) / ½,
+            # while a and t are still in cache; then a's scratch takes da
             np.multiply(ab, ab, out=db)
             db *= 0.134145
             db += 1.0
@@ -564,8 +585,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
             db *= ab
             db += tb
             db += 1.0
-            db *= 0.5
-            da = np.matmul(g2[s], w2.data.T, out=ab)
+            da = np.matmul(g2[s], half_w2.T, out=ab)
             da *= db
             if b1 in grads:
                 grads[b1] += np.ones(len(da), dtype=g.dtype) @ da
@@ -573,12 +593,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
                 grads[w1] += x2[s].T @ da
             if dx is not None:
                 np.matmul(da, w1.data.T, out=dx[s])
+        if w2 in grads:
+            grads[w2] *= 0.5  # exact, as is halving each block's product
         for p, grad in grads.items():
             p._accumulate(grad)
         if dx is not None:
             x._accumulate(dx.reshape(x.shape))
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
 
-    return _make(out_data.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), bwd)
+    return _make(out_data.reshape(out_shape), parents, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -593,13 +617,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     _check_same_width(x, beta)
     if np.broadcast(x.data, gamma.data, beta.data).shape != x.shape:
         raise ShapeMismatchError(f"gamma {gamma.shape} and beta {beta.shape} widen x {x.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # np.mean's own sum and in-place division, without its Python wrapper
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mean /= n
     out_data = x.data - mean
-    rstd = (np.square(out_data).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    var = np.add.reduce(np.square(out_data), axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    rstd = var ** -0.5
     out_data *= rstd
     out_data *= gamma.data
     out_data += beta.data
-    n = x.shape[-1]
 
     def bwd(g):
         # g is this rule's own array, so it becomes dx in place
@@ -626,15 +655,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
 
 
 def _softmax_rows(p: np.ndarray) -> None:
-    """Stable softmax over the last axis, in place."""
-    p -= p.max(axis=-1, keepdims=True)
+    """Stable softmax over the last axis of masked scores, in place.
+
+    A finite row max at or below NEG_INF / 2 means every key is blocked, as
+    long as |score| ≪ 1e9. A -inf or NaN max, from overflowed scores, is
+    left to the loss's finite check."""
+    m = p.max(axis=-1, keepdims=True)
+    if not m.min() > NEG_INF / 2 and ((m <= NEG_INF / 2) & np.isfinite(m)).any():
+        raise InvalidMaskError("attention row with every key blocked")
+    p -= m
     np.exp(p, out=p)
     p /= np.einsum("...i->...", p)[..., None]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
               prefix_mask: np.ndarray, lane_mask: np.ndarray):
-    """Multi-head softmax(q kᵀ / sqrt(hd) + mask) v over a [prefix | lanes] sequence.
+    """Multi-head softmax((q / sqrt(hd)) kᵀ + mask) v over a [prefix | lanes] sequence.
 
     q, k, v:     (B, R, d) rows: P shared prefix rows, then `lanes` lanes of
                  W rows each, R = P + lanes W; heads are split and merged inside
@@ -647,8 +683,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     Prefix rows never see a lane, so every lane shares one prefix. The lane
     rows' scores and values against the prefix are one GEMM over all lane
     rows, and the prefix K/V gradient sums the prefix block and that block.
-    The score gradient is ds = p (g vᵀ - rowsum(g vᵀ p)) / sqrt(hd), with
-    rowsum(g vᵀ p) taken as the equal and cheaper rowsum(g out).
+    The scale multiplies q, which has fewer entries than the scores, and
+    the backward's dq and dk; that is exact when 1/sqrt(hd) is a power of
+    two. The unscaled score gradient is ds = p (g vᵀ - rowsum(g vᵀ p)),
+    with rowsum(g vᵀ p) taken as the equal and cheaper rowsum(g out).
     """
     _check_same_width(q, k)
     _check_same_width(q, v)
@@ -665,9 +703,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     dtype = q.data.dtype
     prefix_mask = np.asarray(prefix_mask, dtype=dtype)
     lane_mask = np.asarray(lane_mask, dtype=dtype)
-    for mask in (prefix_mask, lane_mask):
-        if np.any(np.all(mask <= NEG_INF / 2, axis=-1)):
-            raise InvalidMaskError("attention row with every key blocked")
     hd = d // heads
     scale = dtype.type(1.0 / np.sqrt(hd))
 
@@ -695,10 +730,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     qp, ql, ql5 = split(q.data)
     kp, _, kl5 = split(k.data)
     vp, _, vl5 = split(v.data)
-    pp = qp @ kp.swapaxes(-1, -2)
-    pl = lane_scores(ql, ql5, kp, kl5)
+    sqp, sql, sql5 = split(q.data * scale)
+    pp = sqp @ kp.swapaxes(-1, -2)
+    pl = lane_scores(sql, sql5, kp, kl5)
+    del sqp, sql, sql5  # free the scaled copy of q before the softmax's temporaries
     for p, mask in ((pp, prefix_mask), (pl, lane_mask)):
-        p *= scale
         p += mask
         _softmax_rows(p)
     pl_pre, pl_own = blocks(pl)
@@ -725,9 +761,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         dpp -= row_dot[:, :, :n_pre, None]
         dpl = lane_scores(gl, gl5, vp, vl5)
         dpl -= row_dot[:, :, n_pre:].reshape(b, heads, lanes, width, 1)
-        for ds, p in ((dpp, pp), (dpl, pl)):
-            ds *= p
-            ds *= scale
+        dpp *= pp
+        dpl *= pl
         dpl_pre, dpl_own = blocks(dpl)
         if q.requires_grad:
             dq = np.empty_like(q.data)
@@ -735,6 +770,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             np.matmul(dpp, kp, out=dqp)
             np.matmul(dpl_pre, kp, out=dql)
             dql += (dpl_own @ kl5).reshape(dql.shape)
+            dq *= scale
             q._accumulate(dq)
         if k.requires_grad:
             dk = np.empty_like(k.data)
@@ -742,6 +778,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             np.matmul(dpp.swapaxes(-1, -2), qp, out=dkp)
             dkp += dpl_pre.swapaxes(-1, -2) @ ql
             np.matmul(dpl_own.swapaxes(-1, -2), ql5, out=dkl5)
+            dk *= scale
             k._accumulate(dk)
 
     return _make(out_data, (q, k, v), bwd)

@@ -20,8 +20,11 @@ a lane with the k-th shortest. A stride-built set pairs to equal lengths,
 h + (H + stride - h): at the defaults (C=8, H=30, stride 3) that is a
 prefix of 8 + 1 rows and 5 lanes of 33 rows, 174 rows in all and no pad
 rows. ``lane_masks`` keeps the streams apart by stream index, and
-``tensor.attention`` runs that layout as one node. Each block's
-feed-forward is one ``tensor.mlp`` node, which keeps only its input.
+``tensor.attention`` runs that layout as one node. ``lane_plan`` builds the
+layout's slot steps, both masks and the gather index once per config and
+caches them read-only, so a forward rebuilds none of them. Each block's
+feed-forward is one ``tensor.mlp`` node, which keeps only its input and
+adds the block's residual.
 
 One forward, ``forward_multi_horizon``, serves every head and reads its
 shapes from ``ModelConfig`` alone. The flow head passes one (B, H, d_a)
@@ -35,6 +38,7 @@ valid is ``mixture.validity_grid``.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,6 +149,27 @@ def lane_masks(stream: np.ndarray, n_context: int, with_time: bool, dtype=np.flo
     return tuple(np.where(sees, 0.0, T.NEG_INF).astype(dtype) for sees in (prefix, lane))
 
 
+@functools.cache
+def lane_plan(horizons: HorizonSet, n_context: int, with_time: bool, dtype):
+    """The constant arrays of ``forward_multi_horizon`` at one config, built
+    once per process and read-only.
+
+    returns (slot_step, masks, gather):
+      slot_step: (lanes La,) chunk step each action slot reads, 0 at pad
+                 slots (no row sees them)
+      masks:     the prefix and lane masks of ``lane_masks``
+      gather:    (N, H) row of each (stream, step) in the sequence, -1 past
+                 the stream's horizon
+    """
+    stream, step, source = lane_layout(horizons)
+    masks = lane_masks(stream, n_context, with_time, dtype)
+    slot_step = np.maximum(step, 0).reshape(-1)
+    gather = np.where(source >= 0, source + masks[0].shape[0], -1)
+    for a in (slot_step, *masks, gather):
+        a.setflags(write=False)
+    return slot_step, masks, gather
+
+
 def sinusoidal_features(tau: np.ndarray, dim: int, scale: float = 100.0) -> np.ndarray:
     """Fixed sin/cos features of the flow time, position = tau * scale."""
     if dim % 2 != 0:
@@ -169,8 +194,8 @@ def _block(params, i: int, x: T.Tensor, masks, heads: int) -> T.Tensor:
     att = T.attention(q, k, v, heads, *masks)
     x = T.add(x, T.linear(att, params[f"blocks.{i}.attn.wo"], params[f"blocks.{i}.attn.wo_b"]))
     pre2 = T.layer_norm(x, params[f"blocks.{i}.ln2.g"], params[f"blocks.{i}.ln2.b"])
-    ffn = T.mlp(pre2, *(params[f"blocks.{i}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")))
-    return T.add(x, ffn)
+    return T.mlp(pre2, *(params[f"blocks.{i}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")),
+                 residual=x)
 
 
 def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor,
@@ -185,10 +210,8 @@ def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor,
     returns hidden states (B, N, H, d_model) at the action positions,
     exactly 0 past each stream's horizon
     """
-    stream, step, source = lane_layout(cfg.horizon_set())
-    masks = lane_masks(stream, ctx.shape[1], with_time=chunk is not None, dtype=ctx.dtype)
-    n_pre = masks[0].shape[0]
-    slot_step = np.maximum(step, 0).reshape(-1)  # pad slots read step 0; no row sees them
+    slot_step, masks, gather = lane_plan(cfg.horizon_set(), ctx.shape[1], chunk is not None,
+                                         ctx.dtype)
     pos = T.take_rows(params["action_pos"], slot_step)
     b = ctx.shape[0]
     if chunk is None:
@@ -203,4 +226,4 @@ def forward_multi_horizon(params, cfg: ModelConfig, ctx: T.Tensor,
     for i in range(cfg.layers):
         x = _block(params, i, x, masks, cfg.heads)
     x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-    return T.gather_rows(x, np.where(source >= 0, source + n_pre, -1))
+    return T.gather_rows(x, gather)

@@ -253,6 +253,15 @@ def _build_cases():
         w = rng.standard_normal((2, 3, 3))
         return lambda: T.tsum(T.mul(T.mlp(x, w1, b1, w2, b2), w)), [x, w1, b1, w2, b2]
 
+    @case("mlp_residual")
+    def _():
+        rng = _case_rng("mlp_residual")
+        x, w1, b1 = _randn(rng, 2, 3, 4), _randn(rng, 4, 5), _randn(rng, 5)
+        w2, b2, r = _randn(rng, 5, 3), _randn(rng, 3), _randn(rng, 2, 3, 3)
+        w = rng.standard_normal((2, 3, 3))
+        return (lambda: T.tsum(T.mul(T.mlp(x, w1, b1, w2, b2, residual=r), w)),
+                [x, w1, b1, w2, b2, r])
+
     @case("layer_norm")
     def _():
         rng = _case_rng("layer_norm")

@@ -1,5 +1,6 @@
 """Flow, regression, and classification heads against direct oracles."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -397,14 +398,15 @@ class TestPolicyInterface:
         np.testing.assert_array_equal(alone, fused)
         np.testing.assert_array_equal(alpha_alone, alpha)
 
-    def test_default_flow_loss_tape_has_189_nodes(self):
-        # leaves included; each MLP (4 FFNs and the encoder) is one node, so a
-        # split of a fused node shows here. The count does not depend on B.
+    def test_default_flow_loss_tape_has_185_nodes(self):
+        # leaves included; each MLP (4 FFNs, which add their block's
+        # residual, and the encoder) is one node, so a split of a fused node
+        # shows here. The count does not depend on B.
         cfg = ModelConfig(head="flow")
         policy = Policy.init(cfg, seed=0)
         obs, task_ids, chunks, valid = make_batch(37, b=2, cfg=cfg)
         out, _ = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
-        assert len(T.linearize(out.total)) == 189
+        assert len(T.linearize(out.total)) == 185
 
     @pytest.mark.parametrize("head", hd.HEAD_TYPES)
     def test_predict_deterministic(self, head):
@@ -422,3 +424,59 @@ class TestPolicyInterface:
         np.testing.assert_allclose(
             norm.denormalize_actions(norm.normalize_actions(actions)), actions,
             atol=1e-12)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def predict_digests() -> dict[str, str]:
+    """Digest of (fused, per-horizon, alpha) of each head's float32
+    ``predict`` at the test config, at B=1 and B=3."""
+    out = {}
+    for head in hd.HEAD_TYPES:
+        policy = Policy.init(replace(CFG, head=head), seed=0).detached()
+        for b in (1, 3):
+            obs, task_ids, _, _ = make_batch(41, b=b)
+            out[f"{head}@{b}"] = _digest(*policy.predict(obs, task_ids, rng=make_rng(42, "n")))
+    return out
+
+
+def loss_digests() -> dict[str, str]:
+    """Digest of each head's float32 loss total and every parameter
+    gradient, by name, at the test config; parameters the head does not
+    use have none."""
+    out = {}
+    for head in hd.HEAD_TYPES:
+        policy = Policy.init(replace(CFG, head=head), seed=0)
+        obs, task_ids, chunks, valid = make_batch(43)
+        valid[0, 4:] = False
+        total = policy.loss(obs, task_ids, chunks, valid, make_rng(44, "d"))[0].total
+        T.backward(total)
+        grads = [policy.params[k].grad for k in sorted(policy.params)]
+        out[head] = _digest(total.data, *(g for g in grads if g is not None))
+    return out
+
+
+# What predict and loss gave before the forward stopped rebuilding its lane
+# plan, moved attention's scale onto q and GELU's ½ off the hidden elements,
+# and folded the FFN residual into T.mlp: each of those is exact at these
+# shapes, so the bits must not move. A change that means to move them updates these
+# constants and says so in CHANGES.md.
+PREDICT_DIGESTS = {"flow@1": "4f2a85251fc53476", "flow@3": "f43281f3740e482c",
+                   "regression@1": "803a49ff53a02161", "regression@3": "138be5c347b7384f",
+                   "classification@1": "666a622ef834ede9",
+                   "classification@3": "d5af6f8b3647e2ed"}
+LOSS_DIGESTS = {"flow": "ca2a4fa5aa3af779", "regression": "8a7fab6b788fdb91",
+                "classification": "9636bb82eee2b0ac"}
+
+
+def test_predict_bits_are_pinned():
+    assert predict_digests() == PREDICT_DIGESTS
+
+
+def test_loss_and_gradient_bits_are_pinned():
+    assert loss_digests() == LOSS_DIGESTS

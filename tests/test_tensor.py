@@ -1,6 +1,7 @@
 """Autodiff core: pinned example values, error paths, and gradient sweeps."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +368,29 @@ class TestMlp:
         for gf, gc in zip(*grads):
             np.testing.assert_array_equal(gf, gc)
 
+    @pytest.mark.parametrize("shape,hidden", _mlp_shapes())
+    def test_residual_equals_add_bit_for_bit(self, shape, hidden):
+        # the block's residual add, folded into the node: same forward, same
+        # gradients of every input, the residual included
+        params = _mlp_inputs(shape, hidden, np.float32)
+        r = T.param(make_rng(3, "mlp-residual").standard_normal(shape).astype(np.float32))
+        g = make_rng(4, "mlp-g").standard_normal(shape).astype(np.float32)
+        outs, grads = [], []
+        for op in (lambda: T.mlp(*params, residual=r), lambda: T.add(r, T.mlp(*params))):
+            T.zero_grads(params + [r])
+            out = op()
+            outs.append(out.data.copy())
+            T.backward(T.tsum(T.mul(out, g)))
+            grads.append([p.grad for p in params + [r]])
+        np.testing.assert_array_equal(*outs)
+        for gf, ga in zip(*grads):
+            np.testing.assert_array_equal(gf, ga)
+
+    def test_residual_shape_mismatch_rejected(self):
+        x, w1, b1, w2, b2 = _mlp_inputs((2, 3, 4), 5)
+        with pytest.raises(ShapeMismatchError, match="residual"):
+            T.mlp(x, w1, b1, w2, b2, residual=T.constant(np.zeros((2, 1, 4))))
+
     def test_backward_keeps_no_hidden_array(self):
         # only x and views of it: an array of rows x d_ff would be the hidden
         # activation the node exists to drop
@@ -639,6 +663,19 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(a.grad, weights[0] + weights[1])
         np.testing.assert_array_equal(b.grad, weights[0] + weights[1])
         np.testing.assert_array_equal(x.grad, 2.0 * (weights[0] + weights[1]))
+
+    def test_backward_frees_an_activation_before_upstream_rules_run(self):
+        # x -> u -> y -> loss: once y's rule has run, nothing but the tape's
+        # list held y, so its array is gone before u's rule runs
+        x = T.param(np.arange(3.0))
+        seen = []
+        u = T._make(2.0 * x.data, (x,), lambda g: seen.append(y_data() is None))
+        y = T.texp(u)
+        y_data = weakref.ref(y.data)
+        loss = T.tsum(y)
+        del y
+        T.backward(loss)
+        assert seen == [True]
 
     def test_gather_rows_rejects_a_row_read_twice(self):
         a = T.param(np.ones((1, 3, 2)))

@@ -198,6 +198,25 @@ class TestLanes:
                 np.testing.assert_array_equal(row, expect)
         assert (stream < 0).any()
 
+    @pytest.mark.parametrize("with_time", [True, False])
+    def test_plan_is_built_once_and_read_only(self, with_time):
+        hs = horizon_set_from_list([1, 2, 7, 30])
+        plan = tr.lane_plan(hs, 3, with_time, np.dtype(np.float32))
+        assert tr.lane_plan(horizon_set_from_list([1, 2, 7, 30]), 3, with_time,
+                            np.dtype(np.float32)) is plan
+        slot_step, (prefix, lane), gather = plan
+        stream, step, source = tr.lane_layout(hs)
+        masks = tr.lane_masks(stream, 3, with_time)
+        np.testing.assert_array_equal(slot_step, np.maximum(step, 0).reshape(-1))
+        np.testing.assert_array_equal(prefix, masks[0])
+        np.testing.assert_array_equal(lane, masks[1])
+        np.testing.assert_array_equal(gather, np.where(source >= 0,
+                                                       source + 3 + int(with_time), -1))
+        assert prefix.dtype == lane.dtype == np.float32
+        for a in (slot_step, prefix, lane, gather):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
     @pytest.mark.parametrize("head", ["flow", "regression"])
     def test_default_layout(self, head, monkeypatch):
         # C=8 context rows, the flow time row, and the stride-3 set in 5 lanes of 33
