@@ -1,9 +1,11 @@
 """Demonstration datasets: sliding-window chunk extraction from expert runs.
 
-Every episode of length L yields L windows, one per start step.  Windows that
-run past the episode end repeat the last action (padded targets stay
-dynamically plausible: the expert has converged by then) and mark those rows
-invalid so losses skip them.
+The expert rolls every demonstration of a suite in lockstep
+(``run_expert_episodes``), and the windows of all successful episodes are
+gathered in one indexing step.  Every episode of length L yields L windows,
+one per start step.  Windows that run past the episode end repeat the last
+action (padded targets stay dynamically plausible: the expert has converged
+by then) and mark those rows invalid so losses skip them.
 
 A dataset directory holds one checkpoint container, ``data.bin``: the ``ARRAYS``
 with the manifest as meta.  ``provenance`` builds the entries that decide staleness.
@@ -17,7 +19,7 @@ import numpy as np
 from ..checkpoint import load_arrays, save_arrays
 from ..errors import CheckpointFormatError
 from .env import EnvConstants, TaskSpec
-from .expert import ExpertGains, run_expert_episode
+from .expert import ExpertGains, run_expert_episodes
 
 DATA_FILE = "data.bin"
 ARRAYS = ("observations", "task_ids", "chunks", "valid")
@@ -37,12 +39,23 @@ class Dataset:
         return self.observations.shape[0]
 
 
-def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
-                         max_horizon: int):
-    """Return (chunks, valid) arrays of shape (L, H, d_a) and (L, H)."""
-    steps = np.arange(len(actions))[:, None] + np.arange(max_horizon)
-    chunks = actions[np.minimum(steps, len(actions) - 1)].astype(np.float32)
-    return chunks, (steps < len(actions)).astype(np.float32)
+def windows(observations: np.ndarray, actions: np.ndarray,
+            lengths: np.ndarray, max_horizon: int):
+    """Every window of every episode, episodes in row order.
+
+    Row e of ``observations`` (E, T, obs_dim) and ``actions`` (E, T, d_a)
+    holds episode e's first ``lengths[e]`` steps.  Returns (obs, chunks,
+    valid, episode): float32 arrays of shape (M, obs_dim), (M, H, d_a) and
+    (M, H), and each window's episode (M,), M = ``lengths.sum()``."""
+    episode = np.repeat(np.arange(len(lengths)), lengths)
+    start = np.arange(len(episode)) - np.repeat(np.cumsum(lengths) - lengths,
+                                                lengths)
+    steps = start[:, None] + np.arange(max_horizon)
+    last = lengths[episode][:, None] - 1
+    chunks = actions[episode[:, None], np.minimum(steps, last)]
+    return (observations[episode, start].astype(np.float32),
+            chunks.astype(np.float32), (steps <= last).astype(np.float32),
+            episode)
 
 
 def provenance(seed: int, episodes_per_task: int) -> dict:
@@ -58,43 +71,30 @@ def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
                      max_horizon: int, seed: int = 0) -> Dataset:
     """Run the expert and window every successful episode.
 
-    Failed or empty episodes are skipped and counted in the manifest, which
+    Failed episodes are skipped and counted in the manifest, which
     also records the env and expert constants the episodes ran with.
     Output is a pure function of the arguments, so regeneration with the
     same seed is bit-identical.
     """
-    all_obs, all_ids, all_chunks, all_valid = [], [], [], []
-    skipped = 0
-    n_episodes = 0
-    for task in tasks:
-        for ep in range(episodes_per_task):
-            obs, actions, success, _steps = run_expert_episode(task, seed, ep)
-            if not success or len(actions) == 0:
-                skipped += 1
-                continue
-            chunks, valid = windows_from_episode(obs, actions, max_horizon)
-            all_obs.append(obs.astype(np.float32))
-            all_ids.append(np.full(len(actions), task.task_id,
-                                   dtype=np.int64))
-            all_chunks.append(chunks)
-            all_valid.append(valid)
-            n_episodes += 1
-    if not all_obs:
+    obs, actions, lengths, success = run_expert_episodes(
+        tasks, episodes_per_task, seed)
+    kept = np.flatnonzero(success)
+    if not len(kept):
         raise ValueError("no successful expert episodes; check task budgets")
-    families = sorted({t.family for t in tasks})
+    observations, chunks, valid, episode = windows(obs[kept], actions[kept],
+                                                   lengths[kept], max_horizon)
+    task_ids = np.repeat([t.task_id for t in tasks], episodes_per_task)
     manifest = {
         **provenance(seed, episodes_per_task),
         "n_tasks": len(tasks),
-        "n_episodes": n_episodes,
-        "skipped_episodes": skipped,
-        "n_windows": int(sum(len(o) for o in all_obs)),
-        "families": families,
+        "n_episodes": len(kept),
+        "skipped_episodes": len(success) - len(kept),
+        "n_windows": len(observations),
+        "families": sorted({t.family for t in tasks}),
     }
-    return Dataset(observations=np.concatenate(all_obs),
-                   task_ids=np.concatenate(all_ids),
-                   chunks=np.concatenate(all_chunks),
-                   valid=np.concatenate(all_valid),
-                   manifest=manifest)
+    return Dataset(observations=observations,
+                   task_ids=task_ids[kept][episode].astype(np.int64),
+                   chunks=chunks, valid=valid, manifest=manifest)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

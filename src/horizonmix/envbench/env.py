@@ -23,18 +23,33 @@ Actions are clipped to [-1, 1] per axis before integration.  Observations are
 is added to the position and velocity entries only.  The true state stays
 noise-free; experts and dataset generation read it through ``state()``.
 
+Many episodes step at once: ``Course`` holds tasks as arrays with a leading
+row axis, and ``advance``, ``swept_hits``, ``reach_waypoints`` and
+``observation`` take one row per episode.  ``PointMassEnv`` runs them on a
+batch of one.
+
 Exactness rule: suites, demonstrations and episodes are bit-reproducible, so
-every value that reaches a waypoint, observation or action keeps the scalar
-arithmetic it was defined with (a 2-vector's length is ``vector_norm``, which
-is ``np.linalg.norm`` bit for bit).  Only keep-out and collision *decisions*
-are taken on whole arrays, with squared lengths as ``x*x + y*y``.  That sum
-differs from the BLAS dot behind ``np.linalg.norm`` in the last bit, so any
-squared length within a relative ``_TIE`` of its threshold is settled by the
-scalar length instead; every decision then equals the scalar rule's.
+every value that reaches a waypoint, observation, action or collision keeps
+the scalar arithmetic it was defined with, on one row or on many:
+
+* a 2-vector's dot or length is ``np.vecdot`` (and ``np.sqrt``), which runs
+  the BLAS dot of ``v.dot(w)`` on each row, so a length equals
+  ``vector_norm`` and ``np.linalg.norm`` bit for bit; ``x*x + y*y`` does not;
+* per-leg constants (``leg_len ** 2``, the leg normal, ``max(leg_len, 1e-9)``)
+  are computed once per (task, leg) and then gathered, the squared length
+  in Python: Python's ``x ** 2`` differs from ``x * x`` and
+  ``np.power(x, 2.0)`` for some float64 ``x``;
+* elementwise numpy (``+``, ``*``, ``/``, ``np.sin``, ``np.minimum``) gives
+  the same bits on an array as on each element.
+
+Collision decisions compare those exact lengths with the radius.  Only the
+layout keep-out decisions take squared lengths as ``x*x + y*y`` on whole
+arrays; any of them within a relative ``_TIE`` of its threshold is settled
+by ``vector_norm`` instead, so every decision equals the scalar rule's.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,7 +125,10 @@ class PointMassEnv:
     """Single-episode environment; construct one per rollout.
 
     ``rng`` drives start jitter and observation noise, so two environments
-    built with generators in the same state replay identically.
+    built with generators in the same state replay identically.  The state
+    is a batch of one row, which a step advances with the same row-wise
+    dynamics, collision, waypoint and observation code that steps many
+    episodes at once.
     """
 
     def __init__(self, task: TaskSpec, rng: np.random.Generator,
@@ -118,37 +136,41 @@ class PointMassEnv:
         self.task = task
         self.constants = constants
         self._rng = rng
-        self._waypoints = np.asarray(task.waypoints, dtype=np.float64)
-        circles = np.asarray(task.obstacles, dtype=np.float64).reshape(-1, 3)
-        self._centres, self._radii = circles[:, :2], circles[:, 2]
+        self._course = Course.of([task])
         self.reset()
 
     def reset(self) -> np.ndarray:
         c = self.constants
         jitter = self._rng.uniform(-c.start_jitter, c.start_jitter, size=2)
-        self.pos = np.asarray(self.task.start, dtype=np.float64) + jitter
-        self.vel = np.zeros(2)
-        self.next_idx = 0
+        self._pos = (np.asarray(self.task.start, dtype=np.float64) + jitter)[None]
+        self._vel = np.zeros((1, 2))
+        self._next_idx = np.zeros(1, dtype=np.int64)
         self.steps = 0
         self.success = False
         self.collided = False
         self.done = False
         return self.observe()
 
+    @property
+    def pos(self) -> np.ndarray:
+        return self._pos[0]
+
+    @property
+    def vel(self) -> np.ndarray:
+        return self._vel[0]
+
+    @property
+    def next_idx(self) -> int:
+        return int(self._next_idx[0])
+
     def state(self):
         """True (noise-free) state for experts: (pos, vel, next_idx)."""
         return self.pos.copy(), self.vel.copy(), self.next_idx
 
     def observe(self) -> np.ndarray:
-        c = self.constants
-        obs = np.empty(OBS_DIM)
-        noise = self._rng.normal(0.0, c.obs_noise, size=4)
-        obs[0:2] = self.pos + noise[0:2]
-        obs[2:4] = self.vel + noise[2:4]
-        target_idx = min(self.next_idx, len(self.task.waypoints) - 1)
-        obs[4:6] = self.task.waypoints[target_idx]
-        obs[6] = 1.0 - self.next_idx / len(self.task.waypoints)
-        return obs
+        noise = self._rng.normal(0.0, self.constants.obs_noise, size=(1, 4))
+        return observation(self._pos, self._vel, self._next_idx, self._course,
+                           noise)[0]
 
     def step(self, action: np.ndarray):
         """Advance one step; returns (obs, done).
@@ -157,52 +179,138 @@ class PointMassEnv:
         ``steps``."""
         if self.done:
             raise ConfigError("episode already finished; call reset()")
-        c = self.constants
-        a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64),
-                                  -c.action_limit), c.action_limit)
-        prev = self.pos
-        self.vel = c.damping * (self.vel + a * c.dt)
-        self.pos = self.pos + self.vel * c.dt
+        prev = self._pos
+        self._pos, self._vel = advance(prev, self._vel,
+                                       np.asarray(action, dtype=np.float64)[None],
+                                       self.constants)
         self.steps += 1
-        if self.task.obstacles and self._swept_hit(prev, self.pos):
+        if self.task.obstacles and swept_hits(prev, self._pos, self._course)[0]:
             self.collided = True
             self.done = True
             return self.observe(), self.done
-        wps = self._waypoints
-        while (self.next_idx < len(wps)
-               and vector_norm(self.pos - wps[self.next_idx])
-               <= self.task.radius):
-            self.next_idx += 1
-        if self.next_idx == len(wps):
+        self._next_idx = reach_waypoints(self._pos, self._next_idx, self._course)
+        if self._next_idx[0] == len(self.task.waypoints):
             self.success = True
             self.done = True
         elif self.steps >= self.task.max_steps:
             self.done = True
         return self.observe(), self.done
 
-    def _swept_hit(self, p0: np.ndarray, p1: np.ndarray) -> bool:
-        """Whether the swept segment p0->p1 touches any obstacle circle.
 
-        A circle is touched when the point of the segment closest to its
-        centre lies within its radius; all circles are tested at once."""
-        d = p1 - p0
-        denom = d.dot(d)
-        rel = self._centres - p0
-        if denom == 0.0:
-            t = np.zeros(len(rel))
-        else:
-            t = np.minimum(np.maximum(rel @ d / denom, 0.0), 1.0)
-        gap = p0 + t[:, None] * d - self._centres
-        sq = (gap * gap).sum(axis=1)
-        r2 = self._radii * self._radii
-        for k in np.nonzero(sq <= r2 * (1.0 + _TIE))[0]:
-            if sq[k] < r2[k] * (1.0 - _TIE):
-                return True
-            t_k = (0.0 if denom == 0.0
-                   else min(max(rel[k].dot(d) / denom, 0.0), 1.0))
-            if vector_norm(p0 + t_k * d - self._centres[k]) <= self._radii[k]:
-                return True
-        return False
+@dataclass(frozen=True)
+class Course:
+    """Tasks as arrays with a leading row axis, one row per task or, after
+    ``take``, per episode, so that many episodes step at once.
+
+    Rows are padded with NaN to the longest task, and waypoints with one
+    more NaN column: no step reaches a NaN waypoint or touches a NaN circle.
+    Leg j runs from point j to point j + 1 of (start, *waypoints); its
+    constants are computed once per (task, leg) and gathered by the steps
+    (see the exactness rule).
+    """
+
+    waypoints: np.ndarray      # (n, W + 1, 2)
+    goal: np.ndarray           # (n, W + 1, 3) observed target and remaining
+    n_waypoints: np.ndarray    # (n,)
+    radius: np.ndarray         # (n,)
+    max_steps: np.ndarray      # (n,)
+    chain: np.ndarray          # (n,) True for the waypoint-chain family
+    centres: np.ndarray        # (n, K, 2)
+    radii: np.ndarray          # (n, K)
+    leg_start: np.ndarray      # (n, W, 2)
+    leg: np.ndarray            # (n, W, 2) leg end - leg start
+    leg_len: np.ndarray        # (n, W) vector_norm(leg)
+    leg_len_sq: np.ndarray     # (n, W) max(leg_len ** 2, 1e-12)
+    leg_len_floor: np.ndarray  # (n, W) max(leg_len, 1e-9)
+    normal: np.ndarray         # (n, W, 2) unit left normal, 0 if degenerate
+
+    @classmethod
+    def of(cls, tasks: list[TaskSpec]) -> "Course":
+        n_wp = max(len(t.waypoints) for t in tasks)
+        n_ob = max(len(t.obstacles) for t in tasks)
+        # points (start, *waypoints) and circles of every task, NaN-padded
+        pts = np.full((len(tasks), n_wp + 2, 2), np.nan)
+        circles = np.full((len(tasks), n_ob, 3), np.nan)
+        for row, t in enumerate(tasks):
+            pts[row, :len(t.waypoints) + 1] = (t.start,) + t.waypoints
+            circles[row, :len(t.obstacles)] = np.reshape(t.obstacles, (-1, 3))
+        n_waypoints = np.array([len(t.waypoints) for t in tasks])
+        steps = np.arange(n_wp + 1)  # waypoints reached
+        target = pts[np.arange(len(tasks))[:, None],
+                     np.minimum(steps, n_waypoints[:, None] - 1) + 1]
+        remaining = 1.0 - steps / n_waypoints[:, None]
+        leg = pts[:, 1:-1] - pts[:, :-2]
+        leg_len = np.sqrt(np.vecdot(leg, leg))
+        # Python's x ** 2, which numpy's square does not always equal
+        leg_len_sq = np.reshape([x ** 2 for x in leg_len.ravel().tolist()],
+                                leg_len.shape)
+        return cls(
+            waypoints=pts[:, 1:],
+            goal=np.concatenate([target, remaining[..., None]], axis=-1),
+            n_waypoints=n_waypoints,
+            radius=np.array([t.radius for t in tasks], dtype=np.float64),
+            max_steps=np.array([t.max_steps for t in tasks]),
+            chain=np.array([t.family == "waypoint-chain" for t in tasks]),
+            centres=circles[..., :2], radii=circles[..., 2],
+            leg_start=pts[:, :-2], leg=leg, leg_len=leg_len,
+            leg_len_sq=np.maximum(leg_len_sq, 1e-12),
+            leg_len_floor=np.maximum(leg_len, 1e-9),
+            normal=np.divide(np.stack([-leg[..., 1], leg[..., 0]], axis=-1),
+                             leg_len[..., None], out=np.zeros_like(leg),
+                             where=leg_len[..., None] >= 1e-9))
+
+    def take(self, rows) -> "Course":
+        """The course of the given rows, in that order."""
+        return Course(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def advance(pos: np.ndarray, vel: np.ndarray, action: np.ndarray,
+            constants: EnvConstants):
+    """Every row's (pos, vel) after one step of the dynamics, with each
+    action (n, 2) clipped per axis first."""
+    c = constants
+    a = np.minimum(np.maximum(action, -c.action_limit), c.action_limit)
+    vel = c.damping * (vel + a * c.dt)
+    return pos + vel * c.dt, vel
+
+
+def swept_hits(p0: np.ndarray, p1: np.ndarray, course: Course) -> np.ndarray:
+    """(n,) whether row e's swept segment p0[e] -> p1[e] touches any circle
+    of course row e.
+
+    A circle is touched when the point of the segment closest to its centre
+    lies within its radius.  That distance is ``vector_norm`` of the same
+    vector the scalar rule forms, so the decision is exact without a band."""
+    d = (p1 - p0)[:, None]
+    p0 = p0[:, None]
+    denom = np.vecdot(d, d)
+    # a zero-length step is its own closest point: t = 0
+    t = np.vecdot(course.centres - p0, d) / np.where(denom == 0.0, np.inf, denom)
+    gap = p0 + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * d - course.centres
+    return (np.sqrt(np.vecdot(gap, gap)) <= course.radii).any(axis=1)
+
+
+def reach_waypoints(pos: np.ndarray, next_idx: np.ndarray,
+                    course: Course) -> np.ndarray:
+    """(n,) each row's next waypoint index after passing, in order, every
+    waypoint whose radius holds ``pos``."""
+    rows = np.arange(len(pos))
+    while True:
+        off = pos - course.waypoints[rows, next_idx]
+        reached = np.sqrt(np.vecdot(off, off)) <= course.radius
+        if not reached.any():
+            return next_idx
+        next_idx = next_idx + reached
+
+
+def observation(pos: np.ndarray, vel: np.ndarray, next_idx: np.ndarray,
+                course: Course, noise: np.ndarray) -> np.ndarray:
+    """(n, OBS_DIM) observations ``[pos, vel, target, remaining]``, with
+    ``noise`` (n, 4) added to the position and velocity entries."""
+    obs = np.concatenate([pos, vel, course.goal[np.arange(len(pos)), next_idx]],
+                         axis=1)
+    obs[:, :4] += noise
+    return obs
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -237,6 +345,13 @@ def _sample_precision_task(task_id: int, rng: np.random.Generator,
                     max_steps=max_steps)
 
 
+def detour_at(a: np.ndarray, leg: np.ndarray, normal: np.ndarray,
+              s: np.ndarray, side) -> np.ndarray:
+    """Points ``a + s * leg`` displaced by ``side * sin(pi * s)`` along
+    ``normal``, with ``s`` (..., 1) broadcasting against the (..., 2) rows."""
+    return a + s * leg + side * np.sin(np.pi * s) * normal
+
+
 def detour_point(a: np.ndarray, b: np.ndarray, s: float | np.ndarray,
                  mode: float, bulge: float) -> np.ndarray:
     """Point at progress ``s`` on the bowed curve from ``a`` to ``b``.
@@ -254,7 +369,7 @@ def detour_point(a: np.ndarray, b: np.ndarray, s: float | np.ndarray,
         return np.broadcast_to(np.asarray(b, dtype=float),
                                s.shape[:-1] + (2,)).copy()
     normal = np.array([-leg[1], leg[0]]) / length
-    return a + s * leg + mode * bulge * np.sin(np.pi * s) * normal
+    return detour_at(a, leg, normal, s, mode * bulge)
 
 
 def _chain_layout_ok(pts: list[np.ndarray], centres: list[np.ndarray],

@@ -18,6 +18,12 @@ of the true state and the episode's detour side.
   the lookahead distance the aim point additionally slides onto the next leg,
   so the expert starts turning *before* the observation's current target
   switches.
+
+The expert and its rollouts take a leading episode axis: ``expert_action``
+commands every episode of a batch in one array step, and
+``run_expert_episodes`` rolls all demonstrations of a suite in lockstep
+through the environment's row-wise step code, under the exactness rule of
+``env``.
 """
 
 from dataclasses import dataclass
@@ -25,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_rng
-from .env import EnvConstants, PointMassEnv, TaskSpec, detour_point, vector_norm
+from .env import (OBS_DIM, Course, EnvConstants, TaskSpec, advance, detour_at,
+                  observation, reach_waypoints, swept_hits)
 
 
 @dataclass(frozen=True)
@@ -40,72 +47,129 @@ class ExpertGains:
     k_track: float = 1.0
 
 
-def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
-                  next_idx: int, gains: ExpertGains = ExpertGains(),
-                  constants: EnvConstants = EnvConstants(),
-                  mode: float = 1.0, next_mode: float | None = None
-                  ) -> np.ndarray:
-    wps = np.asarray(task.waypoints)
-    i = min(next_idx, len(wps) - 1)
-    d = vector_norm(wps[i] - pos)
-    if task.family == "precision-reach":
-        aim = wps[i]
-        speed = min(gains.v_cruise, gains.k_slow * d)
-    else:
-        a_pt = np.asarray(task.start if i == 0 else wps[i - 1], dtype=float)
-        b_pt = wps[i]
-        leg = b_pt - a_pt
-        leg_len = vector_norm(leg)
-        s = min(max((pos - a_pt) @ leg / max(leg_len ** 2, 1e-12), 0.0), 1.0)
-        s_aim = s + gains.lookahead / max(leg_len, 1e-9)
-        if s_aim <= 1.0:
-            aim = detour_point(a_pt, b_pt, s_aim, mode,
-                               constants.detour_bulge)
-        elif i + 1 < len(wps):
-            # Cap the slide at half the radius so the cut corner still
-            # passes inside it even if the tracker settles on the aim point.
-            seg_len = vector_norm(wps[i + 1] - b_pt)
-            carry = min((s_aim - 1.0) * leg_len, seg_len, 0.5 * task.radius)
-            aim = detour_point(b_pt, wps[i + 1],
-                               carry / max(seg_len, 1e-9),
-                               mode if next_mode is None else next_mode,
-                               constants.detour_bulge)
-        else:
-            aim = b_pt
-        speed = gains.v_cruise
+def expert_action(course: Course, pos: np.ndarray, vel: np.ndarray,
+                  next_idx: np.ndarray, modes: np.ndarray,
+                  gains: ExpertGains = ExpertGains(),
+                  constants: EnvConstants = EnvConstants()) -> np.ndarray:
+    """(n, 2) commands for n episodes from their true states.
+
+    Row e is at ``pos[e]`` with ``vel[e]`` on course row e, heading for
+    waypoint ``next_idx[e]``; ``modes[e, j]`` (+1/-1) is the side on which
+    it detours around leg j."""
+    c = constants
+    rows = np.arange(len(pos))
+    last = course.n_waypoints - 1
+    i = np.minimum(next_idx, last)
+    j = np.minimum(i + 1, last)
+    target = course.waypoints[rows, i]
+    # precision-reach: straight at the target, slowing near it
+    to_target = target - pos
+    slow = np.minimum(gains.v_cruise,
+                      gains.k_slow * np.sqrt(np.vecdot(to_target, to_target)))
+    # waypoint-chain: aim lookahead ahead on leg i's detour, or past its end
+    # on leg j's, capped at half the radius so that the cut corner still
+    # passes inside it even if the tracker settles on the aim point
+    leg_len = course.leg_len[rows, i]
+    s = np.vecdot(pos - course.leg_start[rows, i],
+                  course.leg[rows, i]) / course.leg_len_sq[rows, i]
+    s_aim = np.minimum(np.maximum(s, 0.0), 1.0) + (
+        gains.lookahead / course.leg_len_floor[rows, i])
+    on_leg = s_aim <= 1.0
+    carry = np.minimum(np.minimum((s_aim - 1.0) * leg_len,
+                                  course.leg_len[rows, j]), 0.5 * course.radius)
+    k = np.where(on_leg, i, j)
+    progress = np.where(on_leg, s_aim, carry / course.leg_len_floor[rows, j])
+    side = np.where(on_leg, modes[rows, i], modes[rows, j]) * c.detour_bulge
+    aim = detour_at(course.leg_start[rows, k], course.leg[rows, k],
+                    course.normal[rows, k], progress[:, None], side[:, None])
+    # a degenerate leg's detour is its end point
+    aim = np.where((course.leg_len[rows, k] < 1e-9)[:, None],
+                   course.waypoints[rows, k], aim)
+    at_target = ~course.chain | (~on_leg & (i == last))
+    aim = np.where(at_target[:, None], target, aim)
+    speed = np.where(course.chain, gains.v_cruise, slow)
     offset = aim - pos
-    norm = vector_norm(offset)
+    norm = np.sqrt(np.vecdot(offset, offset))
     # Never step past the aim point; prevents orbiting it at cruise speed.
-    speed = min(speed, norm)
-    v_des = offset * (speed / norm) if norm > 1e-9 else np.zeros(2)
-    a = gains.k_track * (v_des / constants.damping - vel)
-    return np.minimum(np.maximum(a, -constants.action_limit),
-                      constants.action_limit)
+    speed = np.minimum(speed, norm)
+    moving = norm > 1e-9
+    v_des = np.where(moving[:, None],
+                     offset * (speed / np.where(moving, norm, 1.0))[:, None], 0.0)
+    a = gains.k_track * (v_des / c.damping - vel)
+    return np.minimum(np.maximum(a, -c.action_limit), c.action_limit)
 
 
-def run_expert_episode(task: TaskSpec, seed: int, episode: int,
-                       gains: ExpertGains = ExpertGains(),
-                       constants: EnvConstants = EnvConstants()):
-    """Roll the expert to termination.
+def demo_draws(task: TaskSpec, seed: int, episode: int,
+               constants: EnvConstants = EnvConstants()):
+    """An episode's random draws, from its own stream and in the order one
+    rollout makes them: (modes, jitter, noise).
 
-    Returns ``(obs, actions, success, steps)`` where ``obs`` is the noisy
-    observation stream of shape (T, 7) and ``actions`` the expert commands
-    of shape (T, 2) computed from the true state.  Each leg's detour side
-    is drawn independently per episode, so at every waypoint the corpus
-    demonstrates both continuations from the same approach.
-    """
+    ``modes`` is each leg's detour side and ``jitter`` the start offset.
+    ``noise`` (max_steps + 1, 4) holds one observation's noise per row: row 0
+    is the reset's observation, which the rollout does not record, and row
+    t + 1 the one before step t.  The noise after the last step is never
+    drawn; nothing else draws from the stream after it."""
+    c = constants
     rng = make_rng(seed, "demo", task.family, str(task.task_id), str(episode))
     modes = np.where(rng.random(len(task.waypoints)) < 0.5, 1.0, -1.0)
-    env = PointMassEnv(task, rng, constants)
-    obs = env.observe()
-    obs_log, act_log = [], []
-    while not env.done:
-        pos, vel, next_idx = env.state()
-        mode = float(modes[min(next_idx, len(modes) - 1)])
-        nxt = float(modes[min(next_idx + 1, len(modes) - 1)])
-        a = expert_action(task, pos, vel, next_idx, gains, constants,
-                          mode=mode, next_mode=nxt)
-        obs_log.append(obs)
-        act_log.append(a)
-        obs, _done = env.step(a)
-    return (np.asarray(obs_log), np.asarray(act_log), env.success, env.steps)
+    jitter = rng.uniform(-c.start_jitter, c.start_jitter, size=2)
+    noise = rng.normal(0.0, c.obs_noise, size=(task.max_steps + 1, 4))
+    return modes, jitter, noise
+
+
+def run_expert_episodes(tasks: list[TaskSpec], episodes_per_task: int,
+                        seed: int, gains: ExpertGains = ExpertGains(),
+                        constants: EnvConstants = EnvConstants()):
+    """Roll the expert through every (task, episode) in lockstep.
+
+    Returns ``(obs, actions, lengths, success)`` with one row per episode,
+    task-major: ``obs`` (E, T, 7) the noisy observation before each step,
+    ``actions`` (E, T, 2) the commands computed from the true state, both
+    valid for the first ``lengths[e]`` steps, and ``success`` (E,).  T is
+    the largest ``max_steps``.  Each leg's detour side is drawn
+    independently per episode, so at every waypoint the corpus demonstrates
+    both continuations from the same approach.  Each step advances every
+    unfinished episode by one array step, bit for bit as a rollout of that
+    episode alone through ``PointMassEnv`` would.
+    """
+    draws = [demo_draws(task, seed, ep, constants)
+             for task in tasks for ep in range(episodes_per_task)]
+    course = Course.of(tasks).take(np.repeat(np.arange(len(tasks)),
+                                             episodes_per_task))
+    n, width = len(draws), course.leg.shape[1]
+    horizon = max(task.max_steps for task in tasks)
+    modes = np.ones((n, width))
+    noise = np.zeros((n, horizon + 1, 4))
+    for e, (m, _jitter, z) in enumerate(draws):
+        modes[e, :len(m)] = m
+        noise[e, :len(z)] = z
+    obs_log = np.zeros((n, horizon, OBS_DIM))
+    act_log = np.zeros((n, horizon, 2))
+    lengths = np.zeros(n, dtype=np.int64)
+    success = np.zeros(n, dtype=bool)
+
+    live = np.arange(n)
+    pos = course.leg_start[:, 0] + np.array([d[1] for d in draws]).reshape(n, 2)
+    vel = np.zeros((n, 2))
+    next_idx = np.zeros(n, dtype=np.int64)
+    obs = observation(pos, vel, next_idx, course, noise[:, 1])
+    for t in range(horizon):
+        a = expert_action(course, pos, vel, next_idx, modes, gains, constants)
+        obs_log[live, t], act_log[live, t] = obs, a
+        prev = pos
+        pos, vel = advance(prev, vel, a, constants)
+        hit = swept_hits(prev, pos, course)
+        next_idx = reach_waypoints(pos, next_idx, course)
+        reached = ~hit & (next_idx == course.n_waypoints)
+        done = hit | reached | (t + 1 >= course.max_steps)
+        success[live[reached]] = True
+        lengths[live[done]] = t + 1
+        if done.any():
+            keep = ~done
+            live, pos, vel, next_idx, modes = (live[keep], pos[keep], vel[keep],
+                                               next_idx[keep], modes[keep])
+            course = course.take(keep)
+            if not len(live):
+                break
+        obs = observation(pos, vel, next_idx, course, noise[live, t + 2])
+    return obs_log, act_log, lengths, success

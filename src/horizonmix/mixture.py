@@ -12,6 +12,7 @@ predictions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -55,10 +56,15 @@ def build_horizon_set(max_horizon: int, stride: int) -> HorizonSet:
     return HorizonSet(tuple(range(stride, max_horizon + 1, stride)))
 
 
+@functools.cache
 def validity_grid(horizons: HorizonSet) -> np.ndarray:
-    """(H, N) flags: entry [k-1][i] is True iff horizon h_i covers step k."""
+    """(H, N) flags: entry [k-1][i] is True iff horizon h_i covers step k.
+
+    Built once per horizon set and read-only, like ``transformer.lane_plan``."""
     steps = np.arange(1, horizons.max_horizon + 1)[:, None]
-    return steps <= np.asarray(horizons.horizons)[None, :]
+    grid = steps <= np.asarray(horizons.horizons)[None, :]
+    grid.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +99,7 @@ def gate(params, hidden: T.Tensor, horizons: HorizonSet, fusion: str) -> T.Tenso
     else:
         scores = T.linear(hidden, params["gate.w"], params["gate.b"])
         logits = T.transpose(T.reshape(scores, (b, n, h_max)), (0, 2, 1))
-    valid = np.broadcast_to(validity_grid(horizons), logits.shape)
-    return T.masked_softmax(logits, valid, axis=-1)
+    return T.masked_softmax(logits, validity_grid(horizons), axis=-1)
 
 
 def fuse(per_horizon: T.Tensor, alpha: T.Tensor) -> T.Tensor:

@@ -412,12 +412,15 @@ def log_softmax(a: Tensor, axis: int = -1):
 
 def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1):
     """Softmax over the valid entries of each slice; invalid entries get
-    exactly 0 weight. A slice with no valid entry is an error, never a
-    silent uniform distribution."""
+    exactly 0 weight. ``mask`` may be any shape that broadcasts to the
+    logits', such as one (H, N) grid for (B, H, N) logits; it is checked on
+    its own shape. A slice with no valid entry is an error, never a silent
+    uniform distribution."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ShapeMismatchError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    valid_counts = mask.sum(axis=axis)
+    lead = logits.ndim - mask.ndim
+    if lead < 0 or any(m not in (1, n) for m, n in zip(mask.shape, logits.shape[lead:])):
+        raise ShapeMismatchError(f"mask shape {mask.shape} does not broadcast to logits shape {logits.shape}")
+    valid_counts = mask.reshape((1,) * lead + mask.shape).sum(axis=axis)
     if not valid_counts.all():
         bad = np.argwhere(valid_counts == 0)[0]
         raise InvalidMaskError(f"all-invalid softmax slice at index {tuple(bad)} along axis {axis}")

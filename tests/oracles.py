@@ -19,6 +19,13 @@ And the scalar geometry the point-mass environment's array decisions replaced:
   obstacles, legs, sides and the 21 grid points, one `np.linalg.norm` each;
 - `point_seg_dist` and `segment_hits`, the swept-segment collision test
   against one obstacle circle.
+
+And the per-episode demonstrations that lockstep generation replaced:
+
+- `expert_action`, the expert's command for one state of one task;
+- `run_expert_episode`, one demonstration rolled through `PointMassEnv`;
+- `windows_from_episode` and `generate_dataset`, the dataset built episode
+  by episode from those rollouts.
 """
 
 from __future__ import annotations
@@ -26,7 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from horizonmix import tensor as T
+from horizonmix.envbench.dataset import Dataset, provenance
+from horizonmix.envbench.env import (EnvConstants, PointMassEnv, TaskSpec,
+                                     vector_norm)
+from horizonmix.envbench.env import detour_point as env_detour_point
+from horizonmix.envbench.expert import ExpertGains
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
+from horizonmix.rng import make_rng
 
 
 def matmul(a, b):
@@ -266,3 +279,131 @@ def point_seg_dist(pt, a, b) -> float:
 def segment_hits(p0, p1, obstacle) -> bool:
     """True when the swept segment p0->p1 touches the obstacle circle."""
     return point_seg_dist(np.array(obstacle[:2]), p0, p1) <= obstacle[2]
+
+
+def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
+                  next_idx: int, gains: ExpertGains = ExpertGains(),
+                  constants: EnvConstants = EnvConstants(),
+                  mode: float = 1.0, next_mode: float | None = None
+                  ) -> np.ndarray:
+    wps = np.asarray(task.waypoints)
+    i = min(next_idx, len(wps) - 1)
+    d = vector_norm(wps[i] - pos)
+    if task.family == "precision-reach":
+        aim = wps[i]
+        speed = min(gains.v_cruise, gains.k_slow * d)
+    else:
+        a_pt = np.asarray(task.start if i == 0 else wps[i - 1], dtype=float)
+        b_pt = wps[i]
+        leg = b_pt - a_pt
+        leg_len = vector_norm(leg)
+        s = min(max((pos - a_pt) @ leg / max(leg_len ** 2, 1e-12), 0.0), 1.0)
+        s_aim = s + gains.lookahead / max(leg_len, 1e-9)
+        if s_aim <= 1.0:
+            aim = env_detour_point(a_pt, b_pt, s_aim, mode,
+                                   constants.detour_bulge)
+        elif i + 1 < len(wps):
+            # Cap the slide at half the radius so the cut corner still
+            # passes inside it even if the tracker settles on the aim point.
+            seg_len = vector_norm(wps[i + 1] - b_pt)
+            carry = min((s_aim - 1.0) * leg_len, seg_len, 0.5 * task.radius)
+            aim = env_detour_point(b_pt, wps[i + 1],
+                                   carry / max(seg_len, 1e-9),
+                                   mode if next_mode is None else next_mode,
+                                   constants.detour_bulge)
+        else:
+            aim = b_pt
+        speed = gains.v_cruise
+    offset = aim - pos
+    norm = vector_norm(offset)
+    # Never step past the aim point; prevents orbiting it at cruise speed.
+    speed = min(speed, norm)
+    v_des = offset * (speed / norm) if norm > 1e-9 else np.zeros(2)
+    a = gains.k_track * (v_des / constants.damping - vel)
+    return np.minimum(np.maximum(a, -constants.action_limit),
+                      constants.action_limit)
+
+
+def run_expert_episode(task: TaskSpec, seed: int, episode: int,
+                       gains: ExpertGains = ExpertGains(),
+                       constants: EnvConstants = EnvConstants()):
+    """Roll the expert to termination.
+
+    Returns ``(obs, actions, success, steps)`` where ``obs`` is the noisy
+    observation stream of shape (T, 7) and ``actions`` the expert commands
+    of shape (T, 2) computed from the true state.  Each leg's detour side
+    is drawn independently per episode, so at every waypoint the corpus
+    demonstrates both continuations from the same approach.
+    """
+    rng = make_rng(seed, "demo", task.family, str(task.task_id), str(episode))
+    modes = np.where(rng.random(len(task.waypoints)) < 0.5, 1.0, -1.0)
+    env = PointMassEnv(task, rng, constants)
+    obs = env.observe()
+    obs_log, act_log = [], []
+    while not env.done:
+        pos, vel, next_idx = env.state()
+        mode = float(modes[min(next_idx, len(modes) - 1)])
+        nxt = float(modes[min(next_idx + 1, len(modes) - 1)])
+        a = expert_action(task, pos, vel, next_idx, gains, constants,
+                          mode=mode, next_mode=nxt)
+        obs_log.append(obs)
+        act_log.append(a)
+        obs, _done = env.step(a)
+    return (np.asarray(obs_log), np.asarray(act_log), env.success, env.steps)
+
+
+def windows_from_episode(obs: np.ndarray, actions: np.ndarray,
+                         max_horizon: int):
+    """Return (chunks, valid) arrays of shape (L, H, d_a) and (L, H)."""
+    steps = np.arange(len(actions))[:, None] + np.arange(max_horizon)
+    chunks = actions[np.minimum(steps, len(actions) - 1)].astype(np.float32)
+    return chunks, (steps < len(actions)).astype(np.float32)
+
+
+def generate_dataset(tasks: list[TaskSpec], episodes_per_task: int,
+                     max_horizon: int, seed: int = 0, rollouts=None) -> Dataset:
+    """Run the expert and window every successful episode.
+
+    Failed or empty episodes are skipped and counted in the manifest, which
+    also records the env and expert constants the episodes ran with.
+    Output is a pure function of the arguments, so regeneration with the
+    same seed is bit-identical.  ``rollouts``, if given, holds the
+    ``run_expert_episode`` results of every (task, episode), task-major, in
+    place of running them again.
+    """
+    if rollouts is None:
+        rollouts = [run_expert_episode(task, seed, ep)
+                    for task in tasks for ep in range(episodes_per_task)]
+    rollouts = iter(rollouts)
+    all_obs, all_ids, all_chunks, all_valid = [], [], [], []
+    skipped = 0
+    n_episodes = 0
+    for task in tasks:
+        for ep in range(episodes_per_task):
+            obs, actions, success, _steps = next(rollouts)
+            if not success or len(actions) == 0:
+                skipped += 1
+                continue
+            chunks, valid = windows_from_episode(obs, actions, max_horizon)
+            all_obs.append(obs.astype(np.float32))
+            all_ids.append(np.full(len(actions), task.task_id,
+                                   dtype=np.int64))
+            all_chunks.append(chunks)
+            all_valid.append(valid)
+            n_episodes += 1
+    if not all_obs:
+        raise ValueError("no successful expert episodes; check task budgets")
+    families = sorted({t.family for t in tasks})
+    manifest = {
+        **provenance(seed, episodes_per_task),
+        "n_tasks": len(tasks),
+        "n_episodes": n_episodes,
+        "skipped_episodes": skipped,
+        "n_windows": int(sum(len(o) for o in all_obs)),
+        "families": families,
+    }
+    return Dataset(observations=np.concatenate(all_obs),
+                   task_ids=np.concatenate(all_ids),
+                   chunks=np.concatenate(all_chunks),
+                   valid=np.concatenate(all_valid),
+                   manifest=manifest)

@@ -4,19 +4,21 @@ import copy
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from horizonmix.envbench import env as env_module
-from horizonmix.envbench.env import (EnvConstants, OBS_DIM, PointMassEnv,
-                                     TaskSpec, make_suite)
-from horizonmix.envbench.expert import (ExpertGains, expert_action,
-                                        run_expert_episode)
+from horizonmix.envbench.env import (Course, EnvConstants, OBS_DIM,
+                                     PointMassEnv, TaskSpec, make_suite,
+                                     swept_hits)
+from horizonmix.envbench.expert import (ExpertGains, demo_draws, expert_action,
+                                        run_expert_episodes)
 from horizonmix.checkpoint import load_arrays, save_arrays
 from horizonmix.envbench.dataset import (generate_dataset, load_dataset,
-                                         save_dataset, windows_from_episode)
+                                         save_dataset, windows)
 from horizonmix.envbench.evaluate import (ConsensusExecutor, FixedPrefixExecutor,
                                           evaluate, executor_from_name, run_episode,
                                           write_success_csv)
@@ -61,8 +63,8 @@ class ExpertOracle:
             k = len(task.waypoints)
             next_idx = int(round((1.0 - obs[b, 6]) * k))
             for j in range(h_max):
-                a = expert_action(task, pos, vel, min(next_idx, k - 1),
-                                  self.gains, c)
+                a = oracles.expert_action(task, pos, vel, min(next_idx, k - 1),
+                                          self.gains, c)
                 fused[b, j] = a
                 vel = c.damping * (vel + a * c.dt)
                 pos = pos + vel * c.dt
@@ -85,6 +87,15 @@ def small_policy(**overrides):
                 obs_dim=OBS_DIM, n_tasks=16, d_a=2, bins=8, ode_steps=2)
     base.update(overrides)
     return Policy.init(ModelConfig(**base), seed=0)
+
+
+def expert(task, pos, vel, next_idx, mode=1.0, constants=EnvConstants()):
+    """``expert_action`` for one episode of ``task``, on a detour side of
+    ``mode`` at every leg."""
+    return expert_action(Course.of([task]), pos[None], vel[None],
+                         np.array([next_idx]),
+                         np.full((1, len(task.waypoints)), mode),
+                         constants=constants)[0]
 
 
 def _after_fast_step(obstacles):
@@ -230,13 +241,13 @@ class TestEnv:
         assert not env.collided and not env.done
 
     def test_swept_hit_matches_scalar_rule(self):
-        # Random steps against 1-4 random circles.  A quarter of the steps
-        # have zero length and a quarter end exactly on a circle.  In the
-        # zero-length quarter and one more, one circle's radius is its
-        # scalar distance from the step to within 1e-12 or a few ulps.
+        # Random steps against 1-4 random circles, all in one batch, so
+        # shorter rows are padded.  A quarter of the steps have zero length
+        # and a quarter end exactly on a circle.  In the zero-length quarter
+        # and one more, one circle's radius is its scalar distance from the
+        # step to within 1e-12 or a few ulps.
         rng = np.random.default_rng(0)
-        c = EnvConstants(obs_noise=0.0, start_jitter=0.0)
-        hits = 0
+        tasks, starts, ends, expected = [], [], [], []
         for case in range(10_000):
             n = int(rng.integers(1, 5))
             circles = np.column_stack([rng.uniform(0.0, 1.0, (n, 2)),
@@ -256,15 +267,16 @@ class TestEnv:
                 circles[k, 2] = dist + rng.choice(
                     [-1e-12, 1e-12, 0.0, ulp, -ulp, 3.0 * ulp])
             obstacles = tuple(tuple(map(float, row)) for row in circles)
-            task = TaskSpec(task_id=0, family="waypoint-chain",
-                            start=(0.5, 0.5), waypoints=((1.0, 0.0),),
-                            radius=0.05, max_steps=5, obstacles=obstacles)
-            env = PointMassEnv(task, make_rng(0, "t"), c)
-            expected = any(oracles.segment_hits(p0, p1, ob)
-                           for ob in obstacles)
-            assert env._swept_hit(p0, p1) == expected, (p0, p1, obstacles)
-            hits += expected
-        assert 2_000 < hits < 8_000
+            tasks.append(TaskSpec(task_id=0, family="waypoint-chain",
+                                  start=(0.5, 0.5), waypoints=((1.0, 0.0),),
+                                  radius=0.05, max_steps=5, obstacles=obstacles))
+            starts.append(p0)
+            ends.append(p1)
+            expected.append(any(oracles.segment_hits(p0, p1, ob)
+                                for ob in obstacles))
+        hits = swept_hits(np.array(starts), np.array(ends), Course.of(tasks))
+        np.testing.assert_array_equal(hits, expected)
+        assert 2_000 < hits.sum() < 8_000
 
     def test_layout_check_matches_scalar_rule(self):
         # Two-leg layouts with the first leg's obstacle.  Two thirds of them
@@ -311,8 +323,7 @@ class TestEnv:
                            EnvConstants(obs_noise=0.0, start_jitter=0.0))
         while not env.done:
             pos, vel, next_idx = env.state()
-            a = expert_action(task, pos, vel, next_idx, mode=-1.0)
-            env.step(a)
+            env.step(expert(task, pos, vel, next_idx, mode=-1.0))
         assert env.success and not env.collided
 
     def test_obstacles_clear_of_foreign_detours(self):
@@ -345,45 +356,35 @@ class TestEnv:
                                                   str(task.task_id)))
                 while not env.done:
                     pos, vel, next_idx = env.state()
-                    env.step(expert_action(task, pos, vel, next_idx,
-                                           constants=straight))
+                    env.step(expert(task, pos, vel, next_idx,
+                                    constants=straight))
                 assert env.collided
 
 
 class TestExpert:
 
     def test_success_rate_fixture(self):
-        results = []
-        for task in SUITE:
-            for ep in range(13):
-                *_rest, success, _steps = run_expert_episode(task, 2024, ep)
-                results.append(success)
-        results = results[:200]
-        assert len(results) == 200
-        assert np.mean(results) >= 0.99
+        *_rest, success = run_expert_episodes(SUITE, 13, 2024)
+        assert len(success[:200]) == 200
+        assert np.mean(success[:200]) >= 0.99
 
     def test_zero_action_at_target(self):
         task = SUITE[0]
         pos = np.asarray(task.waypoints[0])
-        a = expert_action(task, pos, np.zeros(2), 0)
+        a = expert(task, pos, np.zeros(2), 0)
         np.testing.assert_array_equal(a, 0.0)
 
     def test_precision_episodes_shorter_than_chains(self):
-        lengths = {"precision-reach": [], "waypoint-chain": []}
-        for task in SUITE:
-            for ep in range(5):
-                *_rest, steps = run_expert_episode(task, 11, ep)
-                lengths[task.family].append(steps)
-        assert np.mean(lengths["precision-reach"]) < np.mean(
-            lengths["waypoint-chain"])
+        _obs, _actions, steps, _success = run_expert_episodes(SUITE, 5, 11)
+        chain = np.repeat([t.family == "waypoint-chain" for t in SUITE], 5)
+        assert np.mean(steps[~chain]) < np.mean(steps[chain])
 
     def test_deadbeat_velocity_tracking(self):
         task = SUITE[0]
         c = EnvConstants(obs_noise=0.0, start_jitter=0.0)
         env = PointMassEnv(task, make_rng(0, "t"), c)
         pos, vel, idx = env.state()
-        a = expert_action(task, pos, vel, idx, constants=c)
-        env.step(a)
+        env.step(expert(task, pos, vel, idx, constants=c))
         to_t = np.asarray(task.waypoints[0]) - pos
         v_des = to_t / np.linalg.norm(to_t) * min(
             ExpertGains().v_cruise,
@@ -440,9 +441,11 @@ def test_suite_and_dataset_bits_are_pinned():
 class TestDataset:
 
     def test_window_count_and_padding_flags(self):
-        obs = np.zeros((7, OBS_DIM))
-        actions = np.arange(14, dtype=np.float64).reshape(7, 2)
-        chunks, valid = windows_from_episode(obs, actions, max_horizon=5)
+        obs = np.zeros((1, 7, OBS_DIM))
+        actions = np.arange(14, dtype=np.float64).reshape(1, 7, 2)
+        _obs, chunks, valid, _episode = windows(obs, actions, np.array([7]),
+                                                max_horizon=5)
+        actions = actions[0]
         assert chunks.shape == (7, 5, 2)
         # Window at start t has max(0, t + H - L) padded rows.
         for t in range(7):
@@ -512,7 +515,131 @@ class TestDataset:
             load_dataset(tmp_path)
 
 
+def _assert_same_dataset(a, b):
+    for name in ("observations", "task_ids", "chunks", "valid"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.manifest == b.manifest
+
+
+class TestLockstep:
+    """Lockstep demonstrations equal the per-episode rollouts they replaced,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same_rollouts(tasks, episodes_per_task, seed, max_horizon):
+        """Every float64 rollout and the dataset windowed from them."""
+        rollouts = [oracles.run_expert_episode(task, seed, ep)
+                    for task in tasks for ep in range(episodes_per_task)]
+        obs, actions, lengths, success = run_expert_episodes(
+            tasks, episodes_per_task, seed)
+        for e, (ref_obs, ref_actions, ref_success, steps) in enumerate(rollouts):
+            assert (lengths[e], success[e]) == (steps, ref_success)
+            assert obs[e, :steps].tobytes() == ref_obs.tobytes()
+            assert actions[e, :steps].tobytes() == ref_actions.tobytes()
+        _assert_same_dataset(
+            generate_dataset(tasks, episodes_per_task, max_horizon, seed=seed),
+            oracles.generate_dataset(tasks, episodes_per_task, max_horizon,
+                                     seed=seed, rollouts=rollouts))
+        return lengths, success
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_dataset_equals_per_episode_rollouts(self, seed):
+        self.assert_same_rollouts(make_suite(seed=seed), 4, seed, 30)
+
+    def test_timeouts_and_collisions_equal_per_episode_rollouts(self):
+        # Budgets just under the expert's episode lengths, and a chain leg
+        # whose circle is wider than the detour, so episodes end in all
+        # three ways within one batch of tasks with 1 and 4 waypoints.
+        wall = TaskSpec(task_id=16, family="waypoint-chain", start=(0.5, 0.5),
+                        waypoints=((0.85, 0.5),), radius=0.08, max_steps=30,
+                        obstacles=((0.675, 0.5, 0.2),))
+        tasks = [replace(SUITE[0], max_steps=6), replace(SUITE[2], max_steps=5),
+                 replace(SUITE[8], max_steps=21), replace(SUITE[10], max_steps=21),
+                 wall]
+        lengths, success = self.assert_same_rollouts(tasks, 4, 0, 10)
+        budgets = np.repeat([t.max_steps for t in tasks], 4)
+        assert success.any()
+        assert (~success & (lengths == budgets)).any()  # timed out
+        assert (~success & (lengths < budgets)).any()   # collided
+
+    def test_expert_action_equals_scalar_expert(self):
+        # Random states of one batch: on chain legs whose Python length ** 2
+        # differs from length * length, on degenerate (1e-10) second legs,
+        # and on precision tasks, past both ends of a leg and before them.
+        rng = np.random.default_rng(3)
+        tasks = []
+        while len(tasks) < 24:
+            start, first, second = rng.uniform(0.1, 0.9, (3, 2))
+            length = env_module.vector_norm(first - start)
+            if length ** 2 == length * length:
+                continue
+            if len(tasks) % 4 == 3:
+                second = first + 1e-10
+            family = "precision-reach" if len(tasks) % 4 == 2 else "waypoint-chain"
+            tasks.append(TaskSpec(task_id=len(tasks), family=family,
+                                  start=tuple(start), radius=0.08, max_steps=30,
+                                  waypoints=(tuple(first), tuple(second))))
+        rows = np.repeat(np.arange(len(tasks)), 50)
+        course = Course.of(tasks).take(rows)
+        next_idx = rng.integers(0, 3, len(rows))
+        i = np.minimum(next_idx, 1)
+        progress = rng.uniform(-0.2, 1.2, (len(rows), 1))
+        pos = (course.leg_start[np.arange(len(rows)), i]
+               + progress * course.leg[np.arange(len(rows)), i]
+               + rng.normal(0.0, 0.05, (len(rows), 2)))
+        vel = rng.normal(0.0, 0.05, (len(rows), 2))
+        modes = rng.choice([-1.0, 1.0], (len(rows), 2))
+        expected = [oracles.expert_action(tasks[r], pos[e], vel[e], next_idx[e],
+                                          mode=modes[e, i[e]], next_mode=modes[e, 1])
+                    for e, r in enumerate(rows)]
+        got = expert_action(course, pos, vel, next_idx, modes)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("task", [SUITE[0], SUITE[9]], ids=lambda t: t.family)
+    def test_noise_block_equals_per_observation_draws(self, task):
+        c = EnvConstants()
+        for ep in range(3):
+            modes, jitter, noise = demo_draws(task, 5, ep)
+            rng = make_rng(5, "demo", task.family, str(task.task_id), str(ep))
+            np.testing.assert_array_equal(
+                modes, np.where(rng.random(len(task.waypoints)) < 0.5, 1.0, -1.0))
+            np.testing.assert_array_equal(
+                jitter, rng.uniform(-c.start_jitter, c.start_jitter, size=2))
+            np.testing.assert_array_equal(
+                noise, [rng.normal(0.0, c.obs_noise, size=4)
+                        for _ in range(task.max_steps + 1)])
+
+
 NOISELESS = EnvConstants(obs_noise=0.0)
+
+
+# What run_episode and evaluate produced when each episode stepped through
+# its own scalar environment code, before the env took a leading episode
+# axis; episode records, traces and tables must not move.
+EPISODE_DIGESTS = {"flow": ("280b3daa3d06a225", "ff5130693e3de2f2"),
+                   "classification": ("6132af2dfdb80ab6", "280809c7c48b6cb7")}
+
+
+@pytest.mark.parametrize("head", EPISODE_DIGESTS)
+def test_episode_records_and_tables_are_pinned(head, tmp_path):
+    policy = small_policy(head=head)
+    executor = (ConsensusExecutor(ConsensusConfig(min_steps=2, min_active=1))
+                if head == "flow" else FixedPrefixExecutor(3))
+    records = hashlib.sha256()
+    for task in (SUITE[0], SUITE[9]):
+        for trial in range(2):
+            rec = run_episode(policy, task, 4, trial, executor)
+            records.update(rec.observations.tobytes() + rec.actions.tobytes())
+            records.update(repr((rec.prefix_lengths, rec.selected_prefixes,
+                                 rec.success, rec.steps)).encode())
+    trace = tmp_path / "trace.jsonl"
+    if head == "flow":
+        executor = replace(executor, trace_path=str(trace))
+    rows = evaluate(policy, SUITE[:2] + SUITE[8:10], 2, executor, seed=1)
+    tables = json.dumps(rows).encode() + (trace.read_bytes() if trace.exists() else b"")
+    assert (records.hexdigest()[:16], _digest(tables)) == EPISODE_DIGESTS[head]
 
 
 class TestEvaluate:

@@ -45,6 +45,12 @@ class TestHorizonSet:
         assert tuple(active[valid[7 - 1]]) == (9, 12, 15, 18, 21, 24, 27, 30)
         assert tuple(active[valid[30 - 1]]) == (30,)
 
+    def test_validity_grid_built_once_and_read_only(self):
+        grid = validity_grid(build_horizon_set(30, 3))
+        assert validity_grid(horizon_set_from_list(list(range(3, 31, 3)))) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = False
+
     def test_from_list_rejects_unsorted(self):
         with pytest.raises(ConfigError):
             horizon_set_from_list([4, 2, 6])

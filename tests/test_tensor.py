@@ -77,6 +77,29 @@ class TestMaskedSoftmax:
         T.backward(T.tsum(T.tpow(T.masked_softmax(logits, mask), 2.0)))
         assert logits.grad[0, 1] == 0.0
 
+    def test_broadcast_mask_equals_the_full_mask(self):
+        rng = make_rng(4, "broadcast-mask")
+        grid = rng.random((5, 3)) < 0.6
+        grid[:, 0] = True
+        data = rng.standard_normal((2, 5, 3))
+        logits = [T.param(data.copy()) for _ in range(2)]
+        weights = rng.standard_normal((2, 5, 3))
+        for a, mask in zip(logits, (grid, np.broadcast_to(grid, (2, 5, 3)))):
+            T.backward(T.tsum(T.mul(T.masked_softmax(a, mask), T.constant(weights))))
+        assert logits[0].grad.tobytes() == logits[1].grad.tobytes()
+        assert (T.masked_softmax(logits[0], grid).data.tobytes()
+                == T.masked_softmax(logits[1], np.broadcast_to(grid, (2, 5, 3))).data.tobytes())
+
+    @pytest.mark.parametrize("mask, error", [
+        (np.array([[True, False], [False, False]]), InvalidMaskError),
+        (np.array([[False], [True]]), InvalidMaskError),
+        (np.ones((3, 2), dtype=bool), ShapeMismatchError),
+        (np.ones((1, 2, 2, 2), dtype=bool), ShapeMismatchError)],
+        ids=["empty-row", "empty-broadcast-row", "wrong-rows", "extra-axis"])
+    def test_mask_is_checked_on_its_own_shape(self, mask, error):
+        with pytest.raises(error):
+            T.masked_softmax(T.constant(np.zeros((4, 2, 2))), mask)
+
     @given(shift=st.floats(-50, 50), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance_over_valid_entries(self, shift, seed):
