@@ -163,10 +163,11 @@ def load_policy(path):
     """Returns (policy, train config, meta dict).
 
     Raises CheckpointFormatError when a well-formed container is not a
-    policy checkpoint: meta lacks "train", the config holds a key or a
-    value the config classes do not take, an array does not hold floats,
-    the arrays are not the names and shapes ``policy_arrays`` lists for
-    the stored config, or the param.* arrays differ in float width.
+    policy checkpoint: meta lacks "train" or a non-negative int
+    "iteration", the config holds a key or a value the config classes do
+    not take, an array does not hold floats, the arrays are not the names
+    and shapes ``policy_arrays`` lists for the stored config, or the
+    param.* arrays differ in float width.
     """
     arrays, meta = load_arrays(path)
     try:
@@ -181,6 +182,9 @@ def _policy_from(path, arrays, meta):
     if not_float:
         raise CheckpointFormatError(
             f"{path}: not a policy checkpoint (arrays {not_float} do not hold floats)")
+    if type(meta["iteration"]) is not int or meta["iteration"] < 0:
+        raise CheckpointFormatError(
+            f"{path}: not a policy checkpoint (iteration {meta['iteration']!r})")
     train_dict = dict(meta["train"])
     model = ModelConfig(**train_dict.pop("model"))
     train = TrainConfig(model=model, **train_dict)

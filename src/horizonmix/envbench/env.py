@@ -21,12 +21,11 @@ Actions are clipped to [-1, 1] per axis before integration.  Observations are
 ``[pos, vel, target, remaining]`` where ``target`` is the current waypoint,
 ``remaining`` is the fraction of waypoints still unvisited, and Gaussian noise
 is added to the position and velocity entries only.  The true state stays
-noise-free; experts and dataset generation read it through ``state()``.
+noise-free; experts read it as ``pos``, ``vel`` and ``next_idx``.
 
 Many episodes step at once: ``Course`` holds tasks as arrays with a leading
-row axis, and ``advance``, ``swept_hits``, ``reach_waypoints`` and
-``observation`` take one row per episode.  ``PointMassEnv`` runs them on a
-batch of one.
+row axis, and ``step_rows`` and ``observation`` take one row per episode.
+``PointMassEnv`` runs them on a batch of one.
 
 Exactness rule: suites, demonstrations and episodes are bit-reproducible, so
 every value that reaches a waypoint, observation, action or collision keeps
@@ -34,7 +33,8 @@ the scalar arithmetic it was defined with, on one row or on many:
 
 * a 2-vector's dot or length is ``np.vecdot`` (and ``np.sqrt``), which runs
   the BLAS dot of ``v.dot(w)`` on each row, so a length equals
-  ``vector_norm`` and ``np.linalg.norm`` bit for bit; ``x*x + y*y`` does not;
+  ``math.sqrt(v.dot(v))`` and ``np.linalg.norm`` bit for bit; ``x*x + y*y``
+  does not;
 * per-leg constants (``leg_len ** 2``, the leg normal, ``max(leg_len, 1e-9)``)
   are computed once per (task, leg) and then gathered, the squared length
   in Python: Python's ``x ** 2`` differs from ``x * x`` and
@@ -42,13 +42,11 @@ the scalar arithmetic it was defined with, on one row or on many:
 * elementwise numpy (``+``, ``*``, ``/``, ``np.sin``, ``np.minimum``) gives
   the same bits on an array as on each element.
 
-Collision decisions compare those exact lengths with the radius.  Only the
-layout keep-out decisions take squared lengths as ``x*x + y*y`` on whole
-arrays; any of them within a relative ``_TIE`` of its threshold is settled
-by ``vector_norm`` instead, so every decision equals the scalar rule's.
+Every collision, waypoint and layout keep-out decision compares such an
+exact length with its threshold, so it equals the scalar rule's decision
+without a tolerance band.
 """
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,11 +57,6 @@ from ..rng import make_rng
 OBS_DIM = 7
 
 FAMILIES = ("precision-reach", "waypoint-chain")
-
-# Relative band around a squared threshold inside which an array decision
-# defers to the scalar length; rounding moves a 2-vector's squared length by
-# about 1e-16 relative, so nothing outside the band can flip.
-_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,8 @@ class PointMassEnv:
 
     ``rng`` drives start jitter and observation noise, so two environments
     built with generators in the same state replay identically.  The state
-    is a batch of one row, which a step advances with the same row-wise
-    dynamics, collision, waypoint and observation code that steps many
-    episodes at once.
+    is a batch of one row, which a step advances with ``step_rows``, the
+    code that steps many episodes at once.
     """
 
     def __init__(self, task: TaskSpec, rng: np.random.Generator,
@@ -163,10 +155,6 @@ class PointMassEnv:
     def next_idx(self) -> int:
         return int(self._next_idx[0])
 
-    def state(self):
-        """True (noise-free) state for experts: (pos, vel, next_idx)."""
-        return self.pos.copy(), self.vel.copy(), self.next_idx
-
     def observe(self) -> np.ndarray:
         noise = self._rng.normal(0.0, self.constants.obs_noise, size=(1, 4))
         return observation(self._pos, self._vel, self._next_idx, self._course,
@@ -179,21 +167,13 @@ class PointMassEnv:
         ``steps``."""
         if self.done:
             raise ConfigError("episode already finished; call reset()")
-        prev = self._pos
-        self._pos, self._vel = advance(prev, self._vel,
-                                       np.asarray(action, dtype=np.float64)[None],
-                                       self.constants)
         self.steps += 1
-        if self.task.obstacles and swept_hits(prev, self._pos, self._course)[0]:
-            self.collided = True
-            self.done = True
-            return self.observe(), self.done
-        self._next_idx = reach_waypoints(self._pos, self._next_idx, self._course)
-        if self._next_idx[0] == len(self.task.waypoints):
-            self.success = True
-            self.done = True
-        elif self.steps >= self.task.max_steps:
-            self.done = True
+        self._pos, self._vel, self._next_idx, collided, success, done = step_rows(
+            self._pos, self._vel, self._next_idx,
+            np.asarray(action, dtype=np.float64)[None], self.steps,
+            self._course, self.constants)
+        self.collided, self.success, self.done = (
+            bool(collided[0]), bool(success[0]), bool(done[0]))
         return self.observe(), self.done
 
 
@@ -219,7 +199,7 @@ class Course:
     radii: np.ndarray          # (n, K)
     leg_start: np.ndarray      # (n, W, 2)
     leg: np.ndarray            # (n, W, 2) leg end - leg start
-    leg_len: np.ndarray        # (n, W) vector_norm(leg)
+    leg_len: np.ndarray        # (n, W) length of leg
     leg_len_sq: np.ndarray     # (n, W) max(leg_len ** 2, 1e-12)
     leg_len_floor: np.ndarray  # (n, W) max(leg_len, 1e-9)
     normal: np.ndarray         # (n, W, 2) unit left normal, 0 if degenerate
@@ -263,15 +243,45 @@ class Course:
         """The course of the given rows, in that order."""
         return Course(*(getattr(self, f.name)[rows] for f in fields(self)))
 
+    def detour(self, rows, legs, s: np.ndarray, side) -> np.ndarray:
+        """Points at progress ``s`` on the bowed detour curve of leg
+        ``legs`` of course row ``rows``.
 
-def advance(pos: np.ndarray, vel: np.ndarray, action: np.ndarray,
-            constants: EnvConstants):
-    """Every row's (pos, vel) after one step of the dynamics, with each
-    action (n, 2) clipped per axis first."""
+        The curve is the leg displaced by ``side * sin(pi * s)`` along its
+        normal, ``side`` being +/-``detour_bulge`` for the left or right
+        side; a degenerate leg's curve is its end waypoint.  Experts track
+        it and layout sampling keeps foreign circles away from it.  ``rows``
+        and ``legs`` broadcast to the points' leading axes, and ``s`` and
+        ``side`` against their (..., 2) rows."""
+        leg = self.leg[rows, legs]
+        curve = (self.leg_start[rows, legs] + s * leg
+                 + side * np.sin(np.pi * s) * self.normal[rows, legs])
+        return np.where((self.leg_len[rows, legs] < 1e-9)[..., None],
+                        self.waypoints[rows, legs], curve)
+
+
+def step_rows(pos: np.ndarray, vel: np.ndarray, next_idx: np.ndarray,
+              action: np.ndarray, steps, course: Course,
+              constants: EnvConstants):
+    """Every row's ``(pos, vel, next_idx, collided, success, done)`` after
+    one step, the flags (n,) each; ``steps`` is the step count after it.
+
+    The dynamics move each row with its action (n, 2), clipped per axis.
+    A row whose swept segment touches a circle has collided and keeps its
+    waypoint index, so it does not succeed; any other passes the waypoints
+    it reached and succeeds when none is left.  A row is done once it has
+    collided, succeeded or used its ``max_steps``."""
     c = constants
     a = np.minimum(np.maximum(action, -c.action_limit), c.action_limit)
     vel = c.damping * (vel + a * c.dt)
-    return pos + vel * c.dt, vel
+    new_pos = pos + vel * c.dt
+    collided = (swept_hits(pos, new_pos, course) if course.radii.shape[1]
+                else np.zeros(len(pos), dtype=bool))
+    next_idx = np.where(collided, next_idx,
+                        reach_waypoints(new_pos, next_idx, course))
+    success = next_idx == course.n_waypoints
+    done = collided | success | (steps >= course.max_steps)
+    return new_pos, vel, next_idx, collided, success, done
 
 
 def swept_hits(p0: np.ndarray, p1: np.ndarray, course: Course) -> np.ndarray:
@@ -279,8 +289,8 @@ def swept_hits(p0: np.ndarray, p1: np.ndarray, course: Course) -> np.ndarray:
     of course row e.
 
     A circle is touched when the point of the segment closest to its centre
-    lies within its radius.  That distance is ``vector_norm`` of the same
-    vector the scalar rule forms, so the decision is exact without a band."""
+    lies within its radius, judged on the exact length of the same vector
+    the scalar rule forms."""
     d = (p1 - p0)[:, None]
     p0 = p0[:, None]
     denom = np.vecdot(d, d)
@@ -298,7 +308,7 @@ def reach_waypoints(pos: np.ndarray, next_idx: np.ndarray,
     while True:
         off = pos - course.waypoints[rows, next_idx]
         reached = np.sqrt(np.vecdot(off, off)) <= course.radius
-        if not reached.any():
+        if not np.count_nonzero(reached):  # a third of .any()'s cost
             return next_idx
         next_idx = next_idx + reached
 
@@ -311,25 +321,6 @@ def observation(pos: np.ndarray, vel: np.ndarray, next_idx: np.ndarray,
                          axis=1)
     obs[:, :4] += noise
     return obs
-
-
-def vector_norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a 2-vector, bit for bit (it is the square
-    root of the BLAS dot), without that function's call overhead."""
-    return math.sqrt(v.dot(v))
-
-
-def _any_closer(gaps: np.ndarray, limit: float) -> bool:
-    """Whether any row of ``gaps`` (..., 2) has ``vector_norm(row) < limit``.
-
-    Decided on squared lengths for all rows at once; rows within ``_TIE`` of
-    the threshold are settled by ``vector_norm``."""
-    sq = gaps[..., 0] * gaps[..., 0] + gaps[..., 1] * gaps[..., 1]
-    lim2 = limit * limit
-    if (sq < lim2 * (1.0 - _TIE)).any():
-        return True
-    return any(vector_norm(g) < limit
-               for g in gaps[np.abs(sq - lim2) <= _TIE * lim2])
 
 
 def _sample_precision_task(task_id: int, rng: np.random.Generator,
@@ -345,33 +336,6 @@ def _sample_precision_task(task_id: int, rng: np.random.Generator,
                     max_steps=max_steps)
 
 
-def detour_at(a: np.ndarray, leg: np.ndarray, normal: np.ndarray,
-              s: np.ndarray, side) -> np.ndarray:
-    """Points ``a + s * leg`` displaced by ``side * sin(pi * s)`` along
-    ``normal``, with ``s`` (..., 1) broadcasting against the (..., 2) rows."""
-    return a + s * leg + side * np.sin(np.pi * s) * normal
-
-
-def detour_point(a: np.ndarray, b: np.ndarray, s: float | np.ndarray,
-                 mode: float, bulge: float) -> np.ndarray:
-    """Point at progress ``s`` on the bowed curve from ``a`` to ``b``.
-
-    The curve is the straight line displaced by ``mode * bulge * sin(pi*s)``
-    along the leg's left normal; ``mode`` +1/-1 picks the side.  Experts
-    track it and layout sampling keeps foreign obstacles away from it.
-    ``s`` may be an array of progresses; the result then has shape
-    ``s.shape + (2,)``, each row the point at that progress, bit for bit.
-    """
-    leg = b - a
-    s = np.asarray(s, dtype=float)[..., None]
-    length = vector_norm(leg)
-    if length < 1e-9:
-        return np.broadcast_to(np.asarray(b, dtype=float),
-                               s.shape[:-1] + (2,)).copy()
-    normal = np.array([-leg[1], leg[0]]) / length
-    return detour_at(a, leg, normal, s, mode * bulge)
-
-
 def _chain_layout_ok(pts: list[np.ndarray], centres: list[np.ndarray],
                      constants: EnvConstants) -> bool:
     """Obstacles may only threaten their own leg.
@@ -384,27 +348,30 @@ def _chain_layout_ok(pts: list[np.ndarray], centres: list[np.ndarray],
     ``obstacle_path_gap`` (0.0399 from a foreign circle on suite seed 1,
     task 11). Changing the check would move every suite and dataset digest.
 
-    Every (obstacle k, leg j != k, side, sample) point and every (obstacle,
-    foreign waypoint) gap is computed in one array, with the same arithmetic
-    as ``detour_point`` per point, and judged by ``_any_closer``.
+    Every (obstacle k, leg j != k, side, sample) point of ``Course.detour``
+    and every (obstacle, foreign waypoint) gap is computed in one array, and
+    its exact length compared with the keep-out.
     """
     c = constants
-    grid = np.linspace(0.0, 1.0, 21)
-    legs = len(pts) - 1
-    # curves[j, m]: leg j's detour on side m, at every grid point
-    curves = np.array([[detour_point(pts[j], pts[j + 1], grid, mode,
-                                     c.detour_bulge) for mode in (1.0, -1.0)]
-                       for j in range(legs)]).reshape(legs, 2, len(grid), 2)
+    course = Course.of([TaskSpec(
+        task_id=0, family="waypoint-chain", start=tuple(pts[0]),
+        waypoints=tuple(map(tuple, pts[1:])), radius=c.waypoint_radius,
+        max_steps=1)])
+    j = np.arange(len(pts))
+    legs = j[:-1]
+    # curves[j, m]: leg j's detour on side m, at 21 samples
+    curves = course.detour(0, legs[:, None, None],
+                           np.linspace(0.0, 1.0, 21)[:, None],
+                           c.detour_bulge * np.array([1.0, -1.0])[:, None, None])
     circles = np.asarray(centres, dtype=float).reshape(-1, 2)
     k = np.arange(len(circles))[:, None]
-    to_curves = curves[None] - circles[:, None, None, None]
-    to_points = np.asarray(pts)[None] - circles[:, None]
-    j = np.arange(len(pts))
+    to_curves = (curves[None] - circles[:, None, None, None])[k != legs]
+    to_points = (np.asarray(pts)[None] - circles[:, None])[(j != k) & (j != k + 1)]
     return not (
-        _any_closer(to_curves[k != j[:legs]],
-                    c.obstacle_radius + c.obstacle_path_gap)
-        or _any_closer(to_points[(j != k) & (j != k + 1)],
-                       c.obstacle_waypoint_gap))
+        (np.sqrt(np.vecdot(to_curves, to_curves))
+         < c.obstacle_radius + c.obstacle_path_gap).any()
+        or (np.sqrt(np.vecdot(to_points, to_points))
+            < c.obstacle_waypoint_gap).any())
 
 
 def _sample_chain_task(task_id: int, rng: np.random.Generator,

@@ -7,23 +7,23 @@ of the true state and the episode's detour side.
 
 * precision-reach: aim straight at the target with speed proportional to the
   remaining distance, which converges geometrically without overshoot.
-* waypoint-chain: cruise at constant speed along a bowed detour curve.  For
-  the leg from waypoint A to B the curve is the straight line displaced
-  sideways by ``mode * detour_bulge * sin(pi * s)`` with ``s`` the fractional
-  progress, so it passes the circle at the leg's midpoint on the left or on
-  the right (``mode``) and meets both endpoints exactly.  Near a leg's start
-  the two detours leave the same state heading for opposite sides, so the
-  demonstrated action distribution is bimodal exactly where a fresh plan must
-  commit; their average is the straight line, which hits the circle.  Inside
-  the lookahead distance the aim point additionally slides onto the next leg,
-  so the expert starts turning *before* the observation's current target
-  switches.
+* waypoint-chain: cruise at constant speed along the bowed detour curve of
+  ``Course.detour``.  For the leg from waypoint A to B the curve is the
+  straight line displaced sideways by ``mode * detour_bulge * sin(pi * s)``
+  with ``s`` the fractional progress, so it passes the circle at the leg's
+  midpoint on the left or on the right (``mode``) and meets both endpoints
+  exactly.  Near a leg's start the two detours leave the same state heading
+  for opposite sides, so the demonstrated action distribution is bimodal
+  exactly where a fresh plan must commit; their average is the straight
+  line, which hits the circle.  Inside the lookahead distance the aim point
+  additionally slides onto the next leg, so the expert starts turning
+  *before* the observation's current target switches.
 
 The expert and its rollouts take a leading episode axis: ``expert_action``
 commands every episode of a batch in one array step, and
 ``run_expert_episodes`` rolls all demonstrations of a suite in lockstep
-through the environment's row-wise step code, under the exactness rule of
-``env``.
+through ``env.step_rows``, the step ``PointMassEnv`` takes, under the
+exactness rule of ``env``.
 """
 
 from dataclasses import dataclass
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_rng
-from .env import (OBS_DIM, Course, EnvConstants, TaskSpec, advance, detour_at,
-                  observation, reach_waypoints, swept_hits)
+from .env import OBS_DIM, Course, EnvConstants, TaskSpec, observation, step_rows
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,7 @@ def expert_action(course: Course, pos: np.ndarray, vel: np.ndarray,
     k = np.where(on_leg, i, j)
     progress = np.where(on_leg, s_aim, carry / course.leg_len_floor[rows, j])
     side = np.where(on_leg, modes[rows, i], modes[rows, j]) * c.detour_bulge
-    aim = detour_at(course.leg_start[rows, k], course.leg[rows, k],
-                    course.normal[rows, k], progress[:, None], side[:, None])
-    # a degenerate leg's detour is its end point
-    aim = np.where((course.leg_len[rows, k] < 1e-9)[:, None],
-                   course.waypoints[rows, k], aim)
+    aim = course.detour(rows, k, progress[:, None], side[:, None])
     at_target = ~course.chain | (~on_leg & (i == last))
     aim = np.where(at_target[:, None], target, aim)
     speed = np.where(course.chain, gains.v_cruise, slow)
@@ -156,12 +151,8 @@ def run_expert_episodes(tasks: list[TaskSpec], episodes_per_task: int,
     for t in range(horizon):
         a = expert_action(course, pos, vel, next_idx, modes, gains, constants)
         obs_log[live, t], act_log[live, t] = obs, a
-        prev = pos
-        pos, vel = advance(prev, vel, a, constants)
-        hit = swept_hits(prev, pos, course)
-        next_idx = reach_waypoints(pos, next_idx, course)
-        reached = ~hit & (next_idx == course.n_waypoints)
-        done = hit | reached | (t + 1 >= course.max_steps)
+        pos, vel, next_idx, _collided, reached, done = step_rows(
+            pos, vel, next_idx, a, t + 1, course, constants)
         success[live[reached]] = True
         lengths[live[done]] = t + 1
         if done.any():

@@ -18,12 +18,17 @@ And the scalar geometry the point-mass environment's array decisions replaced:
 - `chain_layout_ok`, the keep-out check of a chain layout as loops over
   obstacles, legs, sides and the 21 grid points, one `np.linalg.norm` each;
 - `point_seg_dist` and `segment_hits`, the swept-segment collision test
-  against one obstacle circle.
+  against one obstacle circle;
+- `ScalarEnv`, the environment as one episode of scalar code: its step
+  tests each circle with `segment_hits` and advances the waypoint index in
+  a `while` loop, so it shares no step code with `PointMassEnv` or the
+  lockstep rollouts.  Lengths are `np.linalg.norm`, which equals the
+  environment's `np.sqrt(np.vecdot(v, v))` bit for bit.
 
 And the per-episode demonstrations that lockstep generation replaced:
 
 - `expert_action`, the expert's command for one state of one task;
-- `run_expert_episode`, one demonstration rolled through `PointMassEnv`;
+- `run_expert_episode`, one demonstration rolled through `ScalarEnv`;
 - `windows_from_episode` and `generate_dataset`, the dataset built episode
   by episode from those rollouts.
 """
@@ -34,9 +39,7 @@ import numpy as np
 
 from horizonmix import tensor as T
 from horizonmix.envbench.dataset import Dataset, provenance
-from horizonmix.envbench.env import (EnvConstants, PointMassEnv, TaskSpec,
-                                     vector_norm)
-from horizonmix.envbench.env import detour_point as env_detour_point
+from horizonmix.envbench.env import OBS_DIM, EnvConstants, TaskSpec
 from horizonmix.envbench.expert import ExpertGains
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
 from horizonmix.rng import make_rng
@@ -281,6 +284,61 @@ def segment_hits(p0, p1, obstacle) -> bool:
     return point_seg_dist(np.array(obstacle[:2]), p0, p1) <= obstacle[2]
 
 
+class ScalarEnv:
+    """One episode of ``task``, drawing the start jitter and the noise of
+    each observation from ``rng`` in the order ``PointMassEnv`` does."""
+
+    def __init__(self, task: TaskSpec, rng: np.random.Generator,
+                 constants: EnvConstants = EnvConstants()):
+        self.task = task
+        self.constants = constants
+        self._rng = rng
+        self._waypoints = np.asarray(task.waypoints, dtype=np.float64)
+        jitter = rng.uniform(-constants.start_jitter, constants.start_jitter, size=2)
+        self.pos = np.asarray(task.start, dtype=np.float64) + jitter
+        self.vel = np.zeros(2)
+        self.next_idx = 0
+        self.steps = 0
+        self.success = False
+        self.collided = False
+        self.done = False
+        self.observe()  # the reset's observation
+
+    def observe(self) -> np.ndarray:
+        obs = np.empty(OBS_DIM)
+        noise = self._rng.normal(0.0, self.constants.obs_noise, size=4)
+        obs[0:2] = self.pos + noise[0:2]
+        obs[2:4] = self.vel + noise[2:4]
+        target_idx = min(self.next_idx, len(self.task.waypoints) - 1)
+        obs[4:6] = self.task.waypoints[target_idx]
+        obs[6] = 1.0 - self.next_idx / len(self.task.waypoints)
+        return obs
+
+    def step(self, action: np.ndarray) -> np.ndarray:
+        c = self.constants
+        a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64),
+                                  -c.action_limit), c.action_limit)
+        prev = self.pos
+        self.vel = c.damping * (self.vel + a * c.dt)
+        self.pos = self.pos + self.vel * c.dt
+        self.steps += 1
+        if any(segment_hits(prev, self.pos, ob) for ob in self.task.obstacles):
+            self.collided = True
+            self.done = True
+            return self.observe()
+        wps = self._waypoints
+        while (self.next_idx < len(wps)
+               and np.linalg.norm(self.pos - wps[self.next_idx])
+               <= self.task.radius):
+            self.next_idx += 1
+        if self.next_idx == len(wps):
+            self.success = True
+            self.done = True
+        elif self.steps >= self.task.max_steps:
+            self.done = True
+        return self.observe()
+
+
 def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
                   next_idx: int, gains: ExpertGains = ExpertGains(),
                   constants: EnvConstants = EnvConstants(),
@@ -288,7 +346,7 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
                   ) -> np.ndarray:
     wps = np.asarray(task.waypoints)
     i = min(next_idx, len(wps) - 1)
-    d = vector_norm(wps[i] - pos)
+    d = float(np.linalg.norm(wps[i] - pos))
     if task.family == "precision-reach":
         aim = wps[i]
         speed = min(gains.v_cruise, gains.k_slow * d)
@@ -296,26 +354,24 @@ def expert_action(task: TaskSpec, pos: np.ndarray, vel: np.ndarray,
         a_pt = np.asarray(task.start if i == 0 else wps[i - 1], dtype=float)
         b_pt = wps[i]
         leg = b_pt - a_pt
-        leg_len = vector_norm(leg)
+        leg_len = float(np.linalg.norm(leg))
         s = min(max((pos - a_pt) @ leg / max(leg_len ** 2, 1e-12), 0.0), 1.0)
         s_aim = s + gains.lookahead / max(leg_len, 1e-9)
         if s_aim <= 1.0:
-            aim = env_detour_point(a_pt, b_pt, s_aim, mode,
-                                   constants.detour_bulge)
+            aim = detour_point(a_pt, b_pt, s_aim, mode, constants.detour_bulge)
         elif i + 1 < len(wps):
             # Cap the slide at half the radius so the cut corner still
             # passes inside it even if the tracker settles on the aim point.
-            seg_len = vector_norm(wps[i + 1] - b_pt)
+            seg_len = float(np.linalg.norm(wps[i + 1] - b_pt))
             carry = min((s_aim - 1.0) * leg_len, seg_len, 0.5 * task.radius)
-            aim = env_detour_point(b_pt, wps[i + 1],
-                                   carry / max(seg_len, 1e-9),
-                                   mode if next_mode is None else next_mode,
-                                   constants.detour_bulge)
+            aim = detour_point(b_pt, wps[i + 1], carry / max(seg_len, 1e-9),
+                               mode if next_mode is None else next_mode,
+                               constants.detour_bulge)
         else:
             aim = b_pt
         speed = gains.v_cruise
     offset = aim - pos
-    norm = vector_norm(offset)
+    norm = float(np.linalg.norm(offset))
     # Never step past the aim point; prevents orbiting it at cruise speed.
     speed = min(speed, norm)
     v_des = offset * (speed / norm) if norm > 1e-9 else np.zeros(2)
@@ -337,18 +393,17 @@ def run_expert_episode(task: TaskSpec, seed: int, episode: int,
     """
     rng = make_rng(seed, "demo", task.family, str(task.task_id), str(episode))
     modes = np.where(rng.random(len(task.waypoints)) < 0.5, 1.0, -1.0)
-    env = PointMassEnv(task, rng, constants)
+    env = ScalarEnv(task, rng, constants)
     obs = env.observe()
     obs_log, act_log = [], []
     while not env.done:
-        pos, vel, next_idx = env.state()
-        mode = float(modes[min(next_idx, len(modes) - 1)])
-        nxt = float(modes[min(next_idx + 1, len(modes) - 1)])
-        a = expert_action(task, pos, vel, next_idx, gains, constants,
-                          mode=mode, next_mode=nxt)
+        mode = float(modes[min(env.next_idx, len(modes) - 1)])
+        nxt = float(modes[min(env.next_idx + 1, len(modes) - 1)])
+        a = expert_action(task, env.pos, env.vel, env.next_idx, gains,
+                          constants, mode=mode, next_mode=nxt)
         obs_log.append(obs)
         act_log.append(a)
-        obs, _done = env.step(a)
+        obs = env.step(a)
     return (np.asarray(obs_log), np.asarray(act_log), env.success, env.steps)
 
 

@@ -8,9 +8,11 @@ the benchmark reads is looked up; a change to any of them fails here first.
 
 The AST checks at the end keep ``src/`` free of code that only tests use:
 every public function of ``tensor.py`` that builds a tape node must be
-named by another module of ``src/``, and every module but ``cli`` must be
+named by another module of ``src/``, every module but ``cli`` must be
 imported by another module that is not a package ``__init__`` (a re-export
-is not a use).
+is not a use), and every public module-level function and class of
+``src/`` must be named in ``src/`` or ``bench/`` outside its own
+definition and outside the package ``__init__`` files.
 """
 
 import ast
@@ -33,6 +35,7 @@ from horizonmix.rng import make_rng
 from horizonmix.training import default_loss, prepare_policy, train
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "horizonmix"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # (label, callable, positional argument count, keyword names); a method's
 # count includes ``self``
@@ -149,3 +152,33 @@ def test_every_module_has_a_src_importer():
                            for other in importers if other != path)]
     assert "horizonmix.envbench.expert" in modules
     assert orphans == []
+
+
+def _names(tree: ast.AST) -> list[str]:
+    """Every name ``tree`` mentions: bare names, attributes and imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.append(node.name.rpartition(".")[2])
+    return found
+
+
+def test_every_public_definition_is_named_outside_itself():
+    defined, named = {}, []
+    for path in [*SRC.rglob("*.py"), *BENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.name != "__init__.py":
+            named += _names(tree)
+        if path.is_relative_to(SRC):
+            for node in tree.body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")):
+                    defined[node.name] = _names(node)
+    assert "Course" in defined and "PointMassEnv" in defined
+    unused = sorted(name for name, inside in defined.items()
+                    if named.count(name) == inside.count(name))
+    assert unused == []

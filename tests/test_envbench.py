@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import pytest
 from horizonmix.envbench import env as env_module
 from horizonmix.envbench.env import (Course, EnvConstants, OBS_DIM,
                                      PointMassEnv, TaskSpec, make_suite,
-                                     swept_hits)
+                                     step_rows, swept_hits)
 from horizonmix.envbench.expert import (ExpertGains, demo_draws, expert_action,
                                         run_expert_episodes)
 from horizonmix.checkpoint import load_arrays, save_arrays
@@ -240,6 +241,67 @@ class TestEnv:
         np.testing.assert_array_equal(env.pos, [0.6, 0.0])
         assert not env.collided and not env.done
 
+    def test_collision_on_a_reaching_step_is_no_success(self):
+        # A full-thrust step from (0, 0) lands at (0.6, 0), inside the
+        # waypoint's radius, after crossing a circle: the episode ends as a
+        # collision and keeps its waypoint index, in the env and in a
+        # lockstep step beside a row whose circle is off the path.
+        task = TaskSpec(task_id=0, family="waypoint-chain", start=(0.0, 0.0),
+                        waypoints=((0.6, 0.0),), radius=0.05, max_steps=50,
+                        obstacles=((0.35, 0.0, 0.02),))
+        c = EnvConstants(obs_noise=0.0, start_jitter=0.0)
+        env = PointMassEnv(task, make_rng(0, "t"), c)
+        obs, done = env.step(np.array([1.0, 0.0]))
+        assert done and env.collided and not env.success
+        assert env.next_idx == 0
+        np.testing.assert_array_equal(obs[4:], [0.6, 0.0, 1.0])
+        clear = replace(task, obstacles=((0.35, 0.5, 0.02),))
+        pos, _vel, next_idx, collided, success, done = step_rows(
+            np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=np.int64),
+            np.array([[1.0, 0.0], [1.0, 0.0]]), 1, Course.of([task, clear]), c)
+        np.testing.assert_array_equal(pos, [[0.6, 0.0], [0.6, 0.0]])
+        assert collided.tolist() == [True, False]
+        assert success.tolist() == [False, True]
+        assert done.tolist() == [True, True]
+        assert next_idx.tolist() == [0, 1]
+
+    def test_step_ending_on_a_waypoint_radius_reaches_it(self):
+        task = TaskSpec(task_id=0, family="precision-reach", start=(0.0, 0.0),
+                        waypoints=((0.05, 0.0),), radius=0.05, max_steps=5)
+        env = PointMassEnv(task, make_rng(0, "t"),
+                           EnvConstants(obs_noise=0.0, start_jitter=0.0))
+        env.step(np.zeros(2))
+        assert env.success and env.next_idx == 1
+
+    def test_one_length_rule(self):
+        # Every collision, waypoint and keep-out decision compares
+        # np.sqrt(np.vecdot(v, v)) with a threshold, and the scalar rules
+        # it replaced compared np.linalg.norm(v) or math.sqrt(v.dot(v)).  The
+        # three must be the same float for every 2-vector: random ones, tiny
+        # and huge ones, and ones within a few ulps of each threshold.
+        rng = np.random.default_rng(7)
+        c = EnvConstants()
+        thresholds = [c.obstacle_radius, c.obstacle_radius + c.obstacle_path_gap,
+                      c.obstacle_waypoint_gap, c.waypoint_radius,
+                      c.precision_radius, 0.1, 0.5]
+        n = 25_000
+        angle = rng.uniform(0.0, 2.0 * np.pi, 3 * n)
+        unit = np.column_stack([np.cos(angle), np.sin(angle)])
+        near = rng.choice(thresholds, n) * (
+            1.0 + rng.integers(-4, 5, n) * np.finfo(float).eps)
+        magnitude = np.concatenate([10.0 ** rng.uniform(-150.0, -3.0, n),
+                                    10.0 ** rng.uniform(3.0, 150.0, n), near])
+        v = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)),
+                            magnitude[:, None] * unit])
+        lengths = np.sqrt(np.vecdot(v, v))
+        assert lengths.tobytes() == np.array(
+            [np.linalg.norm(row) for row in v]).tobytes()
+        assert lengths.tobytes() == np.array(
+            [math.sqrt(row.dot(row)) for row in v]).tobytes()
+        # the sample holds exact ties with every threshold
+        at_threshold = [np.sum(lengths[3 * n:] == t) for t in thresholds]
+        assert min(at_threshold) > 0
+
     def test_swept_hit_matches_scalar_rule(self):
         # Random steps against 1-4 random circles, all in one batch, so
         # shorter rows are padded.  A quarter of the steps have zero length
@@ -322,13 +384,11 @@ class TestEnv:
         env = PointMassEnv(task, make_rng(0, "t"),
                            EnvConstants(obs_noise=0.0, start_jitter=0.0))
         while not env.done:
-            pos, vel, next_idx = env.state()
-            env.step(expert(task, pos, vel, next_idx, mode=-1.0))
+            env.step(expert(task, env.pos, env.vel, env.next_idx, mode=-1.0))
         assert env.success and not env.collided
 
     def test_obstacles_clear_of_foreign_detours(self):
         # Layout sampling promise: only an obstacle's own leg must dodge it.
-        from horizonmix.envbench.env import detour_point
         for seed in range(4):
             for task in make_suite(0, 4, seed=seed):
                 c = EnvConstants()
@@ -341,8 +401,8 @@ class TestEnv:
                             continue
                         for mode in (1.0, -1.0):
                             d = min(np.linalg.norm(
-                                detour_point(pts[j], pts[j + 1], s, mode,
-                                             c.detour_bulge) - centre)
+                                oracles.detour_point(pts[j], pts[j + 1], s, mode,
+                                                     c.detour_bulge) - centre)
                                 for s in np.linspace(0.0, 1.0, 21))
                             assert d >= r + c.obstacle_path_gap
 
@@ -355,8 +415,7 @@ class TestEnv:
                 env = PointMassEnv(task, make_rng(seed, "straight",
                                                   str(task.task_id)))
                 while not env.done:
-                    pos, vel, next_idx = env.state()
-                    env.step(expert(task, pos, vel, next_idx,
+                    env.step(expert(task, env.pos, env.vel, env.next_idx,
                                     constants=straight))
                 assert env.collided
 
@@ -383,8 +442,8 @@ class TestExpert:
         task = SUITE[0]
         c = EnvConstants(obs_noise=0.0, start_jitter=0.0)
         env = PointMassEnv(task, make_rng(0, "t"), c)
-        pos, vel, idx = env.state()
-        env.step(expert(task, pos, vel, idx, constants=c))
+        pos = env.pos.copy()
+        env.step(expert(task, pos, env.vel, env.next_idx, constants=c))
         to_t = np.asarray(task.waypoints[0]) - pos
         v_des = to_t / np.linalg.norm(to_t) * min(
             ExpertGains().v_cruise,
@@ -572,7 +631,7 @@ class TestLockstep:
         tasks = []
         while len(tasks) < 24:
             start, first, second = rng.uniform(0.1, 0.9, (3, 2))
-            length = env_module.vector_norm(first - start)
+            length = float(np.linalg.norm(first - start))
             if length ** 2 == length * length:
                 continue
             if len(tasks) % 4 == 3:

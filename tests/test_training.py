@@ -253,7 +253,9 @@ class TestCheckpointContainer:
             load_arrays(path)
 
     @pytest.mark.parametrize("edit", ["no_train", "no_norm", "unknown_key", "zero_batch",
-                                      "heads_split_unevenly", "bytes_param"])
+                                      "heads_split_unevenly", "bytes_param",
+                                      "no_iteration", "negative_iteration",
+                                      "float_iteration", "bool_iteration"])
     def test_non_policy_container_rejected(self, tmp_path, dataset, edit):
         cfg = small_cfg()
         path = tmp_path / "p.bin"
@@ -269,6 +271,11 @@ class TestCheckpointContainer:
             meta["train"]["batch_size"] = 0
         elif edit == "heads_split_unevenly":  # ModelConfig takes it, Policy.init does not
             meta["train"]["model"]["heads"] = 3
+        elif edit == "no_iteration":  # eval reads it for every row
+            del meta["iteration"]
+        elif edit.endswith("_iteration"):
+            meta["iteration"] = {"negative": -1, "float": 2.0, "bool": True}[
+                edit.removesuffix("_iteration")]
         else:  # a dtype byte flip can turn "<f4" into "<a4"
             arrays["param.gate.b"] = arrays["param.gate.b"].view("S4")
         save_arrays(path, arrays, meta)
