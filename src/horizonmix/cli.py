@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: train, eval, rollout, gate-stats.
+Commands: train, eval, gate-stats.
 Relative data/output paths resolve under ``$HORIZONMIX_ROOT`` (default: the
 current directory).  Exit codes: 0 success, 2 configuration/usage error,
 3 runtime failure.
@@ -12,9 +12,9 @@ concatenated.
 """
 
 import argparse
-import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,8 +24,7 @@ from .checkpoint import load_policy
 from .config import TrainConfig, load_config
 from .envbench.dataset import generate_dataset, load_dataset, provenance, save_dataset
 from .envbench.env import make_suite
-from .envbench.evaluate import (evaluate, executor_from_name, run_episode,
-                                write_success_csv)
+from .envbench.evaluate import evaluate, executor_from_name, write_success_csv
 from .errors import ConfigError
 from .rng import make_rng
 from .training import prepare_policy, train
@@ -33,6 +32,7 @@ from .training import prepare_policy, train
 ROOT_ENV = "HORIZONMIX_ROOT"
 DEFAULT_EPISODES_PER_TASK = 50
 DEFAULT_TRIALS = 25  # per task; 8 tasks/family -> 200 episodes per family
+GATE_STATS_BATCH = 64  # rows per predict; the table does not depend on it
 
 
 def _root() -> Path:
@@ -109,78 +109,40 @@ def _refuse_repeats(executors, args, where: str = "") -> None:
                           f"{', '.join(repeated)} twice{where}")
 
 
-def _executors(args) -> list:
-    """The executors ``--executors`` names, in its order, the consensus ones
-    with ``--min-steps`` and ``--min-active``."""
+def _policy_and_executors(args):
+    """The checkpoint's policy, its ``eval`` columns, and the executors
+    ``--executors`` names, in its order: the consensus ones with
+    ``--min-steps`` and ``--min-active``, each fixed prefix capped at the
+    policy's horizon. The names are checked before the checkpoint opens."""
     executors = [executor_from_name(name, args.min_steps, args.min_active)
                  for name in args.executors.split(",")]
     _refuse_repeats(executors, args)
-    return executors
-
-
-def _policy_and_executors(args, executors):
-    """The checkpoint's policy, its ``eval`` columns, and ``executors`` with
-    each fixed prefix capped at the policy's horizon and ``--trace`` given to
-    the consensus one. The flags are checked before the checkpoint opens, and
-    all before ``--trace`` is emptied."""
-    trace_path = args.trace and str(_resolve(args.trace))
-    if trace_path and sum(e.needs_per_horizon for e in executors) != 1:
-        raise ConfigError("--trace needs exactly one consensus executor; "
-                          "fixed prefixes write no trace")
     policy, columns = _load_policy(args)
     horizon = policy.horizons.max_horizon
     if any(e.needs_per_horizon for e in executors) and args.min_steps > horizon:
         raise ConfigError(f"--min-steps {args.min_steps} exceeds the horizon {horizon}")
-    executors = [replace(e, trace_path=trace_path) if e.needs_per_horizon
-                 else replace(e, prefix=min(e.prefix, horizon)) for e in executors]
+    executors = [e if e.needs_per_horizon else replace(e, prefix=min(e.prefix, horizon))
+                 for e in executors]
     _refuse_repeats(executors, args, f" at the checkpoint's horizon {horizon}")
-    if trace_path:
-        Path(trace_path).write_text("")  # never holds a line of an earlier run
     return policy, columns, executors
 
 
 def cmd_eval(args) -> int:
-    policy, columns, executors = _policy_and_executors(args, _executors(args))
+    policy, columns, executors = _policy_and_executors(args)
     suite = make_suite(seed=args.suite_seed)
     rows = []
-    for executor in executors:
-        for row in evaluate(policy, suite, args.trials, executor, seed=args.seed):
-            print(f"{row['family']:>16}  {row['executor']:>14}  "
-                  f"success {row['success_rate']:.3f}  "
-                  f"steps {row['mean_steps']:.1f}  "
-                  f"prefix {row['mean_prefix']:.2f}")
-            rows.append({**columns, **row})
+    # opened once every check has passed, so a refused run leaves it as it was
+    with open(_resolve(args.trace), "w") if args.trace else nullcontext() as trace:
+        for executor in executors:
+            for row in evaluate(policy, suite, args.trials, executor, seed=args.seed,
+                                trace=trace):
+                print(f"{row['family']:>16}  {row['executor']:>14}  "
+                      f"success {row['success_rate']:.3f}  "
+                      f"steps {row['mean_steps']:.1f}  "
+                      f"prefix {row['mean_prefix']:.2f}")
+                rows.append({**columns, **row})
     if args.out:
         write_success_csv(rows, _resolve(args.out))
-        print(f"wrote {_resolve(args.out)}")
-    return 0
-
-
-def cmd_rollout(args) -> int:
-    executors = _executors(args)
-    if len(executors) != 1:
-        raise ConfigError(f"rollout runs one executor, --executors names {len(executors)}")
-    policy, _columns, (executor,) = _policy_and_executors(args, executors)
-    suite = make_suite(seed=args.suite_seed)
-    by_id = {t.task_id: t for t in suite}
-    if args.task_id not in by_id:
-        raise ConfigError(f"task id {args.task_id} not in the suite")
-    rec = run_episode(policy, by_id[args.task_id], args.seed, args.trial, executor)
-    summary = {
-        "task_id": rec.task_id,
-        "family": rec.family,
-        "success": rec.success,
-        "steps": rec.steps,
-        "selected_prefixes": rec.selected_prefixes,
-        "prefix_lengths": rec.prefix_lengths,
-    }
-    print(json.dumps(summary, indent=2))
-    if args.out:
-        full = dict(summary)
-        full["observations"] = rec.observations.tolist()
-        full["actions"] = rec.actions.tolist()
-        with open(_resolve(args.out), "w") as fh:
-            json.dump(full, fh)
         print(f"wrote {_resolve(args.out)}")
     return 0
 
@@ -201,13 +163,12 @@ def cmd_gate_stats(args) -> int:
                                                     replace=False)
     family = family_of[dataset.task_ids[pick]]
     total = np.zeros((len(families), policy.cfg.max_horizon, len(policy.horizons)))
-    # one generator: the noise follows the sample order, whatever --batch is
     rng = make_rng(args.seed, "gate-stats", "noise")
-    for start in range(0, n, args.batch):
-        idx = pick[start:start + args.batch]
+    for start in range(0, n, GATE_STATS_BATCH):
+        idx = pick[start:start + GATE_STATS_BATCH]
         _fused, _per, alpha = policy.predict(dataset.observations[idx],
                                              dataset.task_ids[idx], rng=rng)
-        np.add.at(total, family[start:start + args.batch], alpha)
+        np.add.at(total, family[start:start + GATE_STATS_BATCH], alpha)
     counts = np.bincount(family, minlength=len(families))
     # each family's mean over its own samples; inactive (step, horizon) pairs have weight 0
     write_success_csv([{"family": name, "step": k + 1, "horizon": h,
@@ -248,40 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     suite_seed.add_argument("--suite-seed", type=int, default=0)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
-    trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    executors = argparse.ArgumentParser(add_help=False)
-    executors.add_argument("--executors", default="fixed-5",
-                           help="comma list of fixed-<k> and consensus-r<ratio>")
-    executors.add_argument("--min-steps", type=int, default=5)
-    executors.add_argument("--min-active", type=int, default=5)
-    trace = argparse.ArgumentParser(add_help=False)
-    trace.add_argument("--trace", default=None,
-                       help="the consensus executor's JSON-lines trace output")
 
     p = sub.add_parser("train", parents=[data, suite_seed], help="train a policy")
     p.add_argument("--out", default="runs/train")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", parents=[checkpoint, suite_seed, trials, seed, executors,
-                                        trace],
+    p = sub.add_parser("eval", parents=[checkpoint, suite_seed, seed],
                        help="evaluate a checkpoint on the task suite")
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
+    p.add_argument("--executors", default="fixed-5",
+                   help="comma list of fixed-<k> and consensus-r<ratio>")
+    p.add_argument("--min-steps", type=int, default=5)
+    p.add_argument("--min-active", type=int, default=5)
     p.add_argument("--out", default=None, help="success table CSV")
+    p.add_argument("--trace", default=None,
+                   help="JSON lines, one per episode of every executor: its record "
+                        "and, for consensus, each prediction's trace")
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("rollout", parents=[checkpoint, seed, suite_seed, executors, trace],
-                       help="run and dump a single episode")
-    p.add_argument("--task-id", type=int, default=0)
-    p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--out", default=None, help="full trajectory JSON")
-    p.set_defaults(fn=cmd_rollout)
 
     p = sub.add_parser("gate-stats", parents=[checkpoint, suite_seed, seed],
                        help="mean gate weight per (family, step, horizon)")
     p.add_argument("--out", default="gate_stats.csv")
     p.add_argument("--episodes", type=positive_int, default=2)
     p.add_argument("--samples", type=positive_int, default=256)
-    p.add_argument("--batch", type=positive_int, default=64)
     p.set_defaults(fn=cmd_gate_stats)
 
     return parser

@@ -4,7 +4,8 @@ At each chunk step the per-horizon predictions vote on the fused action; the
 executed prefix extends while their gate-weighted l1 disagreement stays
 under a threshold calibrated on the first n steps. Pure functions over the
 prediction arrays; the executor in envbench drives the environment with the
-returned prefix.
+returned prefix, keeps each returned ``ConsensusTrace`` in its episode record,
+and ``evaluate`` writes them with the episode to an ``eval --trace`` file.
 
 A per-horizon prediction is one stream's output on the shared input: its
 actions (regression), its most likely bin centers (classification), or its
@@ -13,7 +14,6 @@ velocity on the fused chunk integrated along the fused Euler path (flow).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +81,3 @@ def consensus_prefix(fused: np.ndarray, per_horizon: np.ndarray, alpha: np.ndarr
     return ConsensusTrace(disagreements=d, threshold=threshold, k_exec=k_exec,
                           active_counts=counts)
 
-
-def append_trace(path, trace: ConsensusTrace, **keys) -> None:
-    """One JSON line per prediction, led by the ``keys`` that join it to its
-    episode record (the evaluator's task_id, trial, prediction, executed)."""
-    record = {
-        **keys,
-        "selected": trace.k_exec,
-        "threshold": trace.threshold,
-        "disagreements": [round(float(x), 10) for x in trace.disagreements],
-        "active_counts": trace.active_counts.tolist(),
-    }
-    with open(path, "a") as f:
-        f.write(json.dumps(record) + "\n")

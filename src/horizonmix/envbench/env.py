@@ -390,7 +390,7 @@ def _sample_chain_task(task_id: int, rng: np.random.Generator,
                 cand_heading = heading + turn
                 cand = pts[-1] + leg * np.array([np.cos(cand_heading),
                                                  np.sin(cand_heading)])
-                if (cand > 0.08).all() and (cand < 0.92).all():
+                if 0.08 < cand[0] < 0.92 and 0.08 < cand[1] < 0.92:
                     heading = cand_heading
                     pts.append(cand)
                     break

@@ -10,14 +10,21 @@ executed count is what episode records carry.
 Rollouts are driven entirely by generators keyed on (seed, family, task,
 trial), so tables are bit-reproducible and independent of evaluation order.
 The reduction groups trials by family and averages by trial index.
+
+Given an open ``trace`` file, ``evaluate`` also writes one JSON line per
+episode, in evaluation order: the executor's name, the episode's keys and
+outcome, its prefixes, its observation and action streams, and under
+``consensus`` each prediction's threshold, disagreements and active horizon
+counts (null for a fixed prefix).
 """
 
 import csv
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..consensus import ConsensusConfig, append_trace, consensus_prefix
+from ..consensus import ConsensusConfig, ConsensusTrace, consensus_prefix
 from ..errors import ConfigError
 from ..rng import make_rng
 from .env import OBS_DIM, EnvConstants, PointMassEnv, TaskSpec
@@ -45,7 +52,6 @@ class ConsensusExecutor:
     """Pick each prefix with the cross-horizon consensus rule."""
 
     config: ConsensusConfig = field(default_factory=ConsensusConfig)
-    trace_path: str | None = None  # appended one line per prediction
 
     @property
     def name(self) -> str:
@@ -73,7 +79,8 @@ def executor_from_name(name: str, min_steps: int = ConsensusConfig.min_steps,
 
 @dataclass
 class EpisodeRecord:
-    """One rollout: full streams plus per-prediction executed prefix lengths.
+    """One rollout: full streams plus per-prediction executed prefix lengths
+    and, under the consensus executor, each prediction's consensus trace.
 
     Invariant: ``sum(prefix_lengths) == len(actions) == steps``.
     """
@@ -86,6 +93,7 @@ class EpisodeRecord:
     selected_prefixes: list[int]   # executor's choice per prediction
     success: bool
     steps: int
+    traces: list[ConsensusTrace]   # one per prediction; empty for a fixed prefix
 
 
 def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
@@ -99,6 +107,7 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
     act_log = []
     executed_lengths = []
     selected = []
+    traces = []
     while not env.done:
         prediction = len(selected)
         rng = make_rng(seed, "eval-noise", str(task.task_id), str(trial),
@@ -106,9 +115,9 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
         fused, per_h, alpha = policy.predict(obs[None], np.array([task.task_id]),
                                              rng=rng)
         if executor.needs_per_horizon:
-            trace = consensus_prefix(fused[0], per_h[0], alpha[0], horizons,
-                                     executor.config)
-            k = trace.k_exec
+            traces.append(consensus_prefix(fused[0], per_h[0], alpha[0], horizons,
+                                           executor.config))
+            k = traces[-1].k_exec
         else:
             k = min(executor.prefix, horizons.max_horizon)
         selected.append(k)
@@ -119,21 +128,41 @@ def run_episode(policy, task: TaskSpec, seed: int, trial: int, executor,
             if done:
                 break
         executed_lengths.append(j + 1)
-        if executor.needs_per_horizon and executor.trace_path is not None:
-            append_trace(executor.trace_path, trace, task_id=task.task_id,
-                         trial=trial, prediction=prediction, executed=j + 1)
     return EpisodeRecord(task_id=task.task_id, family=task.family,
                          observations=np.asarray(obs_log),
                          actions=np.asarray(act_log),
                          prefix_lengths=executed_lengths,
                          selected_prefixes=selected,
-                         success=env.success, steps=env.steps)
+                         success=env.success, steps=env.steps, traces=traces)
+
+
+def _episode_line(executor, trial: int, rec: EpisodeRecord) -> dict:
+    """The trace file's JSON object for one episode; ``consensus`` holds one
+    entry per prediction, or None for a fixed prefix."""
+    return {
+        "executor": executor.name,
+        "task_id": rec.task_id,
+        "family": rec.family,
+        "trial": trial,
+        "success": rec.success,
+        "steps": rec.steps,
+        "selected_prefixes": rec.selected_prefixes,
+        "prefix_lengths": rec.prefix_lengths,
+        "observations": rec.observations.tolist(),
+        "actions": rec.actions.tolist(),
+        "consensus": [{"threshold": t.threshold,
+                       "disagreements": [round(float(x), 10) for x in t.disagreements],
+                       "active_counts": t.active_counts.tolist()}
+                      for t in rec.traces] if executor.needs_per_horizon else None,
+    }
 
 
 def evaluate(policy, tasks: list[TaskSpec], trials: int, executor,
-             seed: int = 0,
-             constants: EnvConstants = EnvConstants()) -> list[dict]:
-    """Run ``trials`` seeded rollouts per task; return per-family rows."""
+             seed: int = 0, constants: EnvConstants = EnvConstants(),
+             trace=None) -> list[dict]:
+    """Run ``trials`` seeded rollouts per task; return per-family rows.
+
+    ``trace``, an open text file, gets one JSON line per episode."""
     if policy.cfg.obs_dim != OBS_DIM:
         raise ConfigError(
             f"policy expects obs_dim {policy.cfg.obs_dim}, env has {OBS_DIM}")
@@ -151,6 +180,8 @@ def evaluate(policy, tasks: list[TaskSpec], trials: int, executor,
     for task in tasks:
         for trial in range(trials):
             rec = run_episode(policy, task, seed, trial, executor, constants)
+            if trace is not None:
+                trace.write(json.dumps(_episode_line(executor, trial, rec)) + "\n")
             by_family.setdefault(task.family, []).append(rec)
     rows = []
     for family in sorted(by_family):

@@ -149,7 +149,8 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
                 raise TrainingDivergedError(it)
             T.zero_grads(policy.params.values())
             T.backward(total)
-            grad_norm = opt.step(lr_schedule(it, cfg))
+            lr = lr_schedule(it, cfg)
+            grad_norm = opt.step(lr)
             line = {
                 "iteration": it,
                 "l_mix": float(breakdown.l_mix.data),
@@ -157,7 +158,7 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
                 "l_bal": float(breakdown.l_bal.data),
                 "total": float(total.data),
                 "grad_norm": grad_norm,
-                "lr": lr_schedule(it, cfg),
+                "lr": lr,
             }
             metrics.append(line)
             if out is not None:

@@ -80,8 +80,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--episodes-per-task"), ("eval", "--trials"),
-        ("gate-stats", "--samples"), ("gate-stats", "--batch"),
-        ("gate-stats", "--episodes")])
+        ("gate-stats", "--samples"), ("gate-stats", "--episodes")])
     def test_count_below_one_is_2_and_writes_nothing(self, root, command, flag):
         source = (["--config", "run.cfg"] if command == "train"
                   else ["--checkpoint", "nope.bin"])
@@ -90,26 +89,9 @@ class TestExitCodes:
         assert err.value.code == 2
         assert [p.name for p in root.iterdir()] == ["run.cfg"]
 
-    @pytest.mark.parametrize("command", ["eval", "rollout"])
-    def test_trace_with_fixed_executor_is_2_before_the_file(self, root, command):
-        # the checkpoint is never opened: a missing one would exit 3
-        trace = root / "trace.jsonl"
-        trace.write_text('{"earlier": true}\n')
-        assert main([command, "--checkpoint", "nope.bin", "--executors", "fixed-5",
-                     "--trace", str(trace)]) == 2
-        assert trace.read_text() == '{"earlier": true}\n'
-
-    def test_trace_with_two_consensus_executors_is_2_before_the_file(self, root):
-        trace = root / "trace.jsonl"
-        trace.write_text('{"earlier": true}\n')
-        assert main(["eval", "--checkpoint", "nope.bin", "--trace", str(trace),
-                     "--executors", "consensus-r1,consensus-r1.1"]) == 2
-        assert trace.read_text() == '{"earlier": true}\n'
-
     @pytest.mark.parametrize("command, executors", [
         ("eval", "fixed-0"), ("eval", "fixed-x"), ("eval", "median-3"), ("eval", ""),
-        ("eval", "fixed-5,"), ("eval", "fixed-5,fixed-5"), ("rollout", "consensus-rx"),
-        ("rollout", "fixed-3,consensus-r1.1")])
+        ("eval", "fixed-5,"), ("eval", "fixed-5,fixed-5"), ("eval", "consensus-rx")])
     def test_bad_executors_are_2_before_the_checkpoint(self, root, command, executors):
         # the checkpoint is never opened: a missing one would exit 3
         assert main([command, "--checkpoint", "nope.bin",
@@ -217,7 +199,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("command, extra", [
         ("eval", ["--executors", "consensus-r1.1", "--trace", "t.jsonl"]),
-        ("rollout", ["--executors", "consensus-r1.1", "--trace", "t.jsonl"]),
+        ("eval", ["--executors", "fixed-3,consensus-r1.1", "--trace", "t.jsonl"]),
         ("eval", ["--executors", "fixed-3,consensus-r1", "--out", "dyn.csv"])])
     def test_min_steps_above_horizon_is_2_before_any_episode(self, root, monkeypatch,
                                                              command, extra):
@@ -228,7 +210,6 @@ class TestTrainEval:
         def no_episode(*args, **kwargs):
             raise AssertionError("an episode ran")
         monkeypatch.setattr(cli, "evaluate", no_episode)
-        monkeypatch.setattr(cli, "run_episode", no_episode)
         assert main([command, "--checkpoint", str(ckpt), "--min-steps", "40",
                      *extra]) == 2
         assert trace.read_text() == '{"earlier": true}\n'
@@ -299,11 +280,29 @@ class TestTrainEval:
                      "--executors", "consensus-r1.1",
                      "--trials", "1", "--trace", str(trace)]) == 0
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
-        assert lines
+        assert len(lines) == 16  # one per task at one trial
         for rec in lines:
-            assert rec["selected"] >= 3  # never below min_steps for H=6
-            assert rec["threshold"] >= 0.0
-            assert len(rec["disagreements"]) == 6
+            assert rec["executor"] == "consensus-r1.1"
+            assert len(rec["consensus"]) == len(rec["selected_prefixes"])
+            assert all(k >= 3 for k in rec["selected_prefixes"])  # min_steps for H=6
+            for entry in rec["consensus"]:
+                assert entry["threshold"] >= 0.0
+                assert len(entry["disagreements"]) == len(entry["active_counts"]) == 6
+
+    def test_eval_traces_every_executor_in_order(self, root):
+        ckpt = run_train(root)
+        args = ["eval", "--checkpoint", str(ckpt), "--trials", "1", "--min-steps", "3"]
+        assert main([*args, "--executors", "fixed-3,consensus-r1", "--trace", "t.jsonl"]) == 0
+        assert main([*args, "--executors", "fixed-3", "--trace", "fixed.jsonl"]) == 0
+        assert main([*args, "--executors", "consensus-r1", "--trace", "cons.jsonl"]) == 0
+        both = (root / "t.jsonl").read_text()
+        assert both == (root / "fixed.jsonl").read_text() + (root / "cons.jsonl").read_text()
+        lines = [json.loads(l) for l in both.splitlines()]
+        ids = [t.task_id for t in make_suite(seed=0)]
+        assert [(r["executor"], r["task_id"], r["trial"]) for r in lines] == (
+            [("fixed-3", i, 0) for i in ids] + [("consensus-r1", i, 0) for i in ids])
+        assert all(r["consensus"] is None for r in lines[:len(ids)])
+        assert all(len(r["consensus"]) == len(r["prefix_lengths"]) for r in lines[len(ids):])
 
     def test_trace_file_holds_one_run(self, root):
         ckpt = run_train(root)
@@ -316,19 +315,6 @@ class TestTrainEval:
         assert main(["eval", *args, "--trials", "1"]) == 0
         assert trace.read_text() == once
         assert "stale" not in once
-        assert main(["rollout", *args, "--task-id", "3"]) == 0
-        lines = [json.loads(l) for l in trace.read_text().splitlines()]
-        assert {(r["task_id"], r["trial"]) for r in lines} == {(3, 0)}
-
-    def test_rollout_prints_summary(self, root, capsys):
-        ckpt = run_train(root)
-        capsys.readouterr()  # drop training chatter
-        assert main(["rollout", "--checkpoint", str(ckpt),
-                     "--task-id", "0", "--trial", "0"]) == 0
-        out = capsys.readouterr().out
-        summary = json.loads(out[out.index("{"):])
-        assert summary["task_id"] == 0
-        assert summary["steps"] == sum(summary["prefix_lengths"])
 
 
 class TestSweeps:
@@ -373,15 +359,6 @@ class TestSweeps:
                      "--episodes", "1", "--out", "gate.csv"]) == 0
         rows = list(csv.DictReader((root / "gate.csv").open()))
         assert len(rows) == 12 and len({r["family"] for r in rows}) == 1
-
-    def test_gate_stats_table_does_not_depend_on_batch(self, root):
-        ckpt = run_train(root)
-        tables = []
-        for batch in ("3", "8", "32"):
-            assert main(["gate-stats", "--checkpoint", str(ckpt), "--samples", "32",
-                         "--episodes", "1", "--batch", batch, "--out", "gate.csv"]) == 0
-            tables.append((root / "gate.csv").read_bytes())
-        assert tables[0] == tables[1] == tables[2]
 
 
 def test_docstring_lists_every_command():

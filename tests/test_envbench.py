@@ -681,6 +681,21 @@ EPISODE_DIGESTS = {"flow": ("280b3daa3d06a225", "ff5130693e3de2f2"),
                    "classification": ("6132af2dfdb80ab6", "280809c7c48b6cb7")}
 
 
+def _prediction_lines(path) -> bytes:
+    """The trace as it was once written, one line per consensus prediction
+    (none for a fixed prefix), rebuilt from the one line per episode."""
+    out = b""
+    for episode in map(json.loads, path.read_text().splitlines()):
+        for p, entry in enumerate(episode["consensus"] or ()):
+            out += (json.dumps({
+                "task_id": episode["task_id"], "trial": episode["trial"], "prediction": p,
+                "executed": episode["prefix_lengths"][p],
+                "selected": episode["selected_prefixes"][p],
+                "threshold": entry["threshold"], "disagreements": entry["disagreements"],
+                "active_counts": entry["active_counts"]}) + "\n").encode()
+    return out
+
+
 @pytest.mark.parametrize("head", EPISODE_DIGESTS)
 def test_episode_records_and_tables_are_pinned(head, tmp_path):
     policy = small_policy(head=head)
@@ -693,11 +708,9 @@ def test_episode_records_and_tables_are_pinned(head, tmp_path):
             records.update(rec.observations.tobytes() + rec.actions.tobytes())
             records.update(repr((rec.prefix_lengths, rec.selected_prefixes,
                                  rec.success, rec.steps)).encode())
-    trace = tmp_path / "trace.jsonl"
-    if head == "flow":
-        executor = replace(executor, trace_path=str(trace))
-    rows = evaluate(policy, SUITE[:2] + SUITE[8:10], 2, executor, seed=1)
-    tables = json.dumps(rows).encode() + (trace.read_bytes() if trace.exists() else b"")
+    with open(tmp_path / "trace.jsonl", "w") as trace:
+        rows = evaluate(policy, SUITE[:2] + SUITE[8:10], 2, executor, seed=1, trace=trace)
+    tables = json.dumps(rows).encode() + _prediction_lines(tmp_path / "trace.jsonl")
     assert (records.hexdigest()[:16], _digest(tables)) == EPISODE_DIGESTS[head]
 
 
@@ -787,23 +800,29 @@ class TestEvaluate:
 
     def test_consensus_trace_lines_join_episode_records(self, tmp_path):
         policy = small_policy()
-        config = ConsensusConfig(min_steps=2, min_active=1)
         tasks = [SUITE[0], SUITE[8]]
-        path = tmp_path / "trace.jsonl"
-        evaluate(policy, tasks, trials=2,
-                 executor=ConsensusExecutor(config, trace_path=str(path)), seed=4)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        records = {(t.task_id, trial): run_episode(policy, t, 4, trial,
-                                                   ConsensusExecutor(config))
-                   for t in tasks for trial in range(2)}
-        keys = [(r["task_id"], r["trial"], r["prediction"]) for r in lines]
-        assert sorted(keys) == sorted((tid, trial, p)
-                                      for (tid, trial), rec in records.items()
-                                      for p in range(len(rec.prefix_lengths)))
-        for line in lines:
-            rec = records[line["task_id"], line["trial"]]
-            assert line["executed"] == rec.prefix_lengths[line["prediction"]]
-            assert line["selected"] == rec.selected_prefixes[line["prediction"]]
+        consensus = ConsensusExecutor(ConsensusConfig(min_steps=2, min_active=1))
+        for executor in (consensus, FixedPrefixExecutor(3)):
+            with open(tmp_path / "trace.jsonl", "w") as trace:
+                evaluate(policy, tasks, trials=2, executor=executor, seed=4, trace=trace)
+            lines = [json.loads(line)
+                     for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+            assert [(r["task_id"], r["trial"]) for r in lines] == [
+                (t.task_id, trial) for t in tasks for trial in range(2)]
+            for line in lines:
+                task = SUITE[line["task_id"]]
+                rec = run_episode(policy, task, 4, line["trial"], executor)
+                assert (line["executor"], line["family"]) == (executor.name, task.family)
+                assert np.array_equal(line["observations"], rec.observations)
+                assert np.array_equal(line["actions"], rec.actions)
+                assert line["prefix_lengths"] == rec.prefix_lengths
+                assert line["selected_prefixes"] == rec.selected_prefixes
+                assert (line["success"], line["steps"]) == (rec.success, rec.steps)
+                if executor is consensus:
+                    assert [(c["threshold"], c["active_counts"]) for c in line["consensus"]] == [
+                        (t.threshold, t.active_counts.tolist()) for t in rec.traces]
+                else:
+                    assert line["consensus"] is None and rec.traces == []
 
     def test_dimension_mismatch_rejected(self):
         policy = small_policy(obs_dim=5)
