@@ -195,14 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "control tasks")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags that several commands share, one parent parser per group
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--config", default=None, help="flat key=value file")
-    data.add_argument("--set", action="append", metavar="KEY=VALUE",
-                      help="config override, e.g. model.stride=5")
-    data.add_argument("--data", default="data/default",
-                      help="dataset directory (generated if missing)")
-    data.add_argument("--episodes-per-task", type=positive_int,
-                      default=DEFAULT_EPISODES_PER_TASK)
     checkpoint = argparse.ArgumentParser(add_help=False)
     checkpoint.add_argument("--checkpoint", required=True)
     suite_seed = argparse.ArgumentParser(add_help=False)
@@ -210,7 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("train", parents=[data, suite_seed], help="train a policy")
+    p = sub.add_parser("train", parents=[suite_seed], help="train a policy")
+    p.add_argument("--config", default=None, help="flat key=value file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="config override, e.g. model.stride=5")
+    p.add_argument("--data", default="data/default",
+                   help="dataset directory (generated if missing)")
+    p.add_argument("--episodes-per-task", type=positive_int,
+                   default=DEFAULT_EPISODES_PER_TASK)
     p.add_argument("--out", default="runs/train")
     p.set_defaults(fn=cmd_train)
 

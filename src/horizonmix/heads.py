@@ -16,10 +16,12 @@ every shape from ``ModelConfig``:
   and each stream's velocity on the fused chunk, from noise (``flow_infer``);
   the one-step heads read actions or most likely bins (``head_infer``).
 
-``head_loss`` reduces the rows to L_mix and the N per-horizon losses with
-one masked reduction each. Flow losses are means over valid positions,
-one-step losses are sums over valid steps and action dimensions averaged
-over the batch.
+``loss_inputs`` draws the flow head's noise and weighs the rows over the
+whole batch; ``example_losses`` reduces one set of examples' rows to their
+shares of L_mix and of the N per-horizon losses, so ``Policy.loss`` can run
+it on two halves of a batch at once. Flow losses are means over valid
+positions, one-step losses are sums over valid steps and action dimensions
+averaged over the batch.
 """
 
 from __future__ import annotations
@@ -140,30 +142,55 @@ def flow_target(eps: np.ndarray, target: np.ndarray) -> np.ndarray:
     return target - eps
 
 
-def head_loss(params, cfg: ModelConfig, ctx: T.Tensor, target: np.ndarray,
-              valid_rows: np.ndarray, rng, grid: BinGrid | None):
-    """L_mix and the per-horizon losses of one batch.
+def loss_inputs(cfg: ModelConfig, target: np.ndarray, valid_rows: np.ndarray, rng,
+                dtype) -> dict[str, np.ndarray]:
+    """The per-example inputs of ``example_losses``, drawn and weighted over
+    the whole batch, each with the batch on its leading axis.
 
     target:     (B, H, d_a) normalized action chunks
     valid_rows: (B, H) flags; padded chunk rows carry no loss anywhere
     rng:        draws the flow time and noise (flow head only)
-    grid:       the bin grid (classification head only)
-    returns (l_mix, per-horizon losses (N,), gate weights alpha (B, H, N))
+    returns the loss target (the flow head's is the path velocity), the row
+    weights of each stream (B, N, H) and of the fused chunk (B, H) at
+    ``dtype``, and for flow the noisy chunk at ``dtype`` and its flow times
+    (B,). Flow weights make means over the batch's valid positions; one-step
+    weights make sums over valid steps averaged over the batch.
     """
-    head = cfg.head
     b, _, d_a = target.shape
-    dtype = ctx.data.dtype
-    chunk = tau = None
-    if head == "flow":
+    out = {}
+    if cfg.head == "flow":
         tau = rng.random(b)
         eps = rng.standard_normal(target.shape)
         x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
-        chunk = x.astype(dtype)
+        out["chunk"], out["tau"] = x.astype(dtype), tau
         target = flow_target(eps, target)
-    out, fused, logp, alpha = _fused_forward(params, cfg, ctx, chunk, tau)
+    # stream i scores the valid rows within its horizon
+    mask = validity_grid(cfg.horizon_set()).T[None] & valid_rows[:, None]
+    if cfg.head == "flow":
+        row_w = mask / (mask.sum(axis=(0, 2), keepdims=True) * d_a)
+        fused_w = valid_rows / (valid_rows.sum() * d_a)
+    else:
+        row_w, fused_w = mask / b, valid_rows / b
+    out.update(target=target, row_w=row_w.astype(dtype), fused_w=fused_w.astype(dtype))
+    return out
 
-    # per-row losses: (B, N, H) per stream and (B, H) fused
-    if head == "classification":
+
+def example_losses(params, cfg: ModelConfig, ctx: T.Tensor, grid: BinGrid | None,
+                   target: np.ndarray, row_w: np.ndarray, fused_w: np.ndarray,
+                   chunk: np.ndarray | None = None, tau: np.ndarray | None = None):
+    """Each example's share of L_mix and of the per-horizon losses, from the
+    inputs of ``loss_inputs`` for its rows.
+
+    Per-row losses are the squared error (flow), l1 error (regression) or bin
+    NLL (classification, on ``grid``), summed over action dimensions at every
+    (example, stream, step) row and every fused (example, step) row, then
+    weighted and summed over steps.
+    returns (L_mix terms (B,), per-horizon terms (B, N), gate weights alpha
+    (B, H, N))
+    """
+    dtype = ctx.data.dtype
+    out, fused, logp, alpha = _fused_forward(params, cfg, ctx, chunk, tau)
+    if cfg.head == "classification":
         bins0 = quantize(target, grid) - 1
         neg_onehot = -(np.arange(grid.bins) == bins0[..., None]).astype(dtype)
         fused_logp = T.tlog(T.add(fused, PROB_FLOOR))
@@ -172,19 +199,11 @@ def head_loss(params, cfg: ModelConfig, ctx: T.Tensor, target: np.ndarray,
     else:
         err = T.sub(out, T.constant(target[:, None].astype(dtype)))
         fused_err = T.sub(fused, T.constant(target.astype(dtype)))
-        row = (lambda e: T.mul(e, e)) if head == "flow" else T.tabs
+        row = (lambda e: T.mul(e, e)) if cfg.head == "flow" else T.tabs
         rows = T.tsum(row(err), axis=-1)
         fused_rows = T.tsum(row(fused_err), axis=-1)
-
-    # stream i scores the valid rows within its horizon
-    mask = validity_grid(cfg.horizon_set()).T[None] & valid_rows[:, None]
-    if head == "flow":
-        row_w = mask / (mask.sum(axis=(0, 2), keepdims=True) * d_a)
-        fused_w = valid_rows / (valid_rows.sum() * d_a)
-    else:
-        row_w, fused_w = mask / b, valid_rows / b
-    per_h = T.tsum(T.mul(rows, T.constant(row_w.astype(dtype))), axis=(0, 2))
-    l_mix = T.tsum(T.mul(fused_rows, T.constant(fused_w.astype(dtype))))
+    per_h = T.tsum(T.mul(rows, T.constant(row_w)), axis=2)
+    l_mix = T.tsum(T.mul(fused_rows, T.constant(fused_w)), axis=1)
     return l_mix, per_h, alpha
 
 

@@ -174,6 +174,7 @@ class MoHLossBreakdown:
     l_ind: T.Tensor
     l_bal: T.Tensor
     total: T.Tensor
+    per_horizon: T.Tensor  # (N,) the per-horizon losses that l_ind sums
 
 
 def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor,
@@ -184,5 +185,6 @@ def moh_objective(l_mix: T.Tensor, per_horizon_losses: T.Tensor, l_bal: T.Tensor
     """
     l_ind = T.tsum(per_horizon_losses)
     total = T.add(T.add(l_mix, T.mul(l_ind, lambda_ind)), T.mul(l_bal, lambda_bal))
-    return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total)
+    return MoHLossBreakdown(l_mix=l_mix, l_ind=l_ind, l_bal=l_bal, total=total,
+                            per_horizon=per_horizon_losses)
 

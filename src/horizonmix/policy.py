@@ -2,7 +2,8 @@
 statistics, the horizon set, and the train/infer entry points shared by the
 training loop, the evaluator, and the CLI.
 
-``Policy.loss`` runs ``heads.head_loss`` for every head. ``Policy.predict``
+``Policy.loss`` runs ``heads.example_losses`` for every head, on two halves
+of the batch at once. ``Policy.predict``
 integrates the flow head's velocity field (``heads.flow_infer``, which needs
 an rng for the noise) and reads the one-step heads directly
 (``heads.head_infer``).
@@ -132,14 +133,27 @@ class Policy:
     def loss(self, obs, task_ids, chunks, valid_rows, rng,
              lambda_ind: float = 1.0, lambda_bal: float = 1e-3):
         """MoH loss breakdown and gate weights alpha (B, H, N) for one batch
-        of env-scale chunks."""
-        ctx = self.encode_context(obs, task_ids)
+        of env-scale chunks.
+
+        The flow draws and the row weights come from the whole batch
+        (``heads.loss_inputs``); the encoder, the forward and the per-row
+        losses run on two halves of the rows at once (``tensor.shards``),
+        and the balance loss reads the whole batch's gate weights."""
+        obs = self.norm.normalize_obs(np.asarray(obs, dtype=np.float64)).astype(self.dtype)
+        task_ids = np.asarray(task_ids)
         target = self.norm.normalize_actions(np.asarray(chunks, dtype=np.float64))
-        valid_rows = np.asarray(valid_rows, dtype=bool)
-        l_mix, per_h, alpha = hd.head_loss(self.params, self.cfg, ctx, target, valid_rows,
-                                           rng, self.grid)
+        inputs = hd.loss_inputs(self.cfg, target, np.asarray(valid_rows, dtype=bool), rng,
+                                self.dtype)
+
+        def shard(params, rows):
+            ctx = encode(params, self.cfg, obs[rows], task_ids[rows])
+            return hd.example_losses(params, self.cfg, ctx, self.grid,
+                                     **{k: v[rows] for k, v in inputs.items()})
+
+        l_mix, per_h, alpha = T.shards(shard, self.params, len(target))
         l_bal = balance_loss(alpha, self.horizons)
-        return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), alpha
+        return moh_objective(T.tsum(l_mix), T.tsum(per_h, axis=0), l_bal,
+                             lambda_ind, lambda_bal), alpha
 
     # -- inference ---------------------------------------------------------
     def predict(self, obs, task_ids, rng=None, need_per_horizon: bool = True):

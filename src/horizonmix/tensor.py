@@ -55,11 +55,35 @@ chain's to rounding, while its dx is bit-identical.
 Tensors are not subscriptable: the model selects rows with `take_rows`
 and `gather_rows`. Basic slicing as a tape node (`index`) lives in
 tests/oracles.py, whose per-lane oracles cut lanes out of flat rows.
+
+`shards` runs a per-example graph over two fixed halves of a batch's rows
+at once, shard 0 on the calling thread and shard 1 on a worker thread, and
+puts both subgraphs behind one tape node. Its thread rule rests on the
+invariants above:
+
+- each shard builds its graph over shadow leaves, fresh `Tensor`s over the
+  parameters' own arrays (no copy), so no gradient slot is written by two
+  threads; the shard node adds shard 0's and then shard 1's leaf gradients
+  into the real leaves on the calling thread, after both have stopped;
+- every gradient array has one holder, so the two sweeps share none;
+- no rule writes `.data`, so both threads may read the parameter arrays.
+
+The split is always two halves, B//2 and B - B//2 rows, so a loss's bits do
+not depend on the machine. Both directions run with OpenBLAS held at one
+thread, its count restored afterwards; where OpenBLAS's setter is missing or
+the process may run on one CPU only, the shards run one after the other on
+the calling thread, with the same bits at one BLAS thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -171,14 +195,14 @@ def _make(data, parents, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linearize(root: Tensor) -> list[Tensor]:
-    """Operation records of the graph below root, in topological order.
+def linearize(*roots: Tensor) -> list[Tensor]:
+    """Operation records of the graph below the roots, in topological order.
 
     Iterative DFS so deep graphs cannot hit the recursion limit.
     """
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False) for root in roots]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -203,8 +227,13 @@ def backward(root: Tensor) -> None:
     freed once its own rule and its consumers' rules have run."""
     if root.data.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
-    order = linearize(root)
     root.grad = np.ones_like(root.data)
+    _sweep(root)
+
+
+def _sweep(*roots: Tensor) -> None:
+    """The reverse sweep of ``backward`` from roots that hold their gradients."""
+    order = linearize(*roots)
     while order:
         node = order.pop()
         if node._backward is not None and node.grad is not None:
@@ -785,3 +814,166 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             k._accumulate(dk)
 
     return _make(out_data, (q, k, v), bwd)
+
+
+# ---------------------------------------------------------------------------
+# shards
+# ---------------------------------------------------------------------------
+
+# OpenBLAS's thread-count setter and getter, by the names the builds in
+# numpy's wheels export: scipy-openblas (numpy 2), then openblas64_ (numpy 1).
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    numpy has no API for it, so the functions come through ctypes from the
+    library numpy's wheels carry in numpy.libs, which numpy has loaded
+    (RTLD_NOLOAD never loads another). Looked up once, on first use."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    wheel_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(wheel_libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=noload)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREADS:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _shard_threads():
+    """OpenBLAS's (set, get) when two shards can run at once, else None:
+    with one CPU, or no setter, shards run one after the other."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return _openblas_threads() if (cpus or 1) >= 2 else None
+
+
+# The BLAS thread count is the process's: shard pairs of concurrent callers
+# take turns, so that each restores the count it found.
+_SHARD_LOCK = threading.Lock()
+
+
+def _wait_for_exit(thread: threading.Thread) -> None:
+    """Wait until a joined thread's OS thread is gone, not only its Python
+    state, which is all that ``join`` waits for before Python 3.13. glibc
+    hands an exiting thread's malloc arena to the next new thread only once
+    it has gone; a worker started earlier opens an arena of its own, which
+    keeps a shard's freed activations resident beside the old one's. In a
+    train-flow probe on 2 vCPUs that took the peak RSS from 200 to 261 MB,
+    in 1 of 16 processes. Where the OS lists no threads, it returns."""
+    task = f"/proc/self/task/{thread.native_id}"
+    while os.path.exists(task):
+        os.sched_yield()
+
+
+def _run_shards(tasks):
+    """Each task's result, in order: the second on a worker thread while the
+    first runs on this one, with OpenBLAS held at one thread, or both here
+    in turn (see ``_shard_threads``). The worker runs in a copy of this
+    thread's context, so numpy's error state holds in both. A task's
+    exception is raised here once both have stopped, the first task's
+    before the second's. A task must not run shards itself."""
+    blas = _shard_threads() if len(tasks) > 1 else None
+    if blas is None:
+        return [task() for task in tasks]
+    set_threads, get_threads = blas
+    context = contextvars.copy_context()
+    second: dict[str, object] = {}
+
+    def work():
+        try:
+            second["out"] = context.run(tasks[1])
+        except BaseException as exc:  # re-raised on the calling thread
+            second["error"] = exc
+
+    with _SHARD_LOCK:
+        before = get_threads()
+        set_threads(1)
+        try:
+            worker = threading.Thread(target=work, name="horizonmix-shard")
+            worker.start()
+            try:
+                first = tasks[0]()
+            finally:
+                worker.join()
+                _wait_for_exit(worker)
+        finally:
+            set_threads(before)
+    if "error" in second:
+        raise second["error"]
+    return [first, second["out"]]
+
+
+def shards(fn, params: dict[str, Tensor], batch: int) -> tuple[Tensor, ...]:
+    """fn over two fixed halves of a batch's rows at once, as one tape node.
+
+    fn(leaves, rows) builds the graph of the examples ``rows`` (a slice)
+    over ``leaves``, shadow leaves of ``params`` that share their arrays,
+    and returns a tuple of per-example tensors of one width, each with
+    rows.stop - rows.start entries on its leading axis. The halves are rows
+    [0, B//2) and [B//2, B); B = 1 runs one shard. See the module docstring
+    for the thread rule.
+
+    returns fn's outputs with the shards' rows concatenated in order. They
+    are views of one node that holds them as a (B, features) table and
+    whose parents are the parameters that require grad. Its rule splits the
+    gradient by shard and output, sweeps both shard graphs at once, and adds
+    shard 0's and then shard 1's leaf gradients into the parameters.
+    """
+    cuts = [0, batch // 2, batch] if batch > 1 else [0, batch]
+    rows = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    leaves = [{k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in params.items()}
+              for _ in rows]
+    outs = [tuple(out) for out in
+            _run_shards([functools.partial(fn, lv, r) for lv, r in zip(leaves, rows)])]
+    first = outs[0]
+    for out, r in zip(outs, rows):
+        if len(out) != len(first) or any(
+                t.shape != (r.stop - r.start,) + f.shape[1:] for t, f in zip(out, first)):
+            raise ShapeMismatchError(
+                f"shard of rows {r.start}:{r.stop} returned shapes {[t.shape for t in out]}")
+        for t in out:
+            _check_same_width(first[0], t)
+    widths = [math.prod(t.shape[1:]) for t in first]
+    offsets = np.cumsum([0] + widths).tolist()
+    table = np.concatenate([np.concatenate([t.data.reshape(len(t.data), -1) for t in out],
+                                           axis=1) for out in outs])
+
+    def bwd(g):
+        def sweep(out, r):
+            roots = [t for t in out if t.requires_grad]
+            for t, lo, hi in zip(out, offsets, offsets[1:]):
+                if t.requires_grad:
+                    t._accumulate(np.array(g[r, lo:hi]).reshape(t.shape))
+            return lambda: _sweep(*roots)
+
+        _run_shards([sweep(out, r) for out, r in zip(outs, rows)])
+        for lv in leaves:
+            for name, p in params.items():
+                if lv[name].grad is not None:
+                    p._accumulate(lv[name].grad)
+                    lv[name].grad = None
+
+    node = _make(table, tuple(p for p in params.values() if p.requires_grad), bwd)
+
+    def output(lo, hi, shape):
+        def out_bwd(g):
+            full = np.zeros_like(table)
+            full[:, lo:hi] = g.reshape(batch, -1)
+            node._accumulate(full)
+
+        return _make(table[:, lo:hi].reshape((batch,) + shape), (node,), out_bwd)
+
+    return tuple(output(lo, hi, t.shape[1:])
+                 for t, lo, hi in zip(first, offsets, offsets[1:]))

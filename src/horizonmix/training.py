@@ -156,6 +156,7 @@ def train(policy: Policy, dataset, cfg: TrainConfig, metrics_path=None,
                 "l_mix": float(breakdown.l_mix.data),
                 "l_ind": float(breakdown.l_ind.data),
                 "l_bal": float(breakdown.l_bal.data),
+                "l_h": breakdown.per_horizon.data.tolist(),
                 "total": float(total.data),
                 "grad_norm": grad_norm,
                 "lr": lr,

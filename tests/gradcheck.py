@@ -310,6 +310,24 @@ def _build_cases():
         q, k, v = _randn(rng, 3, 4), _randn(rng, 6, 4), _randn(rng, 6, 4)
         return lambda: T.tmean(oracles.attention(q, k, v)), [q, k, v]
 
+    @case("shards")
+    def _():
+        # two shards over the rows of x, with an output that the other
+        # output also reads, as the gate weights feed the fused loss
+        rng = _case_rng("shards")
+        x, w, b = _randn(rng, 5, 3), _randn(rng, 3, 2), _randn(rng, 2)
+        c = rng.standard_normal((5, 2))
+
+        def shard(leaves, rows):
+            h = T.linear(T.take_rows(leaves["x"], np.arange(rows.start, rows.stop)),
+                         leaves["w"], leaves["b"])
+            return T.tsum(T.mul(h, h), axis=1), h
+
+        def f():
+            sq, h = T.shards(shard, {"x": x, "w": w, "b": b}, 5)
+            return T.add(T.tsum(T.texp(T.mul(sq, 0.1))), T.tsum(T.mul(h, c)))
+        return f, [x, w, b]
+
     @case("balance_loss")
     def _():
         # the gate's masked softmax over irregular horizons: intervals of

@@ -12,6 +12,11 @@
 - `run`, the transformer pass over (B, N, L, d_model) sequences of that
   layout, which also runs the padded-stream and truncated-stream oracles.
 
+And the loss that `Policy.loss` ran before it split the batch into shards:
+
+- `unsharded_loss`, one encoder, forward and per-row loss graph over the
+  whole batch, reduced over examples and steps at once.
+
 And the scalar geometry the point-mass environment's array decisions replaced:
 
 - `detour_point`, one point of a bowed detour curve per call;
@@ -37,11 +42,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from horizonmix import heads as hd
 from horizonmix import tensor as T
 from horizonmix.envbench.dataset import Dataset, provenance
 from horizonmix.envbench.env import OBS_DIM, EnvConstants, TaskSpec
 from horizonmix.envbench.expert import ExpertGains
 from horizonmix.errors import InvalidMaskError, ShapeMismatchError
+from horizonmix.mixture import balance_loss, moh_objective, validity_grid
 from horizonmix.rng import make_rng
 
 
@@ -238,6 +245,48 @@ def run(params, cfg, ctx, action_tokens, time_token, masks: np.ndarray):
     x = T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     a0 = c + (0 if time_token is None else 1)
     return index(x, np.s_[:, :, a0:])
+
+
+def unsharded_loss(policy, obs, task_ids, chunks, valid_rows, rng,
+                   lambda_ind: float = 1.0, lambda_bal: float = 1e-3):
+    """``Policy.loss`` as one graph over the whole batch: the MoH loss
+    breakdown and the gate weights alpha (B, H, N)."""
+    cfg, grid = policy.cfg, policy.grid
+    ctx = policy.encode_context(obs, task_ids)
+    target = policy.norm.normalize_actions(np.asarray(chunks, dtype=np.float64))
+    valid_rows = np.asarray(valid_rows, dtype=bool)
+    b, _, d_a = target.shape
+    dtype = ctx.data.dtype
+    chunk = tau = None
+    if cfg.head == "flow":
+        tau = rng.random(b)
+        eps = rng.standard_normal(target.shape)
+        x = (1.0 - tau)[:, None, None] * eps + tau[:, None, None] * target
+        chunk = x.astype(dtype)
+        target = hd.flow_target(eps, target)
+    out, fused, logp, alpha = hd._fused_forward(policy.params, cfg, ctx, chunk, tau)
+    if cfg.head == "classification":
+        bins0 = hd.quantize(target, grid) - 1
+        neg_onehot = -(np.arange(grid.bins) == bins0[..., None]).astype(dtype)
+        fused_logp = T.tlog(T.add(fused, hd.PROB_FLOOR))
+        rows = T.tsum(T.mul(logp, T.constant(neg_onehot[:, None])), axis=(-2, -1))
+        fused_rows = T.tsum(T.mul(fused_logp, T.constant(neg_onehot)), axis=(-2, -1))
+    else:
+        err = T.sub(out, T.constant(target[:, None].astype(dtype)))
+        fused_err = T.sub(fused, T.constant(target.astype(dtype)))
+        row = (lambda e: T.mul(e, e)) if cfg.head == "flow" else T.tabs
+        rows = T.tsum(row(err), axis=-1)
+        fused_rows = T.tsum(row(fused_err), axis=-1)
+    mask = validity_grid(cfg.horizon_set()).T[None] & valid_rows[:, None]
+    if cfg.head == "flow":
+        row_w = mask / (mask.sum(axis=(0, 2), keepdims=True) * d_a)
+        fused_w = valid_rows / (valid_rows.sum() * d_a)
+    else:
+        row_w, fused_w = mask / b, valid_rows / b
+    per_h = T.tsum(T.mul(rows, T.constant(row_w.astype(dtype))), axis=(0, 2))
+    l_mix = T.tsum(T.mul(fused_rows, T.constant(fused_w.astype(dtype))))
+    l_bal = balance_loss(alpha, policy.horizons)
+    return moh_objective(l_mix, per_h, l_bal, lambda_ind, lambda_bal), alpha
 
 
 def detour_point(a, b, s, mode, bulge):

@@ -366,3 +366,17 @@ def test_docstring_lists_every_command():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert listed.split(", ") == list(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["train"], {"config": None, "set": None, "data": "data/default",
+                 "episodes_per_task": 50, "suite_seed": 0, "out": "runs/train"}),
+    (["train", "--config", "a.cfg", "--set", "model.stride=5", "--set", "seed=2",
+      "--data", "d", "--episodes-per-task", "3", "--suite-seed", "4", "--out", "o"],
+     {"config": "a.cfg", "set": ["model.stride=5", "seed=2"], "data": "d",
+      "episodes_per_task": 3, "suite_seed": 4, "out": "o"}),
+])
+def test_train_flags_parse_to_their_values(argv, expected):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("fn") is cli.cmd_train
+    assert args == {"command": "train", **expected}

@@ -83,10 +83,8 @@ class TestFlowLoss:
 
     @staticmethod
     def _raw_losses(policy, obs, task_ids, chunks, valid, seed):
-        ctx = policy.encode_context(obs, task_ids)
-        target = policy.norm.normalize_actions(chunks)
-        return hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
-                            make_rng(seed, "d"), None)
+        out, alpha = policy.loss(obs, task_ids, chunks, valid, make_rng(seed, "d"))
+        return out.l_mix, out.per_horizon, alpha
 
     def test_loss_components_match_direct_recomputation(self):
         policy = make_policy("flow", seed=2)
@@ -275,8 +273,8 @@ class TestClassificationLoss:
         valid[:, -1] = False
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
-                                           None, policy.grid)
+        out, alpha = policy.loss(obs, task_ids, chunks, valid, None)
+        l_mix, per_h = out.l_mix, out.per_horizon
 
         hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx)
         raw = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
@@ -337,8 +335,8 @@ class TestRegressionLoss:
         obs, task_ids, chunks, valid = make_batch(30)
         ctx = policy.encode_context(obs, task_ids)
         target = policy.norm.normalize_actions(chunks)
-        l_mix, per_h, alpha = hd.head_loss(policy.params, policy.cfg, ctx, target, valid,
-                                           None, None)
+        out, alpha = policy.loss(obs, task_ids, chunks, valid, None)
+        l_mix, per_h = out.l_mix, out.per_horizon
         hidden = tr.forward_multi_horizon(policy.params, policy.cfg, ctx)
         preds = hidden.data @ policy.params["head.w"].data + policy.params["head.b"].data
         fused = np.einsum("bnkd,bkn->bkd", preds, alpha.data)
@@ -398,15 +396,23 @@ class TestPolicyInterface:
         np.testing.assert_array_equal(alone, fused)
         np.testing.assert_array_equal(alpha_alone, alpha)
 
-    def test_default_flow_loss_tape_has_185_nodes(self):
-        # leaves included; each MLP (4 FFNs, which add their block's
-        # residual, and the encoder) is one node, so a split of a fused node
-        # shows here. The count does not depend on B.
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_default_flow_loss_tape_has_116_nodes(self, b):
+        # leaves included: the 82 leaves, the shard node and its three
+        # outputs, the sums over examples, the balance loss and the
+        # objective. Each shard's graph sits behind the shard node; in it
+        # each MLP (4 FFNs, which add their block's residual, and the
+        # encoder) is one node, so a split of a fused node shows in the
+        # shard count. Neither count depends on B.
         cfg = ModelConfig(head="flow")
         policy = Policy.init(cfg, seed=0)
-        obs, task_ids, chunks, valid = make_batch(37, b=2, cfg=cfg)
+        obs, task_ids, chunks, valid = make_batch(37, b=b, cfg=cfg)
         out, _ = policy.loss(obs, task_ids, chunks, valid, make_rng(38, "d"))
-        assert len(T.linearize(out.total)) == 185
+        assert len(T.linearize(out.total)) == 116
+        inputs = hd.loss_inputs(cfg, chunks, valid, make_rng(38, "d"), policy.dtype)
+        shard = hd.example_losses(policy.params, cfg, policy.encode_context(obs, task_ids),
+                                  None, **inputs)
+        assert len(T.linearize(*shard)) == 157
 
     @pytest.mark.parametrize("head", hd.HEAD_TYPES)
     def test_predict_deterministic(self, head):
@@ -464,14 +470,16 @@ def loss_digests() -> dict[str, str]:
 # What predict and loss gave before the forward stopped rebuilding its lane
 # plan, moved attention's scale onto q and GELU's ½ off the hidden elements,
 # and folded the FFN residual into T.mlp: each of those is exact at these
-# shapes, so the bits must not move. A change that means to move them updates these
-# constants and says so in CHANGES.md.
+# shapes, so the bits must not move. The loss bits moved once since, when the
+# loss started to run as two shards of the batch, whose float32 sums run per
+# half. A change that means to move them updates these constants and says so
+# in CHANGES.md.
 PREDICT_DIGESTS = {"flow@1": "4f2a85251fc53476", "flow@3": "f43281f3740e482c",
                    "regression@1": "803a49ff53a02161", "regression@3": "138be5c347b7384f",
                    "classification@1": "666a622ef834ede9",
                    "classification@3": "d5af6f8b3647e2ed"}
-LOSS_DIGESTS = {"flow": "ca2a4fa5aa3af779", "regression": "8a7fab6b788fdb91",
-                "classification": "9636bb82eee2b0ac"}
+LOSS_DIGESTS = {"flow": "32d6ac8faf972427", "regression": "d6deb546c56e6e62",
+                "classification": "92523e7b0e32eaf1"}
 
 
 def test_predict_bits_are_pinned():

@@ -26,7 +26,7 @@ from horizonmix.heads import flow_target
 from horizonmix.mixture import moh_objective
 from horizonmix.policy import ModelConfig, Policy
 from horizonmix.rng import make_rng
-from horizonmix.training import AdamW, lr_schedule, prepare_policy, train
+from horizonmix.training import AdamW, default_loss, lr_schedule, prepare_policy, train
 
 SMALL_MODEL = ModelConfig(head="flow", layers=1, heads=2, d_model=16, d_ff=32,
                           context_tokens=2, encoder_hidden=16, max_horizon=6,
@@ -396,6 +396,40 @@ class TestTrainLoop:
             assert m["total"] == pytest.approx(
                 m["l_mix"] + cfg.lambda_ind * m["l_ind"]
                 + cfg.lambda_bal * m["l_bal"], rel=1e-5)
+
+    def test_metrics_lines_carry_the_per_horizon_losses(self, dataset, tmp_path):
+        cfg = small_cfg(iterations=3)
+        policy = prepare_policy(cfg, dataset)
+        base = default_loss(policy, cfg)
+        per_h = []
+
+        def loss_fn(*batch):
+            breakdown = base(*batch)
+            per_h.append(breakdown.per_horizon.data.tolist())
+            return breakdown
+
+        path = tmp_path / "metrics.jsonl"
+        train(policy, dataset, cfg, metrics_path=path, loss_fn=loss_fn)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [m["l_h"] for m in lines] == per_h
+        for m in lines:
+            assert len(m["l_h"]) == len(policy.horizons)
+            assert sum(m["l_h"]) == pytest.approx(m["l_ind"], rel=1e-5)
+
+    def test_loss_fn_runs_once_per_iteration_on_every_row(self, dataset):
+        # the batch is split into shards under Policy.loss, never above it:
+        # the benchmark times and counts one loss_fn call per step
+        cfg = small_cfg(iterations=3, batch_size=8)
+        policy = prepare_policy(cfg, dataset)
+        base = default_loss(policy, cfg)
+        calls = []
+
+        def loss_fn(*batch):
+            calls.append(tuple(len(a) for a in batch[:4]))
+            return base(*batch)
+
+        train(policy, dataset, cfg, loss_fn=loss_fn)
+        assert calls == [(8, 8, 8, 8)] * 3
 
     def test_identical_seeds_bit_identical(self, dataset, tmp_path):
         digests = []
